@@ -20,8 +20,8 @@ default, the spin-up one for the alternate choice.  Spelled out as index sets
     hole:  up allowed iff l > x - 1/2,   down allowed iff l <= x + 1/2
     outer: up allowed iff l < x - 1/2,   down allowed iff l >= x + 1/2.
 
-Kernel vectors exist only when x + 1/2 is an integer; that case is detected
-exactly for rational fluxes and within 1e-12 for floats.
+Kernel vectors exist only when x -+ 1/2 is an integer, as decided by
+:func:`numutil.integer_at`.  Each spectrum decides its two thresholds once.
 
 Trace membership is measured in the weighted norm
 
@@ -39,28 +39,18 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, Tuple, Union
+from typing import Dict, Union
 
 import numpy as np
 
 from .field import FluxLike, KernelChoice, flux_over_2pi
 from .geometry import OUTER
-from .numutil import INT_DETECTION_TOL
-
-HALF = Fraction(1, 2)
+from .numutil import HALF, floor_strict, is_integer_within, threshold_sum
 
 
 class Spin(Enum):
     UP = "up"
     DOWN = "down"
-
-
-def _exact_or_float(x) -> Union[float, Fraction]:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if float(x) == int(x):
-        return Fraction(int(x))
-    return float(x)
 
 
 @dataclass(frozen=True)
@@ -73,20 +63,29 @@ class BoundarySpectrum:
     q: Union[float, Fraction] = 0
     kernel_choice: KernelChoice = KernelChoice.DEFAULT
 
+    def __post_init__(self):
+        # Each spin admits {l <= cut} or {l > cut}, split at its threshold
+        # t = x -+ 1/2.  When t sits on an integer, the kernel vector l = t
+        # is on the admissible side if this spin takes the kernel half and
+        # on the forbidden side otherwise.
+        x = threshold_sum(flux_over_2pi(self.flux_through), self.q)
+        alternate = self.kernel_choice is KernelChoice.ALTERNATE
+        cuts = {}
+        for spin, t in ((Spin.UP, threshold_sum(x, -HALF)),
+                        (Spin.DOWN, threshold_sum(x, HALF))):
+            below = (spin is Spin.UP) == self.is_outer  # admissible set lies below t
+            kernel_admissible = (spin is Spin.DOWN) != alternate
+            kernel_below = is_integer_within(t) and kernel_admissible == below
+            cuts[spin] = (floor_strict(t) + (1 if kernel_below else 0), below)
+        object.__setattr__(self, "_x", float(x))
+        object.__setattr__(self, "_cuts", cuts)
+
     @property
     def is_outer(self) -> bool:
         return self.boundary == OUTER
 
-    def _x(self) -> Union[float, Fraction]:
-        """phi/2pi + q, exact when both parts are rational."""
-        c = flux_over_2pi(self.flux_through)
-        q = _exact_or_float(self.q)
-        if isinstance(c, Fraction) and isinstance(q, Fraction):
-            return c + q
-        return float(c) + float(q)
-
     def eigenvalue(self, spin: Spin, ell: int) -> float:
-        x = float(self._x())
+        x = self._x
         if self.is_outer:
             if spin is Spin.UP:
                 return (ell + 0.5 - x) / self.radius
@@ -95,39 +94,10 @@ class BoundarySpectrum:
             return (x - 0.5 - ell) / self.radius
         return (ell - 0.5 - x) / self.radius
 
-    def _threshold(self, spin: Spin) -> Tuple[Union[float, Fraction], bool, int]:
-        """(threshold, is_at_integer, integer value) for the allowed-set inequality."""
-        x = self._x()
-        t = x - (HALF if isinstance(x, Fraction) else 0.5) if spin is Spin.UP \
-            else x + (HALF if isinstance(x, Fraction) else 0.5)
-        if isinstance(t, Fraction):
-            return t, t.denominator == 1, int(t) if t.denominator == 1 else 0
-        k = round(t)
-        return t, abs(t - k) <= INT_DETECTION_TOL, int(k)
-
     def allowed(self, spin: Spin, ell: int) -> bool:
         """Membership of the (spin, ell) basis vector in the admissible subspace."""
-        t, at_int, k = self._threshold(spin)
-        alternate = self.kernel_choice is KernelChoice.ALTERNATE
-        if self.is_outer:
-            if spin is Spin.UP:
-                if at_int:
-                    return ell <= k - (0 if alternate else 1)
-                return ell < t
-            if at_int:
-                return ell >= k + (1 if alternate else 0)
-            return ell > t
-        if spin is Spin.UP:
-            if at_int:
-                return ell >= k + (0 if alternate else 1)
-            return ell > t
-        if at_int:
-            return ell <= k - (1 if alternate else 0)
-        return ell < t
-
-    def allowed_set(self, spin: Spin) -> Callable[[int], bool]:
-        """Membership predicate over the integer label l."""
-        return lambda ell: self.allowed(spin, ell)
+        cut, below = self._cuts[spin]
+        return ell <= cut if below else ell > cut
 
 
 def hcheck_weight(eigenvalue: float) -> float:

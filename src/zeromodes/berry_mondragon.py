@@ -26,9 +26,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import GridTooCoarse
 from .field import FluxLike, TWO_PI
-from .zero_modes import VerificationReport
+from .zero_modes import VerificationReport, d4, step_halving_ratio
 
 _MATCH_TOL = 1e-9
 
@@ -96,10 +95,6 @@ def bm_verify(
     def vec_a(z):
         return 1j * x * z / np.abs(z) ** 2
 
-    def d4(fn, zs, shift):
-        return (-fn(zs + 2 * shift) + 8 * fn(zs + shift)
-                - 8 * fn(zs - shift) + fn(zs - 2 * shift)) / (12 * abs(shift))
-
     radii = cfg.r_inner + (cfg.r_outer - cfg.r_inner) * (np.arange(radial) + 0.5) / radial
     angles = np.linspace(0.0, 2.0 * math.pi, angular, endpoint=False)
     zs = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
@@ -120,11 +115,7 @@ def bm_verify(
     idx = int(np.argmax(res))
     pde_residual = float(res[idx])
     res_half = float(residual_at(zs[idx: idx + 1], fd / 2)[0]) / scale
-    if abs(pde_residual - res_half) > 10.0 * tol_residual:
-        raise GridTooCoarse(
-            f"residual {pde_residual:.3e} vs {res_half:.3e} under step halving"
-        )
-    richardson = pde_residual / res_half if res_half > 0 else math.inf
+    richardson = step_halving_ratio(pde_residual, res_half, tol_residual)
 
     phis = np.linspace(0.0, 2.0 * math.pi, n_boundary, endpoint=False)
     boundary: Dict[str, float] = {}

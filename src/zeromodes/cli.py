@@ -31,6 +31,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
@@ -47,6 +48,9 @@ EXIT_OK = 0
 EXIT_FAILED_CHECKS = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# values one flux range may hold, so every config does a bounded amount of work
+MAX_RANGE_VALUES = 100_000
 
 
 class ConfigError(Exception):
@@ -66,6 +70,25 @@ def _flux(node: Dict[str, Any], key_pi: str, key_raw: str):
     if key_raw in node:
         return float(node[key_raw])
     raise ConfigError(f"flux needs either {key_pi!r} or {key_raw!r}")
+
+
+def _choice(enum, text, key: str):
+    try:
+        return enum(text)
+    except ValueError:
+        names = ", ".join(repr(m.value) for m in enum)
+        raise ConfigError(f"unknown {key} {text!r}; expected one of {names}") from None
+
+
+def _rational_range(node) -> List[PiFlux]:
+    """Flux values start, start + step, ... up to stop, all multiples of pi."""
+    start, stop, step = (_fraction(node[k]) for k in ("start", "stop", "step"))
+    if step <= 0:
+        raise ConfigError("range step must be positive")
+    n = max(0, math.floor((stop - start) / step) + 1)
+    if n > MAX_RANGE_VALUES:
+        raise ConfigError(f"range holds {n} values; at most {MAX_RANGE_VALUES} are allowed")
+    return [PiFlux(start + i * step) for i in range(n)]
 
 
 def parse_domain(node: Dict[str, Any]) -> DomainSpec:
@@ -89,13 +112,11 @@ def parse_domain(node: Dict[str, Any]) -> DomainSpec:
 def parse_field(node: Dict[str, Any], n_holes: int) -> FieldSpec:
     bumps = []
     for b in node.get("bumps", []):
-        profile = Profile.UNIFORM_DISC if b.get("profile") == "uniform" \
-            else Profile.SMOOTH_COMPACT
         bumps.append(RadialBump(
             center=complex(b["center"][0], b["center"][1]),
             support_radius=float(b["support_radius"]),
             flux=_flux(b, "flux_pi", "flux"),
-            profile=profile,
+            profile=_choice(Profile, b.get("profile", "smooth"), "profile"),
         ))
     fluxes_pi = node.get("hole_fluxes_pi")
     if fluxes_pi is not None:
@@ -106,13 +127,11 @@ def parse_field(node: Dict[str, Any], n_holes: int) -> FieldSpec:
         raise ConfigError(
             f"{len(hole_fluxes)} hole fluxes given for {n_holes} holes"
         )
-    kernel = KernelChoice.ALTERNATE if node.get("kernel") == "alternate" \
-        else KernelChoice.DEFAULT
     return FieldSpec(
         bumps=bumps,
         hole_fluxes=hole_fluxes,
         q_shift=_fraction(node.get("q", "0")),
-        kernel_choice=kernel,
+        kernel_choice=_choice(KernelChoice, node.get("kernel", "default"), "kernel"),
     )
 
 
@@ -205,24 +224,11 @@ def cmd_verify(config, args) -> Dict[str, Any]:
             "all_passed": all(r["passed"] for r in rows)}
 
 
-def _sweep_values(node) -> List[PiFlux]:
-    rng = node["phi_pi"]
-    start, stop, step = (_fraction(rng[k]) for k in ("start", "stop", "step"))
-    if step <= 0:
-        raise ConfigError("sweep step must be positive")
-    out = []
-    val = start
-    while val <= stop:
-        out.append(PiFlux(val))
-        val += step
-    return out
-
-
 def cmd_sweep(config, args) -> Dict[str, Any]:
     node = config.get("sweep")
     if not node:
         raise ConfigError("config needs a 'sweep' section")
-    values = _sweep_values(node)
+    values = _rational_range(node["phi_pi"])
     q_values = [_fraction(t) for t in node.get("q_values", ["0"])]
     radius_out = float(node.get("radius_out", 5.0))
     plane = DomainSpec(DomainKind.PLANE, [])
@@ -275,13 +281,7 @@ def cmd_index(config, args) -> Dict[str, Any]:
     if domain.kind is DomainKind.PLANE:
         raise ConfigError("the index table applies to disc and sphere domains")
     report = index_vs_count(domain, fld)
-    if domain.kind is DomainKind.SPHERE:
-        from .conformal import sphere_to_disc
-
-        red = sphere_to_disc(domain, fld)
-        assembly = index_formula(red.disc_domain, red.disc_field)
-    else:
-        assembly = index_formula(domain, fld)
+    assembly = report.assembly
     payload = _flux_payload(domain, fld)
     payload.update({
         "index": report.index,
@@ -316,13 +316,8 @@ def cmd_bm(config, args) -> Dict[str, Any]:
     rows = []
     if "sweep" in node:
         sw = node["sweep"]
-        start, stop, step = (_fraction(sw[k]) for k in ("start", "stop", "step"))
-        values = []
-        val = start
-        while val <= stop:
-            values.append(PiFlux(val))
-            val += step
-        rows = bm_flux_sweep(cfg, values, unbounded=bool(sw.get("unbounded", False)))
+        rows = bm_flux_sweep(cfg, _rational_range(sw),
+                             unbounded=bool(sw.get("unbounded", False)))
         return {"command": "bm", "rows": rows}
     mode = bm_zero_mode(cfg)
     row: Dict[str, Any] = {

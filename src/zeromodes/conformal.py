@@ -115,15 +115,11 @@ def conformal_ratio(z: complex, m: MobiusCoeffs) -> float:
 
 @dataclass(frozen=True)
 class SphereReduction:
-    """Projected flat problem plus the dressing rule for sphere candidates."""
+    """Projected flat problem of a sphere problem; sphere modes are W^{-1/2} u_flat."""
 
     disc_domain: DomainSpec
     disc_field: FieldSpec
     omitted_hole: int
-    w_power: float = -0.5  # u_sphere = W**w_power * u_flat
-
-    def dress(self, u_flat, z) -> np.ndarray:
-        return np.asarray(u_flat, dtype=complex) * conformal_factor(z) ** self.w_power
 
 
 def sphere_to_disc(domain: DomainSpec, fld: FieldSpec) -> SphereReduction:

@@ -30,7 +30,11 @@ shifted by q, assembles as
 
 with eta_j = 1 - 2<flux'_j/2pi - 1/2 + q> on the holes (sign flipped on the
 outer circle) and kernel dimensions 1 exactly when the bracket argument is an
-integer.  The sum telescopes to floor_strict(Phi/2pi + 1/2 + q).
+integer, as decided by :func:`numutil.integer_at`.  The index is the raw
+assembly rounded to the nearest integer.  It is checked against the
+zero-mode count, not against a closed formula: :func:`index_vs_count` calls
+the two consistent only when the raw value is an integer equal to the signed
+count.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import numpy as np
 from .errors import DomainError
 from .field import FieldSpec, KernelChoice, flux_over_2pi, normalize_flux, total_flux
 from .geometry import DomainKind, DomainSpec
-from .numutil import floor_strict, is_integer_within, unit_representative
+from .numutil import HALF, is_integer_within, threshold_sum, unit_representative
 
 from .zero_modes import Chirality, count_zero_modes
 
@@ -58,10 +62,7 @@ def eta_closed(c: Union[float, Fraction]) -> float:
     """
     if is_integer_within(c):
         return 0.0
-    rep = unit_representative(c)
-    if isinstance(rep, Fraction):
-        return float(-1 + 2 * rep)
-    return -1.0 + 2.0 * rep
+    return float(-1 + 2 * unit_representative(c))
 
 
 def rho_term(s: float, c_unit: float, n) -> np.ndarray:
@@ -155,52 +156,42 @@ class IndexResult:
     endomorphism_term: float
 
 
-def _exact_combine(x, q, offset: Fraction):
-    if isinstance(x, Fraction) and isinstance(q, (int, Fraction)):
-        return x + Fraction(q) + offset
-    return float(x) + float(q) + float(offset)
-
-
 def index_formula(domain: DomainSpec, fld: FieldSpec) -> IndexResult:
-    """Assemble the boundary-corrected index and its strict-floor value.
+    """Assemble the boundary-corrected index; ``index`` is the rounded raw sum.
 
     Disc domains with the default kernel only; hole fluxes enter through
-    their q-normalized values and kernel dimensions are decided exactly for
-    rational data (within 1e-12 otherwise).
+    their q-normalized values and kernel dimensions follow the threshold
+    policy of :mod:`numutil`.
     """
     if domain.kind is not DomainKind.DISC:
         raise ValueError("the index assembly is stated for disc domains")
     if fld.kernel_choice is not KernelChoice.DEFAULT:
         raise ValueError("the index assembly uses the default kernel choice")
     q = fld.q_shift
-    n_holes = domain.n_holes
-    minus_half = Fraction(-1, 2)
+    fluxes = {f"hole{j}": normalize_flux(phi, q, fld.kernel_choice).value
+              for j, phi in enumerate(fld.hole_fluxes)}
+    fluxes["outer"] = total_flux(fld, domain)
 
     bulk = sum(float(flux_over_2pi(b.flux)) for b in fld.bumps)
     etas: Dict[str, float] = {}
     kers: Dict[str, int] = {}
     raw = bulk
-    for j, phi in enumerate(fld.hole_fluxes):
-        nf = normalize_flux(phi, q, fld.kernel_choice)
-        c_j = _exact_combine(flux_over_2pi(nf.value), q, minus_half)
-        ker = 1 if is_integer_within(c_j) else 0
-        eta = 0.0 if ker else 1.0 - 2.0 * float(unit_representative(c_j))
-        etas[f"hole{j}"] = eta
-        kers[f"hole{j}"] = ker
+    for label, phi in fluxes.items():
+        c = threshold_sum(flux_over_2pi(phi), q, -HALF)
+        ker = 1 if is_integer_within(c) else 0
+        if ker:
+            eta = 0.0
+        elif label == "outer":
+            eta = -1.0 + 2.0 * float(unit_representative(c))
+        else:
+            eta = 1.0 - 2.0 * float(unit_representative(c))
+        etas[label] = eta
+        kers[label] = ker
         raw -= 0.5 * (eta + ker)
-    phi_total = total_flux(fld, domain)
-    c_out = _exact_combine(flux_over_2pi(phi_total), q, minus_half)
-    ker_out = 1 if is_integer_within(c_out) else 0
-    eta_out = 0.0 if ker_out else -1.0 + 2.0 * float(unit_representative(c_out))
-    etas["outer"] = eta_out
-    kers["outer"] = ker_out
-    raw -= 0.5 * (eta_out + ker_out)
-    endo = (1 - n_holes) * float(q)
+    endo = (1 - domain.n_holes) * float(q)
     raw += endo
-
-    simplified = floor_strict(_exact_combine(flux_over_2pi(phi_total), q, Fraction(1, 2)))
     return IndexResult(
-        index=simplified,
+        index=round(raw),
         raw=raw,
         bulk=bulk,
         boundary_eta=etas,
@@ -216,10 +207,15 @@ class IndexCountReport:
     count: int
     chirality: Chirality
     consistent: bool
+    assembly: IndexResult
 
 
 def index_vs_count(domain: DomainSpec, fld: FieldSpec) -> IndexCountReport:
-    """Compare the index assembly against the signed zero-mode count."""
+    """Compare the index assembly against the signed zero-mode count.
+
+    Consistent means the raw assembly is an integer equal to the signed
+    count; spheres are assembled on their projected disc.
+    """
     if domain.kind is DomainKind.SPHERE:
         from .conformal import sphere_to_disc
 
@@ -238,5 +234,6 @@ def index_vs_count(domain: DomainSpec, fld: FieldSpec) -> IndexCountReport:
         signed_count=signed,
         count=counted.count,
         chirality=counted.chirality,
-        consistent=idx.index == signed,
+        consistent=is_integer_within(idx.raw) and idx.index == signed,
+        assembly=idx,
     )

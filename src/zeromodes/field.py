@@ -15,6 +15,7 @@ interval determined by the boundary-operator shift q and the kernel choice:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,6 +26,7 @@ import numpy as np
 
 from .errors import SphereFluxMismatch
 from .geometry import DomainKind, DomainSpec
+from .numutil import HALF, integer_at, threshold_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,10 +69,6 @@ def flux_over_2pi(phi: FluxLike) -> Union[float, Fraction]:
     return float(phi) / TWO_PI
 
 
-def as_float(phi: FluxLike) -> float:
-    return float(phi)
-
-
 class Profile(Enum):
     UNIFORM_DISC = "uniform"
     SMOOTH_COMPACT = "smooth"
@@ -109,16 +107,6 @@ class NormalizedFlux:
     gauge_integer: int
 
 
-def _q_exact(q: Union[float, Fraction]) -> Union[float, Fraction]:
-    if isinstance(q, Fraction):
-        return q
-    if isinstance(q, int):
-        return Fraction(q)
-    if float(q) == int(q):
-        return Fraction(int(q))
-    return float(q)
-
-
 def normalize_flux(
     phi: FluxLike,
     q: Union[float, Fraction] = 0,
@@ -126,18 +114,16 @@ def normalize_flux(
 ) -> NormalizedFlux:
     """Fold phi by multiples of 2*pi into the canonical interval for (q, kernel)."""
     x = flux_over_2pi(phi)
-    qv = _q_exact(q)
     if kernel_choice is KernelChoice.ALTERNATE:
-        if qv != 0:
+        if q != 0:
             raise ValueError("alternate kernel choice is defined for q = 0 only")
-        # target (-1/2, 1/2]: ties at +1/2 stay
-        m = math.ceil(x - Fraction(1, 2) if isinstance(x, Fraction) else x - 0.5)
+        # target (-1/2, 1/2]: m = ceil(x - 1/2), ties at +1/2 stay
+        y, rounding = threshold_sum(x, -HALF), math.ceil
     else:
-        # target [-q-1/2, -q+1/2): ties at the lower end stay
-        if isinstance(x, Fraction) and isinstance(qv, Fraction):
-            m = math.floor(x + qv + Fraction(1, 2))
-        else:
-            m = math.floor(float(x) + float(qv) + 0.5)
+        # target [-q-1/2, -q+1/2): m = floor(x + q + 1/2), ties at the lower end stay
+        y, rounding = threshold_sum(x, q, HALF), math.floor
+    k = integer_at(y)
+    m = k if k is not None else rounding(y)
     if isinstance(phi, PiFlux):
         value: FluxLike = PiFlux(phi.multiplier - 2 * m)
     else:
@@ -240,24 +226,19 @@ def smooth_profile_shape(r: np.ndarray, rho: float) -> np.ndarray:
     return out
 
 
-def _smooth_norm_integral(rho: float) -> float:
-    # 2*pi * int_0^rho exp(-1/(1-(r/rho)^2)) r dr, via substitution r = rho*u
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda u: math.exp(-1.0 / (1.0 - u * u)) * u, 0.0, 1.0,
-                  epsabs=1e-14, epsrel=1e-13)
-    return TWO_PI * rho * rho * val
-
-
-_SMOOTH_NORM_UNIT = None
+@functools.lru_cache(maxsize=None)
+def _smooth_norm_unit() -> float:
+    # 2*pi * int_0^1 exp(-1/(1-u^2)) u du, the unit-radius bump's integral,
+    # by the order-96 Gauss-Legendre rule the potential profiles use (the
+    # map from [-1, 1] to [0, 1] halves the weights: 2*pi/2 = pi)
+    x, w = np.polynomial.legendre.leggauss(96)
+    u = 0.5 * (x + 1.0)
+    return math.pi * float(np.exp(-1.0 / (1.0 - u * u)) * u @ w)
 
 
 def smooth_profile_amplitude(bump: RadialBump) -> float:
     """Central density constant C with C * integral(shape) = flux."""
-    global _SMOOTH_NORM_UNIT
-    if _SMOOTH_NORM_UNIT is None:
-        _SMOOTH_NORM_UNIT = _smooth_norm_integral(1.0)
-    return float(bump.flux) / (_SMOOTH_NORM_UNIT * bump.support_radius ** 2)
+    return float(bump.flux) / (_smooth_norm_unit() * bump.support_radius ** 2)
 
 
 def eval_B(fld: FieldSpec, z) -> np.ndarray:

@@ -1,36 +1,57 @@
-"""Small numeric helpers: strict floor, unit-interval representative, integer tests.
+"""The one policy for threshold decisions: strict floor and integer tests.
 
-The counting formulas use the convention that floor(y) is the biggest integer
-*strictly* smaller than y, so floor(2) = 1.  Exact (Fraction) and float inputs
-are both supported; Fraction inputs keep threshold decisions exact.
+Every count, admissible index set and index in this package turns on whether
+some value y = flux/2pi + q +- 1/2 sits on an integer.  Two rules decide it:
+
+* :func:`threshold_sum` adds the parts of y.  The sum is a Fraction when every
+  part is an int or a Fraction, and a float otherwise.
+* :func:`integer_at` says which integer y sits on, if any: exactly for a
+  Fraction, and within ``INT_DETECTION_TOL`` for a float, so a float that
+  carries rounding from an intended threshold counts as on it.
+
+Everything else is built on these two.  The counting formulas use the
+convention that floor(y) is the biggest integer *strictly* smaller than y,
+so floor(2) = 1.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 Real = Union[int, float, Fraction]
 
 # absolute tolerance for "is this float an integer" decisions
 INT_DETECTION_TOL = 1e-12
 
+HALF = Fraction(1, 2)
+
+
+def threshold_sum(*parts: Real) -> Real:
+    """Sum of the parts, a Fraction when all are int or Fraction, else a float."""
+    if all(isinstance(p, (int, Fraction)) for p in parts):
+        return sum(parts, Fraction(0))
+    return sum(float(p) for p in parts)
+
+
+def integer_at(y: Real) -> Optional[int]:
+    """The integer y sits on, exactly for int/Fraction and within tolerance for floats."""
+    k = round(y)
+    if isinstance(y, (int, Fraction)):
+        return k if k == y else None
+    return k if abs(y - k) <= INT_DETECTION_TOL else None
+
+
+def is_integer_within(y: Real) -> bool:
+    """Whether y sits on an integer under :func:`integer_at`."""
+    return integer_at(y) is not None
+
 
 def floor_strict(y: Real) -> int:
     """Biggest integer strictly less than y (so floor_strict(2) == 1)."""
-    if isinstance(y, (int, Fraction)):
-        m = math.floor(y)
-        return m - 1 if m == y else m
-    m = math.floor(y)
-    return m - 1 if m == float(y) else m
-
-
-def is_integer_within(y: Real, tol: float = INT_DETECTION_TOL) -> bool:
-    """Whether y is an integer, exactly for int/Fraction and within tol for floats."""
-    if isinstance(y, (int, Fraction)):
-        return y == math.floor(y)
-    return abs(y - round(y)) <= tol
+    k = integer_at(y)
+    return k - 1 if k is not None else math.floor(y)
 
 
 def unit_representative(c: Real) -> Real:
@@ -38,13 +59,9 @@ def unit_representative(c: Real) -> Real:
 
     Undefined for integer c; callers must handle that branch first.
     """
-    if isinstance(c, (int, Fraction)):
-        r = c - math.floor(c)
-    else:
-        r = c - math.floor(c)
-        # float folding can land exactly on 0 for values like -1e-17
-        if r >= 1.0:
-            r -= 1.0
+    r = c - math.floor(c)
+    if r >= 1:  # float folding lands on 1.0 for values like -1e-17
+        r -= 1
     if r == 0:
         raise ValueError("unit_representative is undefined for integer input")
     return r

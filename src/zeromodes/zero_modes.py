@@ -4,9 +4,11 @@ Counting (floor_strict(y) = biggest integer strictly below y, Phi = total or
 semi-total flux, x = Phi/2pi):
 
     plane:            floor_strict(|x|) modes, spin up iff Phi > 0
-    disc, shift q:    |floor_strict(x + q + 1/2)|, spin up iff x + q + 1/2 > 0
-    disc, alternate:  |floor_strict(-x + 1/2)|, spin up iff Phi > 0
+    disc, shift q:    |floor_strict(x + q + 1/2)|, spin up iff that floor is > 0
+    disc, alternate:  |floor_strict(-x + 1/2)|, spin up iff that floor is < 0
     sphere:           |floor_strict(x_hat + 1/2)| with the semi-total flux
+
+Thresholds follow the one policy of :mod:`numutil`.
 
 Every mode is a definite-chirality spinor u+ = e^{h} p(z) or
 u- = e^{-h} p(conj z) with p a polynomial; sphere modes carry an extra
@@ -28,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +48,7 @@ from .field import (
     total_flux,
 )
 from .geometry import OUTER, Annulus, DomainKind, DomainSpec, annulus_probe
-from .numutil import floor_strict
+from .numutil import HALF, floor_strict, threshold_sum
 from .potential import PotentialField
 
 
@@ -72,32 +73,18 @@ def count_zero_modes(domain: DomainSpec, fld: FieldSpec) -> ZeroModeCount:
     """Number of zero modes and their common chirality."""
     if domain.kind is DomainKind.SPHERE:
         _require_sphere_canonical(fld)
-    phi = total_flux(fld, domain)
-    x = flux_over_2pi(phi)
-    q = fld.q_shift
-    exact = isinstance(x, Fraction) and isinstance(q, (int, Fraction))
-    half = Fraction(1, 2) if exact else 0.5
-
+    x = flux_over_2pi(total_flux(fld, domain))
     if domain.kind is DomainKind.PLANE:
-        if x == 0:
-            return ZeroModeCount(0, Chirality.NONE)
         n = max(0, floor_strict(abs(x)))
-        if n == 0:
-            return ZeroModeCount(0, Chirality.NONE)
-        return ZeroModeCount(n, Chirality.UP if x > 0 else Chirality.DOWN)
-
-    if domain.kind is DomainKind.DISC and fld.kernel_choice is KernelChoice.ALTERNATE:
-        n = abs(floor_strict(-x + half))
-        if n == 0:
-            return ZeroModeCount(0, Chirality.NONE)
-        return ZeroModeCount(n, Chirality.UP if x > 0 else Chirality.DOWN)
-
-    # disc with shift q, and the sphere via its semi-total flux (q = 0 there)
-    y = x + Fraction(q) + half if exact else float(x) + float(q) + 0.5
-    n = abs(floor_strict(y))
-    if n == 0:
+        signed = n if x > 0 else -n
+    elif fld.kernel_choice is KernelChoice.ALTERNATE:
+        signed = -floor_strict(threshold_sum(-x, HALF))
+    else:
+        # disc with shift q, and the sphere via its semi-total flux (q = 0 there)
+        signed = floor_strict(threshold_sum(x, fld.q_shift, HALF))
+    if signed == 0:
         return ZeroModeCount(0, Chirality.NONE)
-    return ZeroModeCount(n, Chirality.UP if y > 0 else Chirality.DOWN)
+    return ZeroModeCount(abs(signed), Chirality.UP if signed > 0 else Chirality.DOWN)
 
 
 def basis_degrees(domain: DomainSpec, fld: FieldSpec) -> Tuple[Chirality, List[int]]:
@@ -283,17 +270,32 @@ def _bulk_points(domain: DomainSpec, fld: FieldSpec, grid: GridSpec,
     return zz[keep]
 
 
+def d4(fn, zs: np.ndarray, shift: complex) -> np.ndarray:
+    """Fourth-order central difference of fn along the complex step ``shift``."""
+    return (
+        -fn(zs + 2 * shift) + 8 * fn(zs + shift)
+        - 8 * fn(zs - shift) + fn(zs - 2 * shift)
+    ) / (12 * abs(shift))
+
+
+def step_halving_ratio(residual: float, residual_half: float, tol_residual: float) -> float:
+    """Richardson ratio of a residual to its value at half the step.
+
+    Raises GridTooCoarse when the two differ by more than ten tolerances,
+    i.e. when the finite-difference residual has not converged.
+    """
+    if abs(residual - residual_half) > 10.0 * tol_residual:
+        raise GridTooCoarse(
+            f"residual {residual:.3e} vs {residual_half:.3e} under step halving"
+        )
+    return residual / residual_half if residual_half > 0 else math.inf
+
+
 def _pde_residual_at(mode_eval, potential: PotentialField, chirality: Chirality,
                      zs: np.ndarray, step: float) -> np.ndarray:
     """|D_a u| at each point via fourth-order central differences."""
-    def d4(shift):
-        return (
-            -mode_eval(zs + 2 * shift) + 8 * mode_eval(zs + shift)
-            - 8 * mode_eval(zs - shift) + mode_eval(zs - 2 * shift)
-        ) / (12 * step)
-
-    ux = d4(step)
-    uy = d4(1j * step)
+    ux = d4(mode_eval, zs, step)
+    uy = d4(mode_eval, zs, 1j * step)
     u0 = mode_eval(zs)
     a = potential.eval_a(zs)
     if chirality is Chirality.UP:
@@ -381,12 +383,8 @@ def verify_mode(
         res_half = _pde_residual_at(u_flat, potential, mode.chirality, z_worst, fd / 2)
         if dressed:
             res_half = res_half * conformal.conformal_factor(z_worst) ** (-1.5)
-        res_half_rel = float(res_half[0]) / u_max
-        if abs(pde_residual - res_half_rel) > 10.0 * tol_residual:
-            raise GridTooCoarse(
-                f"residual {pde_residual:.3e} vs {res_half_rel:.3e} under step halving"
-            )
-        richardson_factor = pde_residual / res_half_rel if res_half_rel > 0 else math.inf
+        richardson_factor = step_halving_ratio(
+            pde_residual, float(res_half[0]) / u_max, tol_residual)
 
     # --- boundary trace leakage
     spectra = boundary_spectra(dom, f)

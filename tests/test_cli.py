@@ -62,6 +62,34 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "overlap" in err
 
 
+def test_unknown_profile_exits_2(tmp_path, capsys):
+    config = json.loads(json.dumps(DISC_3PI))
+    config["field"]["bumps"][0]["profile"] = "gaussian"
+    code, _, err = run_cli(capsys, "count", "--config", write_config(tmp_path, config))
+    assert code == 2
+    assert "unknown profile 'gaussian'" in err
+
+
+def test_unknown_kernel_exits_2(tmp_path, capsys):
+    config = json.loads(json.dumps(DISC_3PI))
+    config["field"]["kernel"] = "alternative"
+    code, _, err = run_cli(capsys, "count", "--config", write_config(tmp_path, config))
+    assert code == 2
+    assert "unknown kernel 'alternative'" in err
+
+
+@pytest.mark.parametrize("command,config", [
+    ("sweep", {"sweep": {"phi_pi": {"start": "0", "stop": "1", "step": "1/1000000"}}}),
+    ("bm", {"bm": {"r_inner": 1.0, "r_outer": 2.0, "s_inner": 1.0, "s_outer": -1.0,
+                   "phi_pi": "1",
+                   "sweep": {"start": "0", "stop": "1", "step": "1/1000000"}}}),
+])
+def test_range_past_the_cap_exits_2(tmp_path, capsys, command, config):
+    code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, config))
+    assert code == 2 and out == ""
+    assert "range holds 1000001 values" in err
+
+
 def test_verify_all_pass(tmp_path, capsys):
     cfg = write_config(tmp_path, DISC_3PI)
     code, out, _ = run_cli(capsys, "verify", "--config", cfg)

@@ -1,13 +1,18 @@
 """Flux normalization, totals, and the smooth field sampler."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import dblquad
 
+import zeromodes
 from zeromodes import (
     FieldSpec,
     Hole,
@@ -167,3 +172,18 @@ def test_validate_field_containment():
     assert any("touches hole" in v for v in validate_field(bad, dom))
     outside = FieldSpec(bumps=[RadialBump(2.8, 0.5, 1.0)], hole_fluxes=[0.0])
     assert any("outer" in v for v in validate_field(outside, dom))
+
+
+def test_smooth_bump_field_builds_without_scipy():
+    script = (
+        "import sys\n"
+        "from zeromodes import PotentialField, RadialBump, FieldSpec, disc_with_holes\n"
+        "fld = FieldSpec(bumps=[RadialBump(0.0, 0.6, 1.0)])\n"
+        "PotentialField(fld, disc_with_holes(3.0))\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    # the child imports this same checkout of the package
+    env = dict(os.environ, PYTHONPATH=str(Path(zeromodes.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
