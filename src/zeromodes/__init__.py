@@ -88,7 +88,6 @@ from .zero_modes import (
     boundary_spectra,
     build_basis,
     count_zero_modes,
-    dw_residual,
     laurent_coefficients,
     verify_mode,
 )

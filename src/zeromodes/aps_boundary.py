@@ -30,16 +30,18 @@ Trace membership is measured in the weighted norm
 
 and the leakage of a trace is that weight restricted to the forbidden index
 set.  Traces are extracted from boundary samples by dividing out the explicit
-winding phase of psi_l and taking a discrete Fourier transform.
+winding phase of psi_l and taking a discrete Fourier transform; a trace is
+the two DFT arrays themselves, indexed by l in DFT order, with no separate
+tail.  Admissibility and weights are decided on integer index arrays, so the
+norm and the leakage are one masked sum each.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Union
+from typing import Union
 
 import numpy as np
 
@@ -84,7 +86,8 @@ class BoundarySpectrum:
     def is_outer(self) -> bool:
         return self.boundary == OUTER
 
-    def eigenvalue(self, spin: Spin, ell: int) -> float:
+    def eigenvalue(self, spin: Spin, ell):
+        """Eigenvalue of the (spin, ell) basis vector; elementwise on an int array."""
         x = self._x
         if self.is_outer:
             if spin is Spin.UP:
@@ -94,31 +97,38 @@ class BoundarySpectrum:
             return (x - 0.5 - ell) / self.radius
         return (ell - 0.5 - x) / self.radius
 
-    def allowed(self, spin: Spin, ell: int) -> bool:
-        """Membership of the (spin, ell) basis vector in the admissible subspace."""
+    def allowed(self, spin: Spin, ell):
+        """Membership of the (spin, ell) basis vector in the admissible subspace.
+
+        Elementwise on an int array, giving a boolean mask.
+        """
         cut, below = self._cuts[spin]
         return ell <= cut if below else ell > cut
 
 
-def hcheck_weight(eigenvalue: float) -> float:
-    w = math.sqrt(1.0 + eigenvalue * eigenvalue)
-    return w if eigenvalue < 0 else 1.0 / w
+def hcheck_weight(eigenvalue):
+    """Weight of a coefficient in the trace norm; elementwise on an array."""
+    w = np.sqrt(1.0 + eigenvalue * eigenvalue)
+    return np.where(eigenvalue < 0, w, 1.0 / w)
 
 
 @dataclass
 class TraceFourier:
     """Boundary-trace coefficients in the psi_l basis, per spin component.
 
-    Coefficients with |l| <= l_max are the trace proper; the sampled remainder
-    up to the Nyquist index is kept so leakage reports carry an honest
-    truncation tail instead of an estimate.
+    Both arrays are in DFT order: ``up[l]`` is the coefficient of psi_l for
+    every resolved l, negative l indexing from the end, up to the Nyquist
+    index.  Every sampled coefficient is kept, so leakage carries the whole
+    resolved trace and no truncation estimate.
     """
 
-    up: Dict[int, complex]
-    down: Dict[int, complex]
-    l_max: int
-    up_tail: Dict[int, complex] = field(default_factory=dict)
-    down_tail: Dict[int, complex] = field(default_factory=dict)
+    up: np.ndarray
+    down: np.ndarray
+
+
+def _dft_indices(m: int) -> np.ndarray:
+    """The index l of each entry of a length-m array in DFT order."""
+    return (np.arange(m) + m // 2) % m - m // 2
 
 
 def trace_from_samples(
@@ -127,7 +137,6 @@ def trace_from_samples(
     up_samples: np.ndarray,
     down_samples: np.ndarray,
     phase_exponent: np.ndarray,
-    l_max: int = 64,
 ) -> TraceFourier:
     """Fourier trace of boundary samples after dividing out the psi_l phase.
 
@@ -142,48 +151,33 @@ def trace_from_samples(
         raise ValueError("trace sampling needs a power-of-two number of angles")
     c_enc = float(flux_over_2pi(spec.flux_through))
     phase = np.exp(1j * (phase_exponent - c_enc * phis))
-    coeff_up = np.fft.fft(np.asarray(up_samples, dtype=complex) / phase) / m
-    coeff_down = np.fft.fft(np.asarray(down_samples, dtype=complex) / phase) / m
+    return TraceFourier(
+        up=np.fft.fft(np.asarray(up_samples, dtype=complex) / phase) / m,
+        down=np.fft.fft(np.asarray(down_samples, dtype=complex) / phase) / m,
+    )
 
-    up: Dict[int, complex] = {}
-    down: Dict[int, complex] = {}
-    up_tail: Dict[int, complex] = {}
-    down_tail: Dict[int, complex] = {}
-    for ell in range(-m // 2, m // 2):
-        cu = complex(coeff_up[ell % m])
-        cd = complex(coeff_down[ell % m])
-        if abs(ell) <= l_max:
-            up[ell] = cu
-            down[ell] = cd
-        else:
-            up_tail[ell] = cu
-            down_tail[ell] = cd
-    return TraceFourier(up=up, down=down, l_max=l_max,
-                        up_tail=up_tail, down_tail=down_tail)
+
+def _weighted_sum(coeffs: TraceFourier, spec: BoundarySpectrum, forbidden_only: bool) -> float:
+    """Sum of |c_l|^2 times the norm weight, over all or over forbidden indices."""
+    total = 0.0
+    for spin, c in ((Spin.UP, coeffs.up), (Spin.DOWN, coeffs.down)):
+        ells = _dft_indices(len(c))
+        terms = np.abs(c) ** 2 * hcheck_weight(spec.eigenvalue(spin, ells))
+        if forbidden_only:
+            terms = terms[~spec.allowed(spin, ells)]
+        total += float(np.sum(terms))
+    return total
 
 
 def check_norm(coeffs: TraceFourier, spec: BoundarySpectrum) -> float:
-    """Weighted squared trace norm over the stored coefficients."""
-    total = 0.0
-    for spin, table in ((Spin.UP, coeffs.up), (Spin.DOWN, coeffs.down)):
-        for ell, c in table.items():
-            total += abs(c) ** 2 * hcheck_weight(spec.eigenvalue(spin, ell))
-    return total
+    """Weighted squared trace norm over every stored coefficient."""
+    return _weighted_sum(coeffs, spec, forbidden_only=False)
 
 
 def leakage(coeffs: TraceFourier, spec: BoundarySpectrum) -> float:
     """Weighted norm of the trace projected onto the forbidden index sets.
 
-    Includes the sampled truncation tail beyond l_max, so the value is zero
+    Sums every resolved index up to the Nyquist index, so the value is zero
     (up to rounding) exactly when the trace lies in the admissible subspace.
     """
-    total = 0.0
-    for spin, tables in (
-        (Spin.UP, (coeffs.up, coeffs.up_tail)),
-        (Spin.DOWN, (coeffs.down, coeffs.down_tail)),
-    ):
-        for table in tables:
-            for ell, c in table.items():
-                if not spec.allowed(spin, ell):
-                    total += abs(c) ** 2 * hcheck_weight(spec.eigenvalue(spin, ell))
-    return total
+    return _weighted_sum(coeffs, spec, forbidden_only=True)

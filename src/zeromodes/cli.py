@@ -160,8 +160,10 @@ def _grid_from(config, args) -> GridSpec:
         node.setdefault("angular", 4 * n)
         node.setdefault("bulk_divisor", max(2, n // 2))
         node.setdefault("fd_step_factor", 2.0 / n)
-    allowed = {f.name for f in GridSpec.__dataclass_fields__.values()}
-    return GridSpec(**{k: v for k, v in node.items() if k in allowed})
+    unknown = sorted(set(node) - set(GridSpec.__dataclass_fields__))
+    if unknown:
+        raise ConfigError(f"unknown grid keys {unknown}")
+    return GridSpec(**node)
 
 
 def _flux_payload(domain: DomainSpec, fld: FieldSpec) -> Dict[str, Any]:
@@ -410,7 +412,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         config = load_config(args.config)
         document = COMMANDS[args.command](config, args)
-    except (ConfigError, OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ZeroModesError as exc:

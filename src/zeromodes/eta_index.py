@@ -29,12 +29,13 @@ shifted by q, assembles as
         + (1 - N) q,
 
 with eta_j = 1 - 2<flux'_j/2pi - 1/2 + q> on the holes (sign flipped on the
-outer circle) and kernel dimensions 1 exactly when the bracket argument is an
-integer, as decided by :func:`numutil.integer_at`.  The index is the raw
-assembly rounded to the nearest integer.  It is checked against the
-zero-mode count, not against a closed formula: :func:`index_vs_count` calls
-the two consistent only when the raw value is an integer equal to the signed
-count.
+outer circle; both are :func:`eta_closed` of the bracket argument, so every
+table prints the same eta for the same argument) and kernel dimensions 1
+exactly when the bracket argument is an integer, as decided by
+:func:`numutil.integer_at`.  The index is the raw assembly rounded to the
+nearest integer.  It is checked against the zero-mode count, not against a
+closed formula: :func:`index_vs_count` calls the two consistent only when the
+raw value is an integer equal to the signed count.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ from .numutil import HALF, is_integer_within, threshold_sum, unit_representative
 
 from .zero_modes import Chirality, count_zero_modes
 
+# terms one eta series may sum, so every config does a bounded amount of work
+MAX_ETA_TERMS = 1_000_000
+
 
 def eta_closed(c: Union[float, Fraction]) -> float:
     """Eta invariant of the spectrum {n - c}: -1 + 2<c>, zero for integer c.
@@ -62,7 +66,9 @@ def eta_closed(c: Union[float, Fraction]) -> float:
     """
     if is_integer_within(c):
         return 0.0
-    return float(-1 + 2 * unit_representative(c))
+    # -1 + 2<c> from the exact ratio in integers, rounded once to a float
+    n, d = unit_representative(c).as_integer_ratio()
+    return (2 * n - d) / d
 
 
 def rho_term(s: float, c_unit: float, n) -> np.ndarray:
@@ -93,8 +99,8 @@ def eta_series(c: Union[float, Fraction], s: float, n_terms: int) -> EtaSeriesRe
     """Accelerated partial eta function at s > -1 with its truncation bound."""
     if s <= -1.0:
         raise DomainError(f"eta series is defined for s > -1, got {s}")
-    if n_terms < 8:
-        raise ValueError("eta series needs at least 8 terms")
+    if not 8 <= n_terms <= MAX_ETA_TERMS:
+        raise ValueError(f"eta series needs 8 to {MAX_ETA_TERMS} terms, got {n_terms}")
     if is_integer_within(c):
         raise ValueError("eta series takes non-integer c; integers give eta = 0")
     cu = float(unit_representative(c))
@@ -179,12 +185,8 @@ def index_formula(domain: DomainSpec, fld: FieldSpec) -> IndexResult:
     for label, phi in fluxes.items():
         c = threshold_sum(flux_over_2pi(phi), q, -HALF)
         ker = 1 if is_integer_within(c) else 0
-        if ker:
-            eta = 0.0
-        elif label == "outer":
-            eta = -1.0 + 2.0 * float(unit_representative(c))
-        else:
-            eta = 1.0 - 2.0 * float(unit_representative(c))
+        # holes carry the flipped sign; a kernel's zero eta stays +0.0
+        eta = eta_closed(c) if label == "outer" or ker else -eta_closed(c)
         etas[label] = eta
         kers[label] = ker
         raw -= 0.5 * (eta + ker)

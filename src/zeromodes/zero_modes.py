@@ -137,9 +137,6 @@ class ZeroModeBasis:
             for n in self.degrees
         ]
 
-    def mode(self, i: int) -> ZeroMode:
-        return self.modes()[i]
-
 
 def build_basis(
     domain: DomainSpec, fld: FieldSpec, potential: PotentialField
@@ -192,8 +189,6 @@ class GridSpec:
     fd_step_factor: float = 3e-3
     fd_step: Optional[float] = None  # explicit step overrides the factor rule
     n_boundary_samples: int = 2048
-    l_max: int = 64
-    richardson: bool = True
     decay_radius: float = 1e3
     max_bulk_points: int = 2_000_000
 
@@ -203,7 +198,7 @@ class VerificationReport:
     pde_residual: float
     trace_leakage: Dict[str, float]
     integrability_exponent_ok: Optional[bool]
-    richardson_factor: Optional[float]
+    richardson_factor: float
     passed: bool
     tolerances: Dict[str, float]
 
@@ -377,14 +372,12 @@ def verify_mode(
     idx = int(np.argmax(res_rel))
     pde_residual = float(res_rel[idx])
 
-    richardson_factor = None
-    if grid.richardson:
-        z_worst = zs[idx: idx + 1]
-        res_half = _pde_residual_at(u_flat, potential, mode.chirality, z_worst, fd / 2)
-        if dressed:
-            res_half = res_half * conformal.conformal_factor(z_worst) ** (-1.5)
-        richardson_factor = step_halving_ratio(
-            pde_residual, float(res_half[0]) / u_max, tol_residual)
+    z_worst = zs[idx: idx + 1]
+    res_half = _pde_residual_at(u_flat, potential, mode.chirality, z_worst, fd / 2)
+    if dressed:
+        res_half = res_half * conformal.conformal_factor(z_worst) ** (-1.5)
+    richardson_factor = step_halving_ratio(
+        pde_residual, float(res_half[0]) / u_max, tol_residual)
 
     # --- boundary trace leakage
     spectra = boundary_spectra(dom, f)
@@ -399,7 +392,7 @@ def verify_mode(
         up = samples if mode.chirality is Chirality.UP else zero
         down = samples if mode.chirality is Chirality.DOWN else zero
         exponent = potential.boundary_phase_exponent(center, spec.radius, phis)
-        tf = trace_from_samples(spec, phis, up, down, exponent, grid.l_max)
+        tf = trace_from_samples(spec, phis, up, down, exponent)
         leakages[label] = leakage(tf, spec)
 
     # --- square integrability at infinity (plane only)
@@ -483,16 +476,3 @@ def analytic_extension_check(
         (abs(v) for n, v in coeffs.items() if n < 0), default=0.0
     )
     return worst_negative < rel_tol * top
-
-
-def dw_residual(
-    mode: ZeroMode,
-    grid: GridSpec = GridSpec(),
-) -> float:
-    """Conformal-metric residual of a W-dressed sphere mode (relative)."""
-    if not mode.w_dressed:
-        raise ValueError("dw_residual applies to W-dressed sphere modes")
-    report = verify_mode(
-        mode, mode.domain, mode.potential.field, mode.potential, grid
-    )
-    return report.pde_residual

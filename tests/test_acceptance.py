@@ -29,7 +29,6 @@ from zeromodes import (
     conformal_ratio,
     count_zero_modes,
     disc_with_holes,
-    dw_residual,
     eta_closed,
     eta_richardson_to_zero,
     index_formula,
@@ -317,8 +316,8 @@ def test_criterion_7_sphere_reduction():
 
         if expected and residual_checked < 4:
             pot = PotentialField(fld, dom)
-            mode = build_basis(dom, fld, pot).mode(0)
-            ok &= dw_residual(mode) < 1e-6
+            mode = build_basis(dom, fld, pot).modes()[0]
+            ok &= verify_mode(mode, dom, fld, pot).pde_residual < 1e-6
             residual_checked += 1
     ok &= residual_checked >= 2
     _report(7, "sphere counts via the disc reduction, designation-free, "

@@ -96,13 +96,21 @@ def test_q_shift_moves_thresholds():
             assert shifted.allowed(spin, ell + 2) == base.allowed(spin, ell)
 
 
+def _coefficients(m, entries):
+    """A length-m DFT-order array holding the given {l: coefficient} entries."""
+    out = np.zeros(m, dtype=complex)
+    for ell, c in entries.items():
+        out[ell] = c
+    return out
+
+
 def test_check_norm_examples():
     spec = BoundarySpectrum(0, 1.0, 0.0)
-    empty = TraceFourier(up={}, down={}, l_max=8)
+    empty = TraceFourier(up=np.zeros(16), down=np.zeros(16))
     assert check_norm(empty, spec) == 0.0
 
     # single coefficient at eigenvalue -1/2: weight sqrt(1 + 1/4)
-    tf = TraceFourier(up={0: 1.0}, down={}, l_max=8)
+    tf = TraceFourier(up=_coefficients(16, {0: 1.0}), down=np.zeros(16))
     assert spec.eigenvalue(Spin.UP, 0) == -0.5
     assert check_norm(tf, spec) == pytest.approx(math.sqrt(1.25), rel=1e-12)
 
@@ -114,14 +122,48 @@ def test_check_norm_examples():
 
 def test_leakage_single_forbidden_term():
     spec = BoundarySpectrum(0, 1.0, 0.0)
-    allowed_only = TraceFourier(up={0: 1.0, 3: 0.5}, down={-1: 2.0}, l_max=8)
+    allowed_only = TraceFourier(up=_coefficients(16, {0: 1.0, 3: 0.5}),
+                                down=_coefficients(16, {-1: 2.0}))
     assert leakage(allowed_only, spec) == 0.0
 
-    tf = TraceFourier(up={-1: 1.0}, down={}, l_max=8)
+    tf = TraceFourier(up=_coefficients(16, {-1: 1.0}), down=np.zeros(16))
     lam = spec.eigenvalue(Spin.UP, -1)
     assert lam == 0.5
     assert leakage(tf, spec) == pytest.approx(1.0 / math.sqrt(1.25), rel=1e-12)
     assert leakage(tf, spec) == pytest.approx(check_norm(tf, spec), rel=1e-12)
+
+
+@given(
+    st.fractions(min_value=-6, max_value=6, max_denominator=8),
+    st.sampled_from([0, Fraction(1, 4), Fraction(-1, 3), Fraction(1, 2), -1]),
+    st.sampled_from(list(KernelChoice)),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_array_admissibility_matches_scalar_reference(mult, q, kernel, outer, seed):
+    if kernel is KernelChoice.ALTERNATE:
+        q = 0  # the alternate kernel is defined for q = 0 only
+    spec = BoundarySpectrum(OUTER if outer else 0, 1.3, pi_flux(mult), q=q,
+                            kernel_choice=kernel)
+    m = 64
+    rng = np.random.default_rng(seed)
+    coeffs = {spin: rng.normal(size=m) + 1j * rng.normal(size=m) for spin in Spin}
+    tf = TraceFourier(up=coeffs[Spin.UP], down=coeffs[Spin.DOWN])
+
+    ells = np.array([k if k < m // 2 else k - m for k in range(m)])
+    norm = leak = 0.0
+    for spin in Spin:
+        mask = spec.allowed(spin, ells)
+        assert mask.tolist() == [spec.allowed(spin, int(ell)) for ell in ells]
+        for ell, c in zip(ells.tolist(), coeffs[spin].tolist()):
+            lam = spec.eigenvalue(spin, ell)
+            w = math.sqrt(1.0 + lam * lam)
+            term = abs(c) ** 2 * (w if lam < 0 else 1.0 / w)
+            norm += term
+            if not spec.allowed(spin, ell):
+                leak += term
+    assert check_norm(tf, spec) == pytest.approx(norm, rel=1e-12)
+    assert leakage(tf, spec) == pytest.approx(leak, rel=1e-12)
 
 
 def test_psi_basis_orthogonality():
@@ -155,9 +197,10 @@ def test_trace_roundtrip_through_sampling():
     phase = np.exp(1j * (exponent - float(pi_flux("2/3")) / TWO_PI * phis))
     up = (2.0 * np.exp(1j * 0 * phis) - 0.25j * np.exp(1j * 3 * phis)) * phase
     down = 0.5 * np.exp(-1j * 2 * phis) * phase
-    tf = trace_from_samples(spec, phis, up, down, exponent, l_max=16)
+    tf = trace_from_samples(spec, phis, up, down, exponent)
+    assert len(tf.up) == len(tf.down) == 2048
     assert tf.up[0] == pytest.approx(2.0, abs=1e-12)
     assert tf.up[3] == pytest.approx(-0.25j, abs=1e-12)
     assert tf.down[-2] == pytest.approx(0.5, abs=1e-12)
-    others = [abs(v) for k, v in tf.up.items() if k not in (0, 3)]
+    others = np.delete(np.abs(tf.up), [0, 3])
     assert max(others) < 1e-12

@@ -90,6 +90,41 @@ def test_range_past_the_cap_exits_2(tmp_path, capsys, command, config):
     assert "range holds 1000001 values" in err
 
 
+BM = {"r_inner": 1.0, "r_outer": 2.0, "s_inner": 1.0, "s_outer": -1.0, "phi_pi": "1"}
+
+
+def _with(path, value, config=DISC_3PI):
+    """A deep copy of config with the value at the key path replaced."""
+    config = json.loads(json.dumps(config))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return config
+
+
+@pytest.mark.parametrize("command,config,message", [
+    pytest.param("count", _with(["domain", "holes", 0, "radius"], 0.0),
+                 "hole radius must be positive", id="hole-radius-zero"),
+    pytest.param("count", _with(["domain", "holes", 0, "radius"], -0.2),
+                 "hole radius must be positive", id="hole-radius-negative"),
+    pytest.param("bm", {"bm": dict(BM, r_inner=2.0)}, "r_inner < r_outer",
+                 id="bm-radii-reversed"),
+    pytest.param("eta", {"eta": {"c_values": ["2"]}}, "non-integer c",
+                 id="eta-integer-c"),
+    pytest.param("eta", {"eta": {"c_values": ["1/4"], "n_terms": 4}}, "terms",
+                 id="eta-too-few-terms"),
+    pytest.param("eta", {"eta": {"c_values": ["1/4"], "n_terms": 10**12}}, "terms",
+                 id="eta-terms-past-the-cap"),
+    pytest.param("verify", _with(["grid"], {"radail": 8}), "unknown grid keys ['radail']",
+                 id="unknown-grid-key"),
+])
+def test_bad_config_exits_2(tmp_path, capsys, command, config, message):
+    code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, config))
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and message in err
+
+
 def test_verify_all_pass(tmp_path, capsys):
     cfg = write_config(tmp_path, DISC_3PI)
     code, out, _ = run_cli(capsys, "verify", "--config", cfg)

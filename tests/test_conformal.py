@@ -18,13 +18,13 @@ from zeromodes import (
     conformal_factor,
     conformal_ratio,
     count_zero_modes,
-    dw_residual,
     mobius_for_point,
     patch_spinor,
     pi_flux,
     sphere_to_disc,
     sphere_with_holes,
     stereo_project,
+    verify_mode,
 )
 
 
@@ -202,13 +202,13 @@ def test_sphere_count_matches_reduced_disc_and_mode_verifies():
     pot = PotentialField(fld, dom)
     basis = build_basis(dom, fld, pot)
     assert basis.w_dressed
-    mode = basis.mode(0)
-    assert dw_residual(mode) < 1e-6
+    mode = basis.modes()[0]
+    assert verify_mode(mode, dom, fld, pot).pde_residual < 1e-6
 
     # the dressing really is W^{-1/2} against the flat evaluation
     z = np.array([2.0 + 0.3j, -1.9j])
     flat_mode = build_basis(red.disc_domain, red.disc_field,
-                            PotentialField(red.disc_field, red.disc_domain)).mode(0)
+                            PotentialField(red.disc_field, red.disc_domain)).modes()[0]
     np.testing.assert_allclose(
         mode.eval(z), flat_mode.eval(z) / np.sqrt(conformal_factor(z)), rtol=1e-12
     )

@@ -25,6 +25,7 @@ from zeromodes import (
     rho_term,
     sphere_with_holes,
 )
+from zeromodes.eta_index import MAX_ETA_TERMS
 
 
 def slow_eta_partial_sum(c: float, s: float, n_terms: int) -> float:
@@ -92,6 +93,8 @@ def test_eta_series_domain_errors():
         eta_series(2.0, 0.5, 100)
     with pytest.raises(ValueError):
         eta_series(0.25, 0.5, 4)
+    with pytest.raises(ValueError, match="terms"):  # rejected before any allocation
+        eta_series(0.25, 0.5, MAX_ETA_TERMS + 1)
 
 
 def test_rho_decay_rate():
@@ -150,6 +153,13 @@ def test_index_examples():
     res = index_formula(dom, fld)
     assert res.index == 2  # floor_strict(1 + 1 + 1/2)
     assert res.raw == pytest.approx(res.index, abs=1e-12)
+
+
+def test_index_eta_is_eta_closed():
+    # c = 5/6 - 1/2 = 1/3 on the outer circle: the index table's eta is the
+    # eta table's, to the last digit
+    res = index_formula(DISC, bulk_only("5/3"))
+    assert res.boundary_eta["outer"] == eta_closed(Fraction(1, 3))
 
 
 def test_index_raw_equals_simplified_over_grid():

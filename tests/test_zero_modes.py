@@ -137,7 +137,7 @@ def test_basis_degrees_examples():
 def test_mode_evaluation_matches_envelope():
     fld = bulk_only(3)
     pot = PotentialField(fld, DISC)
-    mode = build_basis(DISC, fld, pot).mode(0)
+    mode = build_basis(DISC, fld, pot).modes()[0]
     z = 1.3 - 0.4j
     assert mode.eval(z) == pytest.approx(np.exp(pot.eval_h(z)))
     assert mode.eval_g(z) == pytest.approx(1.0)
@@ -162,7 +162,7 @@ def disc_problem():
 
 def test_verify_constructed_mode_passes(disc_problem):
     dom, fld, pot = disc_problem
-    mode = build_basis(dom, fld, pot).mode(0)
+    mode = build_basis(dom, fld, pot).modes()[0]
     report = verify_mode(mode, dom, fld, pot)
     assert report.pde_residual < 1e-6
     assert all(v < 1e-6 for v in report.trace_leakage.values())
@@ -172,7 +172,7 @@ def test_verify_constructed_mode_passes(disc_problem):
 
 def test_verify_rejects_mode_after_flux_perturbation(disc_problem):
     dom, fld, pot = disc_problem
-    mode = build_basis(dom, fld, pot).mode(0)
+    mode = build_basis(dom, fld, pot).modes()[0]
     # same candidate, field perturbed to total flux pi: counting gives zero
     fld_pi = FieldSpec(
         bumps=[RadialBump(-0.8 + 0.3j, 0.6, pi_flux("1/2"))],
@@ -205,7 +205,7 @@ def test_verify_next_degree_fails(disc_problem):
 
 def test_grid_too_coarse_surfaces(disc_problem):
     dom, fld, pot = disc_problem
-    mode = build_basis(dom, fld, pot).mode(0)
+    mode = build_basis(dom, fld, pot).modes()[0]
     coarse = GridSpec(radial=8, angular=32, bulk_divisor=4, fd_step=0.08)
     with pytest.raises(GridTooCoarse):
         verify_mode(mode, dom, fld, pot, coarse, tol_residual=1e-12)
@@ -239,8 +239,8 @@ def test_gauge_invariance_of_counts_and_amplitudes():
 
     pot_a = PotentialField(base, dom)
     pot_b = PotentialField(shifted, dom)
-    mode_a = build_basis(dom, base, pot_a).mode(0)
-    mode_b = build_basis(dom, shifted, pot_b).mode(0)
+    mode_a = build_basis(dom, base, pot_a).modes()[0]
+    mode_b = build_basis(dom, shifted, pot_b).modes()[0]
     rng = np.random.default_rng(5)
     pts = rng.uniform(-2, 2, 64) + 1j * rng.uniform(-2, 2, 64)
     pts = pts[(np.abs(pts - 1.2) > 0.35) & (np.abs(pts + 1.1 - 0.8j) > 0.35)]
@@ -265,7 +265,7 @@ def test_gauge_invariance_of_counts_and_amplitudes():
 
 def test_analytic_extension_for_basis_mode(disc_problem):
     dom, fld, pot = disc_problem
-    mode = build_basis(dom, fld, pot).mode(0)
+    mode = build_basis(dom, fld, pot).modes()[0]
     assert analytic_extension_check(mode, 0)
 
 
@@ -290,7 +290,7 @@ def test_analytic_extension_rejects_pole_at_hole_centre():
     fld = FieldSpec(bumps=[RadialBump(1.5, 0.5, pi_flux(3))],
                     hole_fluxes=[pi_flux(0)])
     pot = PotentialField(fld, dom)
-    good = build_basis(dom, fld, pot).mode(0)
+    good = build_basis(dom, fld, pot).modes()[0]
     assert analytic_extension_check(good, 0)
     # a coefficient at degree -1 puts a genuine pole of g at the hole centre
     poisoned = ZeroMode(Chirality.UP, {-1: 1.0 + 0.0j}, pot, dom)
