@@ -27,9 +27,12 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .field import FluxLike, TWO_PI
-from .zero_modes import VerificationReport, d4, step_halving_ratio
+from .geometry import Annulus
+from .zero_modes import GridSpec, VerificationReport, _polar_points, dirac_residual, worst_residual
 
 _MATCH_TOL = 1e-9
+# points per circle at which the boundary relation is checked
+_BOUNDARY_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -83,41 +86,25 @@ def bm_verify(
     mode: BMMode,
     tol_residual: float = 1e-6,
     tol_boundary: float = 1e-8,
-    radial: int = 64,
-    angular: int = 256,
-    n_boundary: int = 512,
-    fd_step: Optional[float] = None,
 ) -> VerificationReport:
     """Finite-difference PDE residual plus pointwise boundary-relation check."""
     x = float(cfg.phi) / TWO_PI
-    fd = fd_step if fd_step is not None else 3e-3 * cfg.r_inner
+    grid = GridSpec()
+    zs = _polar_points(0.0, Annulus(cfg.r_inner, cfg.r_outer), grid.radial, grid.angular)
 
     def vec_a(z):
         return 1j * x * z / np.abs(z) ** 2
 
-    radii = cfg.r_inner + (cfg.r_outer - cfg.r_inner) * (np.arange(radial) + 0.5) / radial
-    angles = np.linspace(0.0, 2.0 * math.pi, angular, endpoint=False)
-    zs = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+    def residual_at(sel, step):
+        return dirac_residual(mode.eval_up, mode.eval_down, vec_a, zs[sel], step)
 
-    def residual_at(zs, step):
-        ux_p = d4(mode.eval_up, zs, step)
-        uy_p = d4(mode.eval_up, zs, 1j * step)
-        ux_m = d4(mode.eval_down, zs, step)
-        uy_m = d4(mode.eval_down, zs, 1j * step)
-        a = vec_a(zs)
-        comp_down_eq = -2j * 0.5 * (ux_p + 1j * uy_p) - a * mode.eval_up(zs)
-        comp_up_eq = -2j * 0.5 * (ux_m - 1j * uy_m) - np.conj(a) * mode.eval_down(zs)
-        return np.maximum(np.abs(comp_down_eq), np.abs(comp_up_eq))
+    def modulus():
+        return np.maximum(np.abs(mode.eval_up(zs)), np.abs(mode.eval_down(zs)))
 
-    scale = max(float(np.max(np.abs(mode.eval_up(zs)))),
-                float(np.max(np.abs(mode.eval_down(zs)))))
-    res = residual_at(zs, fd) / scale
-    idx = int(np.argmax(res))
-    pde_residual = float(res[idx])
-    res_half = float(residual_at(zs[idx: idx + 1], fd / 2)[0]) / scale
-    richardson = step_halving_ratio(pde_residual, res_half, tol_residual)
+    pde_residual, richardson = worst_residual(
+        residual_at, modulus, grid.fd_step_factor * cfg.r_inner, tol_residual)
 
-    phis = np.linspace(0.0, 2.0 * math.pi, n_boundary, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES, endpoint=False)
     boundary: Dict[str, float] = {}
     for label, radius, sign, s_val in (
         ("inner", cfg.r_inner, -1.0, cfg.s_inner),

@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional
 from .berry_mondragon import BMConfig, bm_flux_sweep, bm_verify, bm_zero_mode
 from .errors import ZeroModesError
 from .eta_index import eta_closed, eta_richardson_to_zero, eta_series, index_formula, index_vs_count
-from .field import FieldSpec, KernelChoice, PiFlux, Profile, RadialBump, normalize_flux, total_flux, validate_field
+from .field import FieldSpec, KernelChoice, PiFlux, Profile, RadialBump, total_flux, validate_field
 from .geometry import DomainKind, DomainSpec, Hole, validate_domain
 from .potential import PotentialField
 from .zero_modes import GridSpec, build_basis, count_zero_modes, verify_mode
@@ -156,6 +156,8 @@ def _grid_from(config, args) -> GridSpec:
     node = dict(config.get("grid", {}))
     if args.grid is not None:
         n = int(args.grid)
+        if n < 1:
+            raise ConfigError(f"grid scale must be positive, got {n}")
         node.setdefault("radial", n)
         node.setdefault("angular", 4 * n)
         node.setdefault("bulk_divisor", max(2, n // 2))
@@ -167,10 +169,7 @@ def _grid_from(config, args) -> GridSpec:
 
 
 def _flux_payload(domain: DomainSpec, fld: FieldSpec) -> Dict[str, Any]:
-    normalized = [
-        float(normalize_flux(p, fld.q_shift, fld.kernel_choice).value)
-        for p in fld.hole_fluxes
-    ]
+    normalized = [float(nf.value) for nf in fld.normalized_hole_fluxes]
     return {
         "domain": domain.kind.value,
         "phi_total": float(total_flux(fld, domain)),

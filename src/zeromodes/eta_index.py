@@ -48,10 +48,10 @@ from typing import Dict, Sequence, Union
 import numpy as np
 
 from .errors import DomainError
-from .field import FieldSpec, KernelChoice, flux_over_2pi, normalize_flux, total_flux
+from .conformal import sphere_to_disc
+from .field import FieldSpec, KernelChoice, flux_over_2pi, total_flux
 from .geometry import DomainKind, DomainSpec
 from .numutil import HALF, is_integer_within, threshold_sum, unit_representative
-
 from .zero_modes import Chirality, count_zero_modes
 
 # terms one eta series may sum, so every config does a bounded amount of work
@@ -174,8 +174,7 @@ def index_formula(domain: DomainSpec, fld: FieldSpec) -> IndexResult:
     if fld.kernel_choice is not KernelChoice.DEFAULT:
         raise ValueError("the index assembly uses the default kernel choice")
     q = fld.q_shift
-    fluxes = {f"hole{j}": normalize_flux(phi, q, fld.kernel_choice).value
-              for j, phi in enumerate(fld.hole_fluxes)}
+    fluxes = {f"hole{j}": nf.value for j, nf in enumerate(fld.normalized_hole_fluxes)}
     fluxes["outer"] = total_flux(fld, domain)
 
     bulk = sum(float(flux_over_2pi(b.flux)) for b in fld.bumps)
@@ -219,8 +218,6 @@ def index_vs_count(domain: DomainSpec, fld: FieldSpec) -> IndexCountReport:
     count; spheres are assembled on their projected disc.
     """
     if domain.kind is DomainKind.SPHERE:
-        from .conformal import sphere_to_disc
-
         red = sphere_to_disc(domain, fld)
         idx = index_formula(red.disc_domain, red.disc_field)
     else:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import List, Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -100,6 +100,12 @@ class FieldSpec:
     q_shift: Union[float, Fraction] = 0
     kernel_choice: KernelChoice = KernelChoice.DEFAULT
 
+    @functools.cached_property
+    def normalized_hole_fluxes(self) -> Tuple[NormalizedFlux, ...]:
+        """Every hole flux folded by :func:`normalize_flux`, once per field."""
+        return tuple(normalize_flux(p, self.q_shift, self.kernel_choice)
+                     for p in self.hole_fluxes)
+
 
 @dataclass(frozen=True)
 class NormalizedFlux:
@@ -131,10 +137,6 @@ def normalize_flux(
     return NormalizedFlux(value=value, gauge_integer=m)
 
 
-def normalized_hole_fluxes(fld: FieldSpec) -> List[NormalizedFlux]:
-    return [normalize_flux(p, fld.q_shift, fld.kernel_choice) for p in fld.hole_fluxes]
-
-
 def _sum_fluxes(parts: Sequence[FluxLike]) -> FluxLike:
     """Sum that stays exact when every part is a PiFlux."""
     if parts and all(isinstance(p, PiFlux) for p in parts):
@@ -164,7 +166,7 @@ def total_flux(fld: FieldSpec, domain: DomainSpec) -> FluxLike:
         check_sphere_flux_balance(fld)
         return semi_total_flux(fld, domain.omitted_hole)
     parts: List[FluxLike] = [b.flux for b in fld.bumps]
-    parts += [normalize_flux(p, fld.q_shift, fld.kernel_choice).value for p in fld.hole_fluxes]
+    parts += [nf.value for nf in fld.normalized_hole_fluxes]
     return _sum_fluxes(parts) if parts else 0.0
 
 
@@ -173,11 +175,8 @@ def semi_total_flux(fld: FieldSpec, omitted_hole: int) -> FluxLike:
     if not 0 <= omitted_hole < len(fld.hole_fluxes):
         raise ValueError(f"omitted hole {omitted_hole} out of range")
     parts: List[FluxLike] = [b.flux for b in fld.bumps]
-    parts += [
-        normalize_flux(p, fld.q_shift, fld.kernel_choice).value
-        for j, p in enumerate(fld.hole_fluxes)
-        if j != omitted_hole
-    ]
+    parts += [nf.value for j, nf in enumerate(fld.normalized_hole_fluxes)
+              if j != omitted_hole]
     return _sum_fluxes(parts) if parts else 0.0
 
 

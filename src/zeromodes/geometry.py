@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from .errors import NoClearance
 

@@ -39,7 +39,6 @@ from .field import (
     Profile,
     RadialBump,
     TWO_PI,
-    normalized_hole_fluxes,
     smooth_profile_amplitude,
     smooth_profile_shape,
     total_flux,
@@ -157,10 +156,9 @@ class PotentialField:
         self.field = fld
         self.domain = domain
         self.quadrature_order = quadrature_order
-        normalized = normalized_hole_fluxes(fld)
         self.hole_sources: List[PointSource] = [
             PointSource(h.center, float(nf.value))
-            for h, nf in zip(domain.holes, normalized)
+            for h, nf in zip(domain.holes, fld.normalized_hole_fluxes)
         ]
         if domain.kind is DomainKind.SPHERE:
             om = domain.omitted_hole

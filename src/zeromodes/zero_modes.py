@@ -27,6 +27,7 @@ degree-exponent inequality plus a far-field decay sample.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -42,7 +43,6 @@ from .field import (
     KernelChoice,
     Profile,
     flux_over_2pi,
-    normalize_flux,
     support_extents_from,
     support_radii_from,
     total_flux,
@@ -192,6 +192,11 @@ class GridSpec:
     decay_radius: float = 1e3
     max_bulk_points: int = 2_000_000
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and not value > 0:
+                raise ValueError(f"grid {name} must be positive, got {value!r}")
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -273,31 +278,45 @@ def d4(fn, zs: np.ndarray, shift: complex) -> np.ndarray:
     ) / (12 * abs(shift))
 
 
-def step_halving_ratio(residual: float, residual_half: float, tol_residual: float) -> float:
-    """Richardson ratio of a residual to its value at half the step.
+def dirac_residual(up, down, a, zs: np.ndarray, step: float) -> np.ndarray:
+    """|D_a u| at each point by fourth-order central differences.
 
-    Raises GridTooCoarse when the two differ by more than ten tolerances,
-    i.e. when the finite-difference residual has not converged.
+    ``up``, ``down`` and ``a`` evaluate the spinor components and the vector
+    potential; None stands for a zero component.  The residual is the larger
+    of |-2i dbar u+ - a u+| and |-2i d u- - conj(a) u-|.
     """
+    # a before the combination: its temporaries peak beside four arrays, not five
+    parts = []
+    if up is not None:
+        ux, uy, u0, av = d4(up, zs, step), d4(up, zs, 1j * step), up(zs), a(zs)
+        parts.append(np.abs(-2j * 0.5 * (ux + 1j * uy) - av * u0))
+    if down is not None:
+        ux, uy, u0, av = d4(down, zs, step), d4(down, zs, 1j * step), down(zs), a(zs)
+        parts.append(np.abs(-2j * 0.5 * (ux - 1j * uy) - np.conj(av) * u0))
+    return functools.reduce(np.maximum, parts)
+
+
+def worst_residual(residual_at, modulus, step: float,
+                   tol_residual: float) -> Tuple[float, float]:
+    """Largest residual relative to the spinor's size, and its step-halving ratio.
+
+    ``residual_at(sel, step)`` is the residual at the points ``sel`` selects
+    and ``modulus()`` the spinor's modulus at all points, called after the
+    residual pass so its arrays reuse the memory that pass freed.  The step
+    is halved at the worst point only; GridTooCoarse is raised when the two
+    residuals there differ by more than ten tolerances (no convergence).
+    """
+    res = residual_at(slice(None), step)
+    scale = float(np.max(modulus()))
+    res = res / scale
+    idx = int(np.argmax(res))
+    residual = float(res[idx])
+    residual_half = float(residual_at(slice(idx, idx + 1), step / 2)[0]) / scale
     if abs(residual - residual_half) > 10.0 * tol_residual:
         raise GridTooCoarse(
             f"residual {residual:.3e} vs {residual_half:.3e} under step halving"
         )
-    return residual / residual_half if residual_half > 0 else math.inf
-
-
-def _pde_residual_at(mode_eval, potential: PotentialField, chirality: Chirality,
-                     zs: np.ndarray, step: float) -> np.ndarray:
-    """|D_a u| at each point via fourth-order central differences."""
-    ux = d4(mode_eval, zs, step)
-    uy = d4(mode_eval, zs, 1j * step)
-    u0 = mode_eval(zs)
-    a = potential.eval_a(zs)
-    if chirality is Chirality.UP:
-        dbar = 0.5 * (ux + 1j * uy)
-        return np.abs(-2j * dbar - a * u0)
-    dz = 0.5 * (ux - 1j * uy)
-    return np.abs(-2j * dz - np.conj(a) * u0)
+    return residual, residual / residual_half if residual_half > 0 else math.inf
 
 
 def boundary_spectra(domain: DomainSpec, fld: FieldSpec) -> Dict[str, BoundarySpectrum]:
@@ -305,9 +324,8 @@ def boundary_spectra(domain: DomainSpec, fld: FieldSpec) -> Dict[str, BoundarySp
     dom, f = _reduced_problem(domain, fld)
     out: Dict[str, BoundarySpectrum] = {}
     for j, hole in enumerate(dom.holes):
-        nf = normalize_flux(f.hole_fluxes[j], f.q_shift, f.kernel_choice)
         out[f"hole{j}"] = BoundarySpectrum(
-            boundary=j, radius=hole.radius, flux_through=nf.value,
+            boundary=j, radius=hole.radius, flux_through=f.normalized_hole_fluxes[j].value,
             q=f.q_shift, kernel_choice=f.kernel_choice,
         )
     if dom.kind is DomainKind.DISC:
@@ -361,23 +379,21 @@ def verify_mode(
     point_sets.append(_bulk_points(dom, f, grid, fd))
     zs = np.concatenate(point_sets)
 
-    res = _pde_residual_at(u_flat, potential, mode.chirality, zs, fd)
-    u_abs = np.abs(u_flat(zs))
-    if dressed:
-        w = conformal.conformal_factor(zs)
-        res = res * w ** (-1.5)
-        u_abs = u_abs * w ** (-0.5)
-    u_max = float(np.max(u_abs))
-    res_rel = res / u_max
-    idx = int(np.argmax(res_rel))
-    pde_residual = float(res_rel[idx])
+    spinor = (u_flat, None) if mode.chirality is Chirality.UP else (None, u_flat)
 
-    z_worst = zs[idx: idx + 1]
-    res_half = _pde_residual_at(u_flat, potential, mode.chirality, z_worst, fd / 2)
-    if dressed:
-        res_half = res_half * conformal.conformal_factor(z_worst) ** (-1.5)
-    richardson_factor = step_halving_ratio(
-        pde_residual, float(res_half[0]) / u_max, tol_residual)
+    @functools.cache
+    def w():  # W on the whole point set, once; not held through the residual pass
+        return conformal.conformal_factor(zs)
+
+    def residual_at(sel, step):
+        res = dirac_residual(*spinor, potential.eval_a, zs[sel], step)
+        return res * w()[sel] ** (-1.5) if dressed else res
+
+    def modulus():
+        u_abs = np.abs(u_flat(zs))
+        return u_abs * w() ** (-0.5) if dressed else u_abs
+
+    pde_residual, richardson_factor = worst_residual(residual_at, modulus, fd, tol_residual)
 
     # --- boundary trace leakage
     spectra = boundary_spectra(dom, f)

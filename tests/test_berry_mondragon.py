@@ -58,6 +58,25 @@ def test_bm_verify_rejects_sign_flip():
     assert not report.passed
 
 
+def test_bm_verify_rejects_non_solution():
+    mode = bm_zero_mode(OPP)
+
+    class Bent:
+        n = mode.n
+        exponent = mode.exponent
+        config = mode.config
+
+        def eval_up(self, z):
+            return np.abs(z) ** 0.5 * mode.eval_up(z)
+
+        def eval_down(self, z):
+            return mode.eval_down(z)
+
+    report = bm_verify(OPP, Bent())
+    assert report.pde_residual > 0.1
+    assert not report.passed
+
+
 def test_bm_verify_is_scale_invariant():
     mode = bm_zero_mode(OPP)
 

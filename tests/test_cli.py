@@ -118,9 +118,16 @@ def _with(path, value, config=DISC_3PI):
                  id="eta-terms-past-the-cap"),
     pytest.param("verify", _with(["grid"], {"radail": 8}), "unknown grid keys ['radail']",
                  id="unknown-grid-key"),
+    *[pytest.param("verify", _with(["grid"], {key: 0}), f"grid {key} must be positive",
+                   id=f"grid-{key}-zero")
+      for key in ("radial", "angular", "bulk_divisor", "n_boundary_samples",
+                  "max_bulk_points", "fd_step_factor", "fd_step", "decay_radius")],
+    pytest.param("verify --grid 0", DISC_3PI, "grid scale must be positive",
+                 id="grid-scale-zero"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, config, message):
-    code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, config))
+    code, out, err = run_cli(capsys, *command.split(), "--config",
+                             write_config(tmp_path, config))
     assert code == 2 and out == ""
     assert err.startswith("config error:") and message in err
 

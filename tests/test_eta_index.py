@@ -180,6 +180,22 @@ def test_index_raw_equals_simplified_over_grid():
             assert res.raw == pytest.approx(res.index, abs=1e-9), (k, q)
 
 
+def test_index_vs_count_normalises_each_hole_flux_once(monkeypatch):
+    from zeromodes import field
+
+    calls = []
+    normalize = field.normalize_flux
+    monkeypatch.setattr(field, "normalize_flux",
+                        lambda *args: calls.append(args) or normalize(*args))
+    dom = disc_with_holes(6.0, [Hole(3.0, 0.4), Hole(-2.5j, 0.4)])
+    fld = FieldSpec(bumps=[RadialBump(0.0, 0.5, pi_flux("5/2"))],
+                    hole_fluxes=[pi_flux("9/4"), pi_flux("-5/2")],
+                    q_shift=Fraction(1, 4))
+    rep = index_vs_count(dom, fld)
+    assert rep.consistent
+    assert [args[0] for args in calls] == fld.hole_fluxes
+
+
 def test_index_vs_count_examples():
     rep = index_vs_count(DISC, bulk_only(3))
     assert (rep.index, rep.signed_count, rep.consistent) == (1, 1, True)

@@ -27,6 +27,7 @@ from zeromodes import (
     plane_with_holes,
     verify_mode,
 )
+from zeromodes.zero_modes import dirac_residual
 
 PLANE = plane_with_holes([])
 DISC = disc_with_holes(5.0)
@@ -167,7 +168,7 @@ def test_verify_constructed_mode_passes(disc_problem):
     assert report.pde_residual < 1e-6
     assert all(v < 1e-6 for v in report.trace_leakage.values())
     assert report.passed
-    assert report.richardson_factor is None or report.richardson_factor > 8
+    assert report.richardson_factor > 8
 
 
 def test_verify_rejects_mode_after_flux_perturbation(disc_problem):
@@ -201,6 +202,41 @@ def test_verify_next_degree_fails(disc_problem):
     report = verify_mode(mode, dom, fld, pot)
     assert report.trace_leakage["outer"] > 1e-2
     assert not report.passed
+
+
+ZS = np.array([0.3 + 0.2j, -0.7 + 0.5j, 1.1 - 0.4j])
+
+
+def _z3(z):
+    return z ** 3
+
+
+def _zbar(z):
+    return np.conj(z)
+
+
+def _zbar3(z):
+    return np.conj(z) ** 3
+
+
+def _z(z):
+    return z
+
+
+@pytest.mark.parametrize("up,down,expected", [
+    pytest.param(_z3, None, 0.0, id="up-solution"),
+    pytest.param(_zbar, None, 2.0, id="up-non-solution"),
+    pytest.param(None, _zbar3, 0.0, id="down-solution"),
+    pytest.param(None, _z, 2.0, id="down-non-solution"),
+    pytest.param(_z3, _z, 2.0, id="both-report-the-max"),
+    pytest.param(_zbar, _z, 2.0, id="both-report-the-max-not-the-sum"),
+])
+def test_dirac_residual_at_zero_potential(up, down, expected):
+    # with a = 0 the equations are dbar u+ = 0 and d u- = 0; the fourth-order
+    # stencil is exact on these polynomials, so only rounding is left
+    res = dirac_residual(up, down, lambda z: 0.0, ZS, 1e-2)
+    assert res.shape == ZS.shape
+    assert np.all(np.abs(res - expected) < 1e-12)
 
 
 def test_grid_too_coarse_surfaces(disc_problem):
