@@ -90,6 +90,7 @@ from .zero_modes import (
     count_zero_modes,
     laurent_coefficients,
     verify_mode,
+    verify_modes,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -98,11 +98,11 @@ def bm_verify(
     def residual_at(sel, step):
         return dirac_residual(mode.eval_up, mode.eval_down, vec_a, zs[sel], step)
 
-    def modulus():
-        return np.maximum(np.abs(mode.eval_up(zs)), np.abs(mode.eval_down(zs)))
-
-    pde_residual, richardson = worst_residual(
-        residual_at, modulus, grid.fd_step_factor * cfg.r_inner, tol_residual)
+    step = grid.fd_step_factor * cfg.r_inner
+    res = residual_at(slice(None), step)
+    # the modulus after the residual pass, so its arrays reuse the memory that pass freed
+    scale = float(np.max(np.maximum(np.abs(mode.eval_up(zs)), np.abs(mode.eval_down(zs)))))
+    pde_residual, richardson = worst_residual(res, scale, residual_at, step, tol_residual)
 
     phis = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES, endpoint=False)
     boundary: Dict[str, float] = {}

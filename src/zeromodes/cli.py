@@ -42,7 +42,7 @@ from .eta_index import eta_closed, eta_richardson_to_zero, eta_series, index_for
 from .field import FieldSpec, KernelChoice, PiFlux, Profile, RadialBump, total_flux, validate_field
 from .geometry import DomainKind, DomainSpec, Hole, validate_domain
 from .potential import PotentialField
-from .zero_modes import GridSpec, build_basis, count_zero_modes, verify_mode
+from .zero_modes import GridSpec, build_basis, check_tolerances, count_zero_modes, verify_modes
 
 EXIT_OK = 0
 EXIT_FAILED_CHECKS = 1
@@ -104,8 +104,10 @@ def parse_domain(node: Dict[str, Any]) -> DomainSpec:
             raise ConfigError("disc domains need radius_out")
         return DomainSpec(DomainKind.DISC, holes, radius_out=float(node["radius_out"]))
     if kind == "sphere":
-        return DomainSpec(DomainKind.SPHERE, holes,
-                          omitted_hole=node.get("omitted_hole"))
+        omitted = node.get("omitted_hole")
+        if omitted is not None and (not isinstance(omitted, int) or isinstance(omitted, bool)):
+            raise ConfigError(f"omitted_hole must be a hole index, got {omitted!r}")
+        return DomainSpec(DomainKind.SPHERE, holes, omitted_hole=omitted)
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
@@ -145,8 +147,8 @@ def _validated_problem(config):
         raise ConfigError("config needs 'domain' and 'field' sections")
     domain = parse_domain(config["domain"])
     fld = parse_field(config["field"], domain.n_holes)
-    result = validate_domain(domain)
-    violations = list(result.violations) + validate_field(fld, domain)
+    # field checks index the domain's holes, so they run on a valid domain only
+    violations = validate_domain(domain).violations or validate_field(fld, domain)
     if violations:
         raise ConfigError("; ".join(violations))
     return domain, fld
@@ -190,18 +192,25 @@ def cmd_count(config, args) -> Dict[str, Any]:
 def cmd_verify(config, args) -> Dict[str, Any]:
     domain, fld = _validated_problem(config)
     grid = _grid_from(config, args)
+    tolerances = config.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise ConfigError("tolerances must be an object")
+    unknown = sorted(set(tolerances) - {"residual", "leakage"})
+    if unknown:
+        raise ConfigError(f"unknown tolerances keys {unknown}")
     tol = float(args.tol) if args.tol is not None else \
-        float(config.get("tolerances", {}).get("residual", 1e-6))
-    tol_leak = float(config.get("tolerances", {}).get("leakage", tol))
+        float(tolerances.get("residual", 1e-6))
+    tol_leak = float(tolerances.get("leakage", tol))
+    check_tolerances(tol, tol_leak)  # also when there is no mode to verify
     counted = count_zero_modes(domain, fld)
     base = _flux_payload(domain, fld)
     rows: List[Dict[str, Any]] = []
     if counted.count > 0:
         potential = PotentialField(fld, domain)
-        basis = build_basis(domain, fld, potential)
-        for mode in basis.modes():
-            report = verify_mode(mode, domain, fld, potential, grid,
-                                 tol_residual=tol, tol_leakage=tol_leak)
+        modes = build_basis(domain, fld, potential).modes()
+        reports = verify_modes(modes, domain, fld, potential, grid,
+                               tol_residual=tol, tol_leakage=tol_leak)
+        for mode, report in zip(modes, reports):
             row = dict(base)
             row.update({
                 "count": counted.count,

@@ -161,14 +161,26 @@ def _polyval(coefficients: Dict[int, complex], var: np.ndarray) -> np.ndarray:
     return out
 
 
+def _envelope(chirality, potential, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """e^{+-h} at z and the variable (z or conj z) the polynomial takes there.
+
+    Every mode of one chirality shares both, so a basis evaluates them once.
+    """
+    h = potential.eval_h(z)
+    if chirality is Chirality.UP:
+        return np.exp(h), z
+    return np.exp(-h), np.conj(z)
+
+
+def _times_polynomial(envelope, coefficients) -> np.ndarray:
+    factor, var = envelope
+    return factor * _polyval(coefficients, var)
+
+
 def _eval_component(chirality, coefficients, dressed, potential, z) -> np.ndarray:
     scalar = np.isscalar(z)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    h = potential.eval_h(z)
-    if chirality is Chirality.UP:
-        out = np.exp(h) * _polyval(coefficients, z)
-    else:
-        out = np.exp(-h) * _polyval(coefficients, np.conj(z))
+    out = _times_polynomial(_envelope(chirality, potential, z), coefficients)
     if dressed:
         out = out / np.sqrt(conformal.conformal_factor(z))
     return out[0] if scalar else out
@@ -270,44 +282,57 @@ def _bulk_points(domain: DomainSpec, fld: FieldSpec, grid: GridSpec,
     return zz[keep]
 
 
-def d4(fn, zs: np.ndarray, shift: complex) -> np.ndarray:
-    """Fourth-order central difference of fn along the complex step ``shift``."""
+def d4(at, shift: complex) -> np.ndarray:
+    """Fourth-order central difference along the complex step ``shift``.
+
+    ``at(s)`` is the function on the point set shifted by s; the stencil asks
+    for s = 2 shift, shift, -shift and -2 shift.
+    """
     return (
-        -fn(zs + 2 * shift) + 8 * fn(zs + shift)
-        - 8 * fn(zs - shift) + fn(zs - 2 * shift)
+        -at(2 * shift) + 8 * at(shift) - 8 * at(-shift) + at(-2 * shift)
     ) / (12 * abs(shift))
+
+
+def _stencil_residual(up, down, av, step: float) -> np.ndarray:
+    """|D_a u| on a point set from the spinor components at the stencil shifts.
+
+    ``up(s)`` and ``down(s)`` are the components on the points shifted by s,
+    None standing for a zero component, and ``av`` is the vector potential
+    on the points.  The residual is the larger of |-2i dbar u+ - a u+| and
+    |-2i d u- - conj(a) u-|.
+    """
+    parts = []
+    if up is not None:
+        ux, uy, u0 = d4(up, step), d4(up, 1j * step), up(0)
+        parts.append(np.abs(-2j * 0.5 * (ux + 1j * uy) - av * u0))
+    if down is not None:
+        ux, uy, u0 = d4(down, step), d4(down, 1j * step), down(0)
+        parts.append(np.abs(-2j * 0.5 * (ux - 1j * uy) - np.conj(av) * u0))
+    return functools.reduce(np.maximum, parts)
 
 
 def dirac_residual(up, down, a, zs: np.ndarray, step: float) -> np.ndarray:
     """|D_a u| at each point by fourth-order central differences.
 
     ``up``, ``down`` and ``a`` evaluate the spinor components and the vector
-    potential; None stands for a zero component.  The residual is the larger
-    of |-2i dbar u+ - a u+| and |-2i d u- - conj(a) u-|.
+    potential; None stands for a zero component.
     """
-    # a before the combination: its temporaries peak beside four arrays, not five
-    parts = []
-    if up is not None:
-        ux, uy, u0, av = d4(up, zs, step), d4(up, zs, 1j * step), up(zs), a(zs)
-        parts.append(np.abs(-2j * 0.5 * (ux + 1j * uy) - av * u0))
-    if down is not None:
-        ux, uy, u0, av = d4(down, zs, step), d4(down, zs, 1j * step), down(zs), a(zs)
-        parts.append(np.abs(-2j * 0.5 * (ux - 1j * uy) - np.conj(av) * u0))
-    return functools.reduce(np.maximum, parts)
+    def on_shifted(fn):
+        return None if fn is None else (lambda s: fn(zs + s))
+
+    return _stencil_residual(on_shifted(up), on_shifted(down), a(zs), step)
 
 
-def worst_residual(residual_at, modulus, step: float,
+def worst_residual(res: np.ndarray, scale: float, residual_at, step: float,
                    tol_residual: float) -> Tuple[float, float]:
     """Largest residual relative to the spinor's size, and its step-halving ratio.
 
-    ``residual_at(sel, step)`` is the residual at the points ``sel`` selects
-    and ``modulus()`` the spinor's modulus at all points, called after the
-    residual pass so its arrays reuse the memory that pass freed.  The step
-    is halved at the worst point only; GridTooCoarse is raised when the two
-    residuals there differ by more than ten tolerances (no convergence).
+    ``res`` is the residual at every point at ``step``, ``scale`` the
+    spinor's largest modulus and ``residual_at(sel, step)`` the residual at
+    the points ``sel`` selects.  The step is halved at the worst point only;
+    GridTooCoarse is raised when the two residuals there differ by more than
+    ten tolerances (no convergence).
     """
-    res = residual_at(slice(None), step)
-    scale = float(np.max(modulus()))
     res = res / scale
     idx = int(np.argmax(res))
     residual = float(res[idx])
@@ -337,36 +362,9 @@ def boundary_spectra(domain: DomainSpec, fld: FieldSpec) -> Dict[str, BoundarySp
     return out
 
 
-def verify_mode(
-    mode: ZeroMode,
-    domain: DomainSpec,
-    fld: FieldSpec,
-    potential: PotentialField,
-    grid: GridSpec = GridSpec(),
-    tol_residual: float = 1e-6,
-    tol_leakage: float = 1e-6,
-) -> VerificationReport:
-    """Independent check of one candidate mode against (domain, field).
-
-    The mode's chirality/coefficients are evaluated with the *passed*
-    potential, so a candidate can be re-verified against a perturbed field.
-    Boundary samples are normalized to unit root-mean-square on each circle
-    before the Fourier projection, so the reported leakage is the weighted
-    fraction of the trace sitting on forbidden indices and the absolute
-    tolerance is scale-free.
-    """
-    dom, f = _reduced_problem(domain, fld)
-    dressed = mode.w_dressed
-
-    def u_flat(z):
-        # undressed flat-metric component; the conformal factor enters only
-        # through the W^{-3/2} weight on the residual below
-        return _eval_component(mode.chirality, mode.coefficients, False, potential, z)
-
-    fd = grid.fd_step if grid.fd_step is not None \
-        else _fd_scale(dom, f) * grid.fd_step_factor
-
-    # --- PDE residual over polar annuli plus the bulk grid
+def _residual_points(dom: DomainSpec, f: FieldSpec, grid: GridSpec,
+                     fd: float) -> np.ndarray:
+    """Polar annuli around the holes and inside the outer circle, then the bulk grid."""
     point_sets: List[np.ndarray] = []
     for j, hole in enumerate(dom.holes):
         probe = annulus_probe(dom, j, support_radii_from(f, hole.center))
@@ -377,68 +375,165 @@ def verify_mode(
         if inset.outer > inset.inner:
             point_sets.append(_polar_points(0.0, inset, grid.radial, grid.angular))
     point_sets.append(_bulk_points(dom, f, grid, fd))
-    zs = np.concatenate(point_sets)
+    return np.concatenate(point_sets)
 
-    spinor = (u_flat, None) if mode.chirality is Chirality.UP else (None, u_flat)
 
-    @functools.cache
-    def w():  # W on the whole point set, once; not held through the residual pass
-        return conformal.conformal_factor(zs)
+# points per chunk of the residual pass: e^{+-h} at the nine stencil shifts
+# and one mode's component there take a few MB, not nine full-size arrays
+_CHUNK_POINTS = 16384
 
-    def residual_at(sel, step):
-        res = dirac_residual(*spinor, potential.eval_a, zs[sel], step)
-        return res * w()[sel] ** (-1.5) if dressed else res
 
-    def modulus():
-        u_abs = np.abs(u_flat(zs))
-        return u_abs * w() ** (-0.5) if dressed else u_abs
+def check_tolerances(tol_residual: float, tol_leakage: float) -> None:
+    """Raise ValueError unless both verification tolerances are positive and finite."""
+    for name, value in (("residual", tol_residual), ("leakage", tol_leakage)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} tolerance must be positive and finite, got {value!r}")
 
-    pde_residual, richardson_factor = worst_residual(residual_at, modulus, fd, tol_residual)
 
-    # --- boundary trace leakage
-    spectra = boundary_spectra(dom, f)
+def verify_modes(
+    modes: Sequence[ZeroMode],
+    domain: DomainSpec,
+    fld: FieldSpec,
+    potential: PotentialField,
+    grid: GridSpec = GridSpec(),
+    tol_residual: float = 1e-6,
+    tol_leakage: float = 1e-6,
+) -> List[VerificationReport]:
+    """Independent check of candidate modes against (domain, field), in one pass.
+
+    The modes must share chirality, dressing, potential and domain, as the
+    modes of one basis do: e^{+-h}, the vector potential and the boundary
+    data are evaluated once for all of them, and each mode applies only its
+    own polynomial.  The modes are evaluated with the *passed* potential, so
+    a candidate can be re-verified against a perturbed field.  Boundary
+    samples are normalized to unit root-mean-square on each circle before the
+    Fourier projection, so the reported leakage is the weighted fraction of
+    the trace sitting on forbidden indices and the absolute tolerance is
+    scale-free.  Reports follow the order of ``modes``, and GridTooCoarse is
+    raised for the first mode in that order whose worst residual does not
+    converge under step halving.
+    """
+    check_tolerances(tol_residual, tol_leakage)
+    if not modes:
+        raise ValueError("verify_modes needs at least one mode")
+    first = modes[0]
+    if any(m.chirality is not first.chirality or m.w_dressed != first.w_dressed
+           or m.potential is not first.potential or m.domain != first.domain
+           for m in modes):
+        raise ValueError("verified modes must share chirality, dressing, potential and domain")
+    chirality, dressed = first.chirality, first.w_dressed
+    dom, f = _reduced_problem(domain, fld)
+
+    def spinor(component):
+        return (component, None) if chirality is Chirality.UP else (None, component)
+
+    fd = grid.fd_step if grid.fd_step is not None \
+        else _fd_scale(dom, f) * grid.fd_step_factor
+
+    # --- PDE residual over polar annuli plus the bulk grid, chunk by chunk.
+    # Components are flat-metric: the conformal factor enters only as the
+    # W^{-3/2} weight on the residual and W^{-1/2} on the modulus.
+    zs = _residual_points(dom, f, grid, fd)
+    res = np.empty((len(modes), zs.size))
+    scales = np.zeros(len(modes))
+    for lo in range(0, zs.size, _CHUNK_POINTS):
+        chunk = slice(lo, lo + _CHUNK_POINTS)
+        zc = zs[chunk]
+        envelope_at = functools.cache(lambda s: _envelope(chirality, potential, zc + s))
+        av = potential.eval_a(zc)
+        if dressed:
+            w = conformal.conformal_factor(zc)
+            w_res, w_mod = w ** (-1.5), w ** (-0.5)
+        for m, mode in enumerate(modes):
+            u_at = functools.cache(
+                lambda s: _times_polynomial(envelope_at(s), mode.coefficients))
+            r = _stencil_residual(*spinor(u_at), av, fd)
+            u_abs = np.abs(u_at(0))
+            if dressed:
+                r, u_abs = r * w_res, u_abs * w_mod
+            res[m, chunk] = r
+            scales[m] = max(scales[m], float(np.max(u_abs)))
+
+    pde = []
+    for m, mode in enumerate(modes):
+        u_flat = functools.partial(_eval_component, chirality, mode.coefficients,
+                                   False, potential)
+
+        def residual_at(sel, step):
+            r = dirac_residual(*spinor(u_flat), potential.eval_a, zs[sel], step)
+            return r * conformal.conformal_factor(zs[sel]) ** (-1.5) if dressed else r
+
+        pde.append(worst_residual(res[m], scales[m], residual_at, fd, tol_residual))
+
+    # --- boundary trace leakage; e^{+-h} and the phase once per circle
     phis = np.linspace(0.0, 2.0 * math.pi, grid.n_boundary_samples, endpoint=False)
-    leakages: Dict[str, float] = {}
-    for label, spec in spectra.items():
+    circles = []
+    for label, spec in boundary_spectra(dom, f).items():
         center = 0.0 if spec.is_outer else dom.holes[spec.boundary].center
         pts = center + spec.radius * np.exp(1j * phis)
-        samples = u_flat(pts)
-        samples = samples / math.sqrt(float(np.mean(np.abs(samples) ** 2)))
-        zero = np.zeros_like(samples)
-        up = samples if mode.chirality is Chirality.UP else zero
-        down = samples if mode.chirality is Chirality.DOWN else zero
-        exponent = potential.boundary_phase_exponent(center, spec.radius, phis)
-        tf = trace_from_samples(spec, phis, up, down, exponent)
-        leakages[label] = leakage(tf, spec)
+        circles.append((label, spec, _envelope(chirality, potential, pts),
+                        potential.boundary_phase_exponent(center, spec.radius, phis)))
+
+    def leakages(mode) -> Dict[str, float]:
+        out: Dict[str, float] = {}
+        for label, spec, envelope, exponent in circles:
+            samples = _times_polynomial(envelope, mode.coefficients)
+            samples = samples / math.sqrt(float(np.mean(np.abs(samples) ** 2)))
+            zero = np.zeros_like(samples)
+            up, down = (samples, zero) if chirality is Chirality.UP else (zero, samples)
+            out[label] = leakage(trace_from_samples(spec, phis, up, down, exponent), spec)
+        return out
 
     # --- square integrability at infinity (plane only)
-    exponent_ok: Optional[bool] = None
     if dom.kind is DomainKind.PLANE:
         x = flux_over_2pi(total_flux(f, dom))
-        n_max = mode.degree
-        if mode.chirality is Chirality.UP:
-            exact_ok = n_max - x < -1
-        else:
-            exact_ok = n_max + x < -1
         radius = grid.decay_radius
         angles = np.exp(1j * (np.linspace(0, 2 * math.pi, 8, endpoint=False) + 0.1))
-        ratio = np.max(np.abs(u_flat(2 * radius * angles))
-                       / np.abs(u_flat(radius * angles)))
-        exponent_ok = bool(exact_ok and ratio < 0.55)
+        far, near = (_envelope(chirality, potential, r * angles)
+                     for r in (2 * radius, radius))
 
-    passed = (
-        pde_residual < tol_residual
-        and all(v < tol_leakage for v in leakages.values())
-        and (exponent_ok is None or exponent_ok)
-    )
-    return VerificationReport(
-        pde_residual=pde_residual,
-        trace_leakage=leakages,
-        integrability_exponent_ok=exponent_ok,
-        richardson_factor=richardson_factor,
-        passed=passed,
-        tolerances={"pde_residual": tol_residual, "leakage": tol_leakage},
-    )
+    def exponent_ok(mode) -> Optional[bool]:
+        if dom.kind is not DomainKind.PLANE:
+            return None
+        if chirality is Chirality.UP:
+            exact_ok = mode.degree - x < -1
+        else:
+            exact_ok = mode.degree + x < -1
+        ratio = np.max(np.abs(_times_polynomial(far, mode.coefficients))
+                       / np.abs(_times_polynomial(near, mode.coefficients)))
+        return bool(exact_ok and ratio < 0.55)
+
+    reports = []
+    for mode, (pde_residual, richardson_factor) in zip(modes, pde):
+        trace_leakage = leakages(mode)
+        integrable = exponent_ok(mode)
+        passed = (
+            pde_residual < tol_residual
+            and all(v < tol_leakage for v in trace_leakage.values())
+            and (integrable is None or integrable)
+        )
+        reports.append(VerificationReport(
+            pde_residual=pde_residual,
+            trace_leakage=trace_leakage,
+            integrability_exponent_ok=integrable,
+            richardson_factor=richardson_factor,
+            passed=passed,
+            tolerances={"pde_residual": tol_residual, "leakage": tol_leakage},
+        ))
+    return reports
+
+
+def verify_mode(
+    mode: ZeroMode,
+    domain: DomainSpec,
+    fld: FieldSpec,
+    potential: PotentialField,
+    grid: GridSpec = GridSpec(),
+    tol_residual: float = 1e-6,
+    tol_leakage: float = 1e-6,
+) -> VerificationReport:
+    """Independent check of one candidate mode; see :func:`verify_modes`."""
+    return verify_modes([mode], domain, fld, potential, grid, tol_residual, tol_leakage)[0]
 
 
 def laurent_coefficients(

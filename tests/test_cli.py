@@ -90,6 +90,14 @@ def test_range_past_the_cap_exits_2(tmp_path, capsys, command, config):
     assert "range holds 1000001 values" in err
 
 
+SPHERE_3PI = {
+    "domain": {"kind": "sphere", "omitted_hole": 1,
+               "holes": [{"center": [1.0, 0.5], "radius": 0.4},
+                         {"center": [0, 0], "radius": 4.0}]},
+    "field": {"bumps": [{"center": [-1.0, -0.5], "support_radius": 0.5,
+                         "flux_pi": "3", "profile": "smooth"}],
+              "hole_fluxes_pi": ["1/2", "-7/2"]},
+}
 BM = {"r_inner": 1.0, "r_outer": 2.0, "s_inner": 1.0, "s_outer": -1.0, "phi_pi": "1"}
 
 
@@ -124,6 +132,22 @@ def _with(path, value, config=DISC_3PI):
                   "max_bulk_points", "fd_step_factor", "fd_step", "decay_radius")],
     pytest.param("verify --grid 0", DISC_3PI, "grid scale must be positive",
                  id="grid-scale-zero"),
+    *[pytest.param(f"verify --tol {tol}", DISC_3PI,
+                   "residual tolerance must be positive and finite", id=f"tol-{tol}")
+      for tol in ("0", "-1", "nan", "inf")],
+    pytest.param("verify --tol nan", _with(["field", "bumps", 0, "flux_pi"], "1/2"),
+                 "residual tolerance must be positive and finite", id="tol-nan-no-modes"),
+    pytest.param("verify", _with(["tolerances"], {"residual": "nan"}),
+                 "residual tolerance must be positive and finite", id="residual-nan"),
+    pytest.param("verify", _with(["tolerances"], {"leakage": 0}),
+                 "leakage tolerance must be positive and finite", id="leakage-zero"),
+    pytest.param("verify", _with(["tolerances"], {"pde": 1e-6}),
+                 "unknown tolerances keys ['pde']", id="unknown-tolerance-key"),
+    pytest.param("verify", _with(["domain", "omitted_hole"], 7, SPHERE_3PI),
+                 "omitted hole index 7 out of range", id="omitted-hole-out-of-range"),
+    *[pytest.param("count", _with(["domain", "omitted_hole"], value, SPHERE_3PI),
+                   "omitted_hole must be a hole index", id=f"omitted-hole-{value}")
+      for value in (True, 1.0, "1")],
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, config, message):
     code, out, err = run_cli(capsys, *command.split(), "--config",
@@ -152,14 +176,7 @@ def test_verify_grid_too_coarse_exits_3(tmp_path, capsys):
 
 
 def test_verify_sphere_notes_dressing(tmp_path, capsys):
-    cfg = write_config(tmp_path, {
-        "domain": {"kind": "sphere", "omitted_hole": 1,
-                   "holes": [{"center": [1.0, 0.5], "radius": 0.4},
-                             {"center": [0, 0], "radius": 4.0}]},
-        "field": {"bumps": [{"center": [-1.0, -0.5], "support_radius": 0.5,
-                             "flux_pi": "3", "profile": "smooth"}],
-                  "hole_fluxes_pi": ["1/2", "-7/2"]},
-    })
+    cfg = write_config(tmp_path, SPHERE_3PI)
     code, out, _ = run_cli(capsys, "verify", "--config", cfg)
     assert code == 0
     doc = json.loads(out)

@@ -1,6 +1,8 @@
 """Counting theorems, mode construction, and the verification oracles."""
 
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from zeromodes import (
     Chirality,
+    DomainKind,
     EmptyBasis,
     FieldSpec,
     GridSpec,
@@ -19,15 +22,23 @@ from zeromodes import (
     RadialBump,
     ZeroMode,
     analytic_extension_check,
+    boundary_spectra,
     build_basis,
+    conformal_factor,
     count_zero_modes,
     disc_with_holes,
     laurent_coefficients,
+    leakage,
     pi_flux,
     plane_with_holes,
+    sphere_to_disc,
+    sphere_with_holes,
+    trace_from_samples,
     verify_mode,
+    verify_modes,
 )
-from zeromodes.zero_modes import dirac_residual
+from zeromodes import zero_modes
+from zeromodes.zero_modes import dirac_residual, worst_residual
 
 PLANE = plane_with_holes([])
 DISC = disc_with_holes(5.0)
@@ -254,11 +265,10 @@ def test_plane_modes_pass_and_candidate_violates_exponent():
     pot = PotentialField(fld, dom)
     basis = build_basis(dom, fld, pot)
     assert basis.degrees == [0, 1]
-    for mode in basis.modes():
-        report = verify_mode(mode, dom, fld, pot)
-        assert report.passed and report.integrability_exponent_ok
     candidate = ZeroMode(Chirality.UP, {2: 1.0 + 0.0j}, pot, dom)
-    report = verify_mode(candidate, dom, fld, pot)
+    *reports, report = verify_modes(basis.modes() + [candidate], dom, fld, pot)
+    for mode_report in reports:
+        assert mode_report.passed and mode_report.integrability_exponent_ok
     assert report.integrability_exponent_ok is False
     assert not report.passed
 
@@ -292,6 +302,149 @@ def test_gauge_invariance_of_counts_and_amplitudes():
     np.testing.assert_allclose(np.abs(u_raw), np.abs(np.exp(pot_a.eval_h(pts))),
                                rtol=1e-12)
     del u_norm
+
+
+def _reference_report(mode, dom, fld, pot, grid, tol):
+    """One mode verified on its own from the public oracle pieces: every
+    function is evaluated on the whole point set through the mode's eval."""
+    red_dom, red_fld = dom, fld
+    if dom.kind is DomainKind.SPHERE:
+        red = sphere_to_disc(dom, fld)
+        red_dom, red_fld = red.disc_domain, red.disc_field
+    flat = dataclasses.replace(mode, w_dressed=False).eval
+    spinor = (flat, None) if mode.chirality is Chirality.UP else (None, flat)
+    fd = grid.fd_step if grid.fd_step is not None \
+        else zero_modes._fd_scale(red_dom, red_fld) * grid.fd_step_factor
+    zs = zero_modes._residual_points(red_dom, red_fld, grid, fd)
+
+    def residual_at(sel, step):
+        res = dirac_residual(*spinor, pot.eval_a, zs[sel], step)
+        return res * conformal_factor(zs[sel]) ** (-1.5) if mode.w_dressed else res
+
+    modulus = np.abs(flat(zs))
+    if mode.w_dressed:
+        modulus = modulus * conformal_factor(zs) ** (-0.5)
+    pde, _ = worst_residual(residual_at(slice(None), fd), float(np.max(modulus)),
+                            residual_at, fd, tol)
+
+    phis = np.linspace(0.0, 2.0 * math.pi, grid.n_boundary_samples, endpoint=False)
+    leakages = {}
+    for label, spec in boundary_spectra(dom, fld).items():
+        center = 0.0 if spec.is_outer else red_dom.holes[spec.boundary].center
+        samples = flat(center + spec.radius * np.exp(1j * phis))
+        samples = samples / math.sqrt(float(np.mean(np.abs(samples) ** 2)))
+        zero = np.zeros_like(samples)
+        up, down = (samples, zero) if mode.chirality is Chirality.UP else (zero, samples)
+        exponent = pot.boundary_phase_exponent(center, spec.radius, phis)
+        leakages[label] = leakage(trace_from_samples(spec, phis, up, down, exponent), spec)
+    return pde, leakages
+
+
+def _spin_up_disc():
+    dom = disc_with_holes(3.0, [Hole(1.2 + 0.4j, 0.35)])
+    fld = FieldSpec(bumps=[RadialBump(-0.8 + 0.3j, 0.6, pi_flux("5/2")),
+                           RadialBump(0.6 - 1.4j, 0.5, pi_flux(3))],
+                    hole_fluxes=[pi_flux("1/2")])
+    return dom, fld
+
+
+def _basis_case(case):
+    if case == "disc-up":
+        dom, fld = _spin_up_disc()
+    elif case == "disc-down":
+        dom = disc_with_holes(3.0, [Hole(-1.3, 0.35)])
+        fld = FieldSpec(bumps=[RadialBump(0.9, 0.6, pi_flux("-5/2"))],
+                        hole_fluxes=[pi_flux("-1/2")])
+    elif case == "sphere":
+        dom = sphere_with_holes([Hole(1.0 + 0.5j, 0.4), Hole(-0.9 - 1.2j, 0.3),
+                                 Hole(0.0, 4.0)], omitted_hole=2)
+        fld = FieldSpec(bumps=[RadialBump(-1.0 + 0.9j, 0.5, pi_flux(5), Profile.UNIFORM_DISC)],
+                        hole_fluxes=[pi_flux("1/2"), pi_flux("-1/4"), pi_flux("-21/4")])
+    else:
+        dom = plane_with_holes([Hole(1.5, 0.4)])
+        fld = FieldSpec(bumps=[RadialBump(-1.0, 0.7, pi_flux("9/2"))],
+                        hole_fluxes=[pi_flux("1/2")])
+    pot = PotentialField(fld, dom)
+    basis = build_basis(dom, fld, pot)
+    modes = basis.modes()
+    if case == "disc-up":
+        modes.insert(1, ZeroMode(Chirality.UP, {0: 1.0, 2: 0.5j}, pot, dom))
+    if case == "plane":
+        modes.append(ZeroMode(Chirality.UP, {2: 1.0 + 0.0j}, pot, dom))
+    return dom, fld, pot, modes
+
+
+@pytest.mark.parametrize("case", ["disc-up", "disc-down", "sphere", "plane"])
+def test_verify_modes_matches_per_mode_reference(case, monkeypatch):
+    # small chunks, so the shared pass crosses many chunk edges and ends on a
+    # partial chunk
+    monkeypatch.setattr(zero_modes, "_CHUNK_POINTS", 1000)
+    dom, fld, pot, modes = _basis_case(case)
+    grid = GridSpec(radial=16, angular=64, bulk_divisor=8)
+    reports = verify_modes(modes, dom, fld, pot, grid)
+    assert len(reports) == len(modes) >= 2
+    for mode, report in zip(modes, reports):
+        pde, leakages = _reference_report(mode, dom, fld, pot, grid, 1e-6)
+        assert report.pde_residual == pde
+        assert report.trace_leakage.keys() == leakages.keys()
+        for label, value in leakages.items():
+            assert abs(report.trace_leakage[label] - value) <= 1e-15 * abs(value)
+    if case == "plane":
+        assert [r.integrability_exponent_ok for r in reports] == [True, True, False]
+    if case == "disc-up":  # three basis modes, and a combination of them
+        assert len(modes) == 4 and all(r.passed for r in reports)
+
+
+def test_verify_modes_raises_for_the_first_coarse_mode():
+    dom, fld = _spin_up_disc()
+    pot = PotentialField(fld, dom)
+    modes = build_basis(dom, fld, pot).modes()
+    coarse = GridSpec(radial=8, angular=32, bulk_divisor=4, fd_step=0.08)
+    # between the step-halving gaps of mode 0 (1.04e-2) and mode 1 (1.10e-2)
+    tol = 1.07e-3
+    expected = None
+    for n, mode in enumerate(modes):
+        try:
+            _reference_report(mode, dom, fld, pot, coarse, tol)
+        except GridTooCoarse as exc:
+            expected = str(exc)
+            break
+    assert n == 1 and expected is not None
+    with pytest.raises(GridTooCoarse) as info:
+        verify_modes(modes, dom, fld, pot, coarse, tol_residual=tol)
+    assert str(info.value) == expected
+
+
+def test_verify_modes_rejects_modes_of_different_kinds(disc_problem):
+    dom, fld, pot = disc_problem
+    up = ZeroMode(Chirality.UP, {0: 1.0 + 0.0j}, pot, dom)
+    for other in (ZeroMode(Chirality.DOWN, {0: 1.0 + 0.0j}, pot, dom),
+                  ZeroMode(Chirality.UP, {0: 1.0 + 0.0j}, pot, dom, w_dressed=True),
+                  ZeroMode(Chirality.UP, {0: 1.0 + 0.0j}, PotentialField(fld, dom), dom)):
+        with pytest.raises(ValueError, match="must share"):
+            verify_modes([up, other], dom, fld, pot)
+
+
+def test_verify_modes_peak_memory_stays_below_one_parent_mode():
+    # a verify_disc_smooth-sized problem: 5 spin-up modes, 2 holes, 2 smooth
+    # bumps, 278,730 residual points on the default grid
+    dom = disc_with_holes(3.0, [Hole(1.827 + 0.732j, 0.35), Hole(-1.41 - 1.869j, 0.35)])
+    fld = FieldSpec(bumps=[RadialBump(0.489 - 1.008j, 0.6, pi_flux("25/4")),
+                           RadialBump(-1.294 + 1.129j, 0.6, pi_flux(5))],
+                    hole_fluxes=[pi_flux(1), pi_flux("-7/4")])
+    pot = PotentialField(fld, dom)
+    modes = build_basis(dom, fld, pot).modes()
+    assert len(modes) == 5
+    tracemalloc.start()
+    try:
+        reports = verify_modes(modes, dom, fld, pot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    # the traced peak of ONE verify_mode call before the shared basis pass
+    # (every stencil shift held at full size), measured as 49.2 MB
+    assert peak <= 49.2e6
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +504,7 @@ def test_kernel_choice_splits_threshold_modes():
     pot_a = PotentialField(fld_a, dom)
     alt_basis = build_basis(dom, fld_a, pot_a)
     assert alt_basis.degrees == [0, 1]
-    for mode in alt_basis.modes():
-        assert verify_mode(mode, dom, fld_a, pot_a).passed
+    assert all(r.passed for r in verify_modes(alt_basis.modes(), dom, fld_a, pot_a))
 
     threshold_mode = ZeroMode(Chirality.UP, {1: 1.0 + 0.0j}, pot_d, dom)
     report = verify_mode(threshold_mode, dom, fld_d, pot_d)
@@ -367,8 +519,7 @@ def test_down_mode_verifies():
     pot = PotentialField(fld, dom)
     counted = count_zero_modes(dom, fld)
     assert (counted.count, counted.chirality) == (2, Chirality.DOWN)
-    basis = build_basis(dom, fld, pot)
-    for mode in basis.modes():
-        report = verify_mode(mode, dom, fld, pot)
+    modes = build_basis(dom, fld, pot).modes()
+    for mode, report in zip(modes, verify_modes(modes, dom, fld, pot)):
         assert report.passed, report
         assert analytic_extension_check(mode, 0)
