@@ -40,7 +40,6 @@ from .eta_index import (
     IndexCountReport,
     IndexResult,
     eta_closed,
-    eta_of_scaled,
     eta_richardson_to_zero,
     eta_series,
     index_formula,
@@ -93,5 +92,92 @@ from .zero_modes import (
     verify_modes,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # aps_boundary
+    "BoundarySpectrum",
+    "Spin",
+    "TraceFourier",
+    "check_norm",
+    "leakage",
+    "trace_from_samples",
+    # berry_mondragon
+    "BMConfig",
+    "BMMode",
+    "bm_flux_sweep",
+    "bm_verify",
+    "bm_zero_mode",
+    # conformal
+    "MobiusCoeffs",
+    "SphereReduction",
+    "conformal_factor",
+    "conformal_ratio",
+    "mobius_for_point",
+    "patch_spinor",
+    "sphere_to_disc",
+    "stereo_project",
+    # errors
+    "DomainError",
+    "EmptyBasis",
+    "GridTooCoarse",
+    "NoClearance",
+    "NorthPole",
+    "PolePoint",
+    "SingularPoint",
+    "SphereFluxMismatch",
+    "ZeroModesError",
+    # eta_index
+    "EtaSeriesResult",
+    "IndexCountReport",
+    "IndexResult",
+    "eta_closed",
+    "eta_richardson_to_zero",
+    "eta_series",
+    "index_formula",
+    "index_vs_count",
+    "rho_term",
+    # field
+    "FieldSpec",
+    "KernelChoice",
+    "NormalizedFlux",
+    "PiFlux",
+    "Profile",
+    "RadialBump",
+    "eval_B",
+    "normalize_flux",
+    "pi_flux",
+    "semi_total_flux",
+    "total_flux",
+    "validate_field",
+    # geometry
+    "OUTER",
+    "Annulus",
+    "DomainKind",
+    "DomainSpec",
+    "Hole",
+    "ValidationResult",
+    "annulus_probe",
+    "disc_with_holes",
+    "plane_with_holes",
+    "sphere_with_holes",
+    "validate_domain",
+    # numutil
+    "floor_strict",
+    # potential
+    "PotentialField",
+    # zero_modes
+    "Chirality",
+    "GridSpec",
+    "VerificationReport",
+    "ZeroMode",
+    "ZeroModeBasis",
+    "ZeroModeCount",
+    "analytic_extension_check",
+    "basis_degrees",
+    "boundary_spectra",
+    "build_basis",
+    "count_zero_modes",
+    "laurent_coefficients",
+    "verify_mode",
+    "verify_modes",
+]
 __version__ = "0.1.0"

@@ -271,7 +271,9 @@ def cmd_eta(config, args) -> Dict[str, Any]:
     node = config.get("eta", {})
     c_values = [_fraction(t) for t in node.get("c_values", ["1/8", "1/4", "1/3", "1/2", "3/4"])]
     s_values = [float(s) for s in node.get("s_values", [0.2, 0.1, 0.05])]
-    n_terms = int(node.get("n_terms", 4000))
+    n_terms = node.get("n_terms", 4000)
+    if not isinstance(n_terms, int) or isinstance(n_terms, bool):
+        raise ConfigError(f"eta n_terms must be an integer, got {n_terms!r}")
     rows = []
     for c in c_values:
         series = [

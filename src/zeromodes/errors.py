@@ -29,8 +29,8 @@ class NorthPole(ZeroModesError):
     """Stereographic projection requested at the excluded projection pole."""
 
 
-class DomainError(ZeroModesError):
-    """Series evaluation requested outside its analyticity region."""
+class DomainError(ZeroModesError, ValueError):
+    """Series evaluation requested outside its analyticity region (a bad argument)."""
 
 
 class PolePoint(ZeroModesError):

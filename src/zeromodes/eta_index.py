@@ -97,7 +97,7 @@ class EtaSeriesResult:
 
 def eta_series(c: Union[float, Fraction], s: float, n_terms: int) -> EtaSeriesResult:
     """Accelerated partial eta function at s > -1 with its truncation bound."""
-    if s <= -1.0:
+    if not s > -1.0:  # NaN fails this too
         raise DomainError(f"eta series is defined for s > -1, got {s}")
     if not 8 <= n_terms <= MAX_ETA_TERMS:
         raise ValueError(f"eta series needs 8 to {MAX_ETA_TERMS} terms, got {n_terms}")
@@ -124,11 +124,17 @@ def eta_richardson_to_zero(
 ) -> float:
     """Eta at s = 0 by Richardson extrapolation from small positive s.
 
-    Assumes the s_values halve from one entry to the next, as the defaults
-    do.  Four levels keep the extrapolation error below 1e-3 even for the
-    steep representatives (three levels leave ~(ln 8)^3/6 * s1*s2*s3 = 1.5e-3
-    at c = 1/8).
+    The s_values must be finite and positive and halve exactly from one
+    entry to the next, as the defaults do (ValueError otherwise).  Four
+    levels keep the extrapolation error below 1e-3 even for the steep
+    representatives (three levels leave ~(ln 8)^3/6 * s1*s2*s3 = 1.5e-3 at
+    c = 1/8).
     """
+    s_values = list(s_values)
+    if not s_values or not all(0.0 < s < math.inf for s in s_values):
+        raise ValueError(f"Richardson needs finite positive s values, got {s_values}")
+    if any(b != a / 2 for a, b in zip(s_values, s_values[1:])):
+        raise ValueError(f"Richardson needs s values that halve at every step, got {s_values}")
     vals = [eta_series(c, s, n_terms).value for s in s_values]
     table = list(vals)
     for level in range(1, len(table)):
@@ -138,13 +144,6 @@ def eta_richardson_to_zero(
             for i in range(len(table) - 1)
         ]
     return table[0]
-
-
-def eta_of_scaled(scale: float, c: Union[float, Fraction]) -> float:
-    """Eta of the scaled spectrum {scale * (n - c)}: sign(scale) * eta(n - c)."""
-    if scale == 0:
-        raise ValueError("scale must be nonzero")
-    return math.copysign(1.0, scale) * eta_closed(c)
 
 
 # ----------------------------------------------------------------------------

@@ -21,14 +21,15 @@ Smooth-compact bumps have no closed forms; their radial F and h profiles are
 evaluated once per bump at Chebyshev nodes with fixed-order Gauss-Legendre
 quadrature and then read back through the interpolants.  Both profiles are
 smooth on [0, rho], so the interpolation error sits far below the 1e-8
-quadrature budget.
+quadrature budget; the interpolants keep only the coefficients down to 1e-14
+of their largest (F is chopped before the h quadrature reads it).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -47,6 +48,17 @@ from .geometry import DomainKind, DomainSpec
 
 
 _GAUSS_CACHE: dict = {}
+
+# trailing Chebyshev coefficients of a bump profile below this fraction of
+# the largest are fitting noise and are dropped
+_CHEB_CHOP = 1e-14
+
+
+def _chopped(coef: np.ndarray) -> np.ndarray:
+    """coef without its trailing entries below _CHEB_CHOP of the largest."""
+    size = np.abs(coef)
+    kept = np.nonzero(size >= _CHEB_CHOP * np.max(size))[0]
+    return coef[: kept[-1] + 1]
 
 
 def _gauss_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -89,7 +101,7 @@ class _BumpRadial:
         f_vals = TWO_PI * _gl_integrals_from(
             lambda r: density(r) * r, np.zeros_like(t), t, order
         )
-        self._cheb_f = cheb.chebfit(2.0 * t / rho - 1.0, f_vals, n_nodes - 1)
+        self._cheb_f = _chopped(cheb.chebfit(2.0 * t / rho - 1.0, f_vals, n_nodes - 1))
 
         # h from the smooth radial relation h'(s) = -F(s)/(2 pi s); the
         # integrand F(s)/s vanishes at 0, so no log singularity enters.
@@ -100,7 +112,7 @@ class _BumpRadial:
         h_vals = h_edge + _gl_integrals_from(
             h_integrand, t, np.full_like(t, rho), order
         ) / TWO_PI
-        self._cheb_h = cheb.chebfit(2.0 * t / rho - 1.0, h_vals, n_nodes - 1)
+        self._cheb_h = _chopped(cheb.chebfit(2.0 * t / rho - 1.0, h_vals, n_nodes - 1))
 
     def flux_within(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -233,23 +245,3 @@ class PotentialField:
             ang = np.unwrap(np.angle(pts - src.center))
             out += (src.flux / TWO_PI) * (ang - ang[0])
         return out
-
-    # -- asymptotics ---------------------------------------------------------
-
-    def h_asymptotics(self, sample_radii: Sequence[float] = (1e2, 1e3, 1e4)) -> dict:
-        """Leading log slope -Phi/2pi at infinity with sampled residuals."""
-        if self.domain.kind is DomainKind.SPHERE:
-            raise ValueError("h asymptotics apply to plane and disc domains")
-        slope = -float(self.total_flux) / TWO_PI
-        angles = np.linspace(0.0, TWO_PI, 8, endpoint=False) + 0.37
-        residuals = []
-        for radius in sample_radii:
-            pts = radius * np.exp(1j * angles)
-            res = np.max(np.abs(self.eval_h(pts) - slope * math.log(radius)))
-            residuals.append(float(res))
-        return {
-            "slope": slope,
-            "error_order": "O(1/|z|)",
-            "sample_radii": list(sample_radii),
-            "residuals": residuals,
-        }

@@ -154,11 +154,32 @@ def build_basis(
     )
 
 
-def _polyval(coefficients: Dict[int, complex], var: np.ndarray) -> np.ndarray:
-    out = np.zeros(var.shape, dtype=complex)
-    for n, c in coefficients.items():
-        out = out + c * var ** n
+def _powers(var: np.ndarray, lo: int, hi: int) -> Dict[int, np.ndarray]:
+    """var^n for lo <= n <= hi (and n = 0, 1), one multiply per degree.
+
+    Negative degrees are powers of 1/var, built the same way.
+    """
+    powers = {0: np.ones_like(var), 1: var}
+    for n in range(2, hi + 1):
+        powers[n] = powers[n - 1] * var
+    if lo < 0:
+        powers[-1] = 1 / var
+        for n in range(-2, lo - 1, -1):
+            powers[n] = powers[n + 1] * powers[-1]
+    return powers
+
+
+def _combine(coefficients: Dict[int, complex], powers: Dict[int, np.ndarray]) -> np.ndarray:
+    """sum_n c_n var^n from the powers of var, in ascending degree (a new array)."""
+    first, *rest = sorted(coefficients)
+    out = coefficients[first] * powers[first]
+    for n in rest:
+        out += coefficients[n] * powers[n]
     return out
+
+
+def _polyval(coefficients: Dict[int, complex], var: np.ndarray) -> np.ndarray:
+    return _combine(coefficients, _powers(var, min(coefficients), max(coefficients)))
 
 
 def _envelope(chirality, potential, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -282,45 +303,64 @@ def _bulk_points(domain: DomainSpec, fld: FieldSpec, grid: GridSpec,
     return zz[keep]
 
 
+# d4's numerator -u(2s) + 8u(s) - 8u(-s) + u(-2s): the multiples of the
+# shift s it samples, in the order _d4_add sums them
+_D4_SHIFTS = (2, 1, -1, -2)
+
+
+def _d4_add(partial, k: int, u: np.ndarray) -> np.ndarray:
+    """The partial numerator of d4 after its k-th term u (k = 0 starts it).
+
+    The partial sum is updated in place, so it must not be shared.
+    """
+    if k == 0:
+        return -u
+    if k == 1:
+        partial += 8 * u
+    elif k == 2:
+        partial -= 8 * u
+    else:
+        partial += u
+    return partial
+
+
 def d4(at, shift: complex) -> np.ndarray:
     """Fourth-order central difference along the complex step ``shift``.
 
     ``at(s)`` is the function on the point set shifted by s; the stencil asks
     for s = 2 shift, shift, -shift and -2 shift.
     """
-    return (
-        -at(2 * shift) + 8 * at(shift) - 8 * at(-shift) + at(-2 * shift)
-    ) / (12 * abs(shift))
+    partial = None
+    for k, multiple in enumerate(_D4_SHIFTS):
+        partial = _d4_add(partial, k, at(multiple * shift))
+    return partial / (12 * abs(shift))
 
 
-def _stencil_residual(up, down, av, step: float) -> np.ndarray:
-    """|D_a u| on a point set from the spinor components at the stencil shifts.
-
-    ``up(s)`` and ``down(s)`` are the components on the points shifted by s,
-    None standing for a zero component, and ``av`` is the vector potential
-    on the points.  The residual is the larger of |-2i dbar u+ - a u+| and
-    |-2i d u- - conj(a) u-|.
-    """
-    parts = []
-    if up is not None:
-        ux, uy, u0 = d4(up, step), d4(up, 1j * step), up(0)
-        parts.append(np.abs(-2j * 0.5 * (ux + 1j * uy) - av * u0))
-    if down is not None:
-        ux, uy, u0 = d4(down, step), d4(down, 1j * step), down(0)
-        parts.append(np.abs(-2j * 0.5 * (ux - 1j * uy) - np.conj(av) * u0))
-    return functools.reduce(np.maximum, parts)
+def _component_residual(ux, uy, u0, av, up: bool) -> np.ndarray:
+    """|-2i dbar u+ - a u+| (up) or |-2i d u- - conj(a) u-| (down) from the
+    component's x and y derivatives ``ux``, ``uy`` and its value ``u0``."""
+    if up:
+        return np.abs(-2j * 0.5 * (ux + 1j * uy) - av * u0)
+    return np.abs(-2j * 0.5 * (ux - 1j * uy) - np.conj(av) * u0)
 
 
 def dirac_residual(up, down, a, zs: np.ndarray, step: float) -> np.ndarray:
     """|D_a u| at each point by fourth-order central differences.
 
     ``up``, ``down`` and ``a`` evaluate the spinor components and the vector
-    potential; None stands for a zero component.
+    potential; None stands for a zero component.  The residual is the larger
+    of the two component equations.
     """
-    def on_shifted(fn):
-        return None if fn is None else (lambda s: fn(zs + s))
+    av = a(zs)
+    parts = []
+    for fn, is_up in ((up, True), (down, False)):
+        if fn is not None:
+            def at(s, fn=fn):
+                return fn(zs + s)
 
-    return _stencil_residual(on_shifted(up), on_shifted(down), a(zs), step)
+            parts.append(_component_residual(
+                d4(at, step), d4(at, 1j * step), at(0), av, is_up))
+    return functools.reduce(np.maximum, parts)
 
 
 def worst_residual(res: np.ndarray, scale: float, residual_at, step: float,
@@ -378,8 +418,8 @@ def _residual_points(dom: DomainSpec, f: FieldSpec, grid: GridSpec,
     return np.concatenate(point_sets)
 
 
-# points per chunk of the residual pass: e^{+-h} at the nine stencil shifts
-# and one mode's component there take a few MB, not nine full-size arrays
+# points per chunk of the residual pass: the powers of z at one stencil shift
+# and three partial arrays per mode take a few MB, not nine full-size arrays
 _CHUNK_POINTS = 16384
 
 
@@ -434,21 +474,37 @@ def verify_modes(
     # Components are flat-metric: the conformal factor enters only as the
     # W^{-3/2} weight on the residual and W^{-1/2} on the modulus.
     zs = _residual_points(dom, f, grid, fd)
+    lo_degree = min(min(mode.coefficients) for mode in modes)
+    top = max(mode.degree for mode in modes)
     res = np.empty((len(modes), zs.size))
     scales = np.zeros(len(modes))
     for lo in range(0, zs.size, _CHUNK_POINTS):
         chunk = slice(lo, lo + _CHUNK_POINTS)
         zc = zs[chunk]
-        envelope_at = functools.cache(lambda s: _envelope(chirality, potential, zc + s))
+
+        def basis_at(z):
+            # one envelope and one walk up the powers serve every mode
+            factor, var = _envelope(chirality, potential, z)
+            powers = _powers(var, lo_degree, top)
+            for mode in modes:
+                poly = _combine(mode.coefficients, powers)
+                yield np.multiply(factor, poly, out=poly)
+
+        # each mode's d4 numerators summed shift by shift, in d4's own order
+        derivatives = []
+        for shift in (fd, 1j * fd):
+            partial = [None] * len(modes)
+            for k, multiple in enumerate(_D4_SHIFTS):
+                for m, u in enumerate(basis_at(zc + multiple * shift)):
+                    partial[m] = _d4_add(partial[m], k, u)
+            derivatives.append([p / (12 * abs(shift)) for p in partial])
         av = potential.eval_a(zc)
         if dressed:
             w = conformal.conformal_factor(zc)
             w_res, w_mod = w ** (-1.5), w ** (-0.5)
-        for m, mode in enumerate(modes):
-            u_at = functools.cache(
-                lambda s: _times_polynomial(envelope_at(s), mode.coefficients))
-            r = _stencil_residual(*spinor(u_at), av, fd)
-            u_abs = np.abs(u_at(0))
+        for m, (ux, uy, u0) in enumerate(zip(*derivatives, basis_at(zc))):
+            r = _component_residual(ux, uy, u0, av, chirality is Chirality.UP)
+            u_abs = np.abs(u0)
             if dressed:
                 r, u_abs = r * w_res, u_abs * w_mod
             res[m, chunk] = r

@@ -124,6 +124,19 @@ def _with(path, value, config=DISC_3PI):
                  id="eta-too-few-terms"),
     pytest.param("eta", {"eta": {"c_values": ["1/4"], "n_terms": 10**12}}, "terms",
                  id="eta-terms-past-the-cap"),
+    pytest.param("eta", {"eta": {"c_values": ["1/3"], "s_values": []}},
+                 "finite positive s values", id="eta-no-s"),
+    pytest.param("eta", {"eta": {"c_values": ["1/3"], "s_values": ["nan"]}},
+                 "s > -1", id="eta-s-nan"),
+    pytest.param("eta", {"eta": {"c_values": ["1/3"], "s_values": [-1.5]}},
+                 "s > -1", id="eta-s-below-minus-one"),
+    pytest.param("eta", {"eta": {"c_values": ["1/3"], "s_values": [0.2, 0.2]}},
+                 "halve", id="eta-s-repeated"),
+    pytest.param("eta", {"eta": {"c_values": ["1/3"], "s_values": [0.2, -0.2]}},
+                 "finite positive s values", id="eta-s-sign-flip"),
+    *[pytest.param("eta", {"eta": {"c_values": ["1/3"], "n_terms": n}},
+                   "n_terms must be an integer", id=f"eta-n-terms-{n}")
+      for n in (12.7, True, "4000")],
     pytest.param("verify", _with(["grid"], {"radail": 8}), "unknown grid keys ['radail']",
                  id="unknown-grid-key"),
     *[pytest.param("verify", _with(["grid"], {key: 0}), f"grid {key} must be positive",

@@ -16,7 +16,6 @@ from zeromodes import (
     count_zero_modes,
     disc_with_holes,
     eta_closed,
-    eta_of_scaled,
     eta_richardson_to_zero,
     eta_series,
     index_formula,
@@ -97,6 +96,20 @@ def test_eta_series_domain_errors():
         eta_series(0.25, 0.5, MAX_ETA_TERMS + 1)
 
 
+def test_eta_rejects_s_values_it_cannot_continue():
+    with pytest.raises(ValueError, match="s > -1"):  # NaN is not greater than -1
+        eta_series(0.25, math.nan, 100)
+    for s_values in ([], [math.nan], [math.inf, math.inf], [-0.2, -0.1], [0.0],
+                     [0.2, 0.2], [0.2, -0.2], [0.2, 0.1, 0.04]):
+        with pytest.raises(ValueError):
+            eta_richardson_to_zero(Fraction(1, 3), s_values, 100)
+    # halving is exact in binary floating point, so the defaults pass
+    eta = eta_richardson_to_zero(Fraction(1, 3), [0.2, 0.1, 0.05, 0.025])
+    assert eta == pytest.approx(eta_closed(Fraction(1, 3)), abs=1e-3)
+    assert eta_richardson_to_zero(Fraction(1, 3), [0.2], 100) \
+        == eta_series(Fraction(1, 3), 0.2, 100).value
+
+
 def test_rho_decay_rate():
     # log|rho| over n in [1e3, 1e4] has slope -(s+2) within 2 percent
     for s, c in ((0.3, 0.25), (0.5, 0.4), (1.2, 0.125)):
@@ -123,8 +136,6 @@ def test_eta_scaling_relation():
         got = brute(scale * lam)
         expected = math.copysign(1.0, scale) * abs(scale) ** -s * base
         assert got == pytest.approx(expected, rel=1e-9)
-    assert eta_of_scaled(-2.0, 0.25) == -eta_closed(0.25)
-    assert eta_of_scaled(0.5, 0.25) == eta_closed(0.25)
 
 
 # ---------------------------------------------------------------------------

@@ -174,23 +174,60 @@ def test_gauge_is_divergence_free():
 
 
 def test_h_asymptotics():
-    fld = FieldSpec(bumps=[RadialBump(0.0, 1.0, TWO_PI)])
-    pot = PotentialField(fld, plane_with_holes([]))
-    out = pot.h_asymptotics()
-    assert out["slope"] == pytest.approx(-1.0)
+    # outside every source h = -(Phi/2pi) log|z| + O(1/|z|): the log slope
+    # between decades is -Phi/2pi and the remainder shrinks with the radius
+    angles = np.exp(1j * (np.linspace(0.0, TWO_PI, 8, endpoint=False) + 0.37))
+    radii = (1e2, 1e3, 1e4)
+    cases = [
+        (FieldSpec(bumps=[RadialBump(0.0, 1.0, TWO_PI)]), plane_with_holes([]), -1.0),
+        (FieldSpec(), plane_with_holes([]), 0.0),
+        (FieldSpec(bumps=[RadialBump(-1.0, 0.5, 2 * math.pi)], hole_fluxes=[pi_flux("1/2")]),
+         plane_with_holes([Hole(2.0, 0.4)]), -1.25),
+    ]
+    for fld, dom, slope in cases:
+        pot = PotentialField(fld, dom)
+        h = [pot.eval_h(r * angles) for r in radii]
+        for r0, h0, r1, h1 in zip(radii, h, radii[1:], h[1:]):
+            assert np.mean(h1 - h0) / math.log(r1 / r0) == pytest.approx(slope, rel=1e-9)
+        res = [float(np.max(np.abs(hr - slope * math.log(r)))) for r, hr in zip(radii, h)]
+        if fld.hole_fluxes:  # off-centre sources leave an O(1/|z|) remainder
+            assert res[0] > res[1] > res[2]
+            assert res[2] < res[0] / 50.0
+        else:  # one centred source: the log law is exact outside its support
+            assert max(res) < 1e-12
 
-    empty = PotentialField(FieldSpec(), plane_with_holes([]))
-    assert empty.h_asymptotics()["slope"] == 0.0
 
-    dom = plane_with_holes([Hole(2.0, 0.4)])
-    mixed = FieldSpec(bumps=[RadialBump(-1.0, 0.5, 2 * math.pi)],
-                      hole_fluxes=[pi_flux("1/2")])
-    pot = PotentialField(mixed, dom)
-    out = pot.h_asymptotics()
-    assert out["slope"] == pytest.approx(-1.25)
-    res = out["residuals"]
-    assert res[0] > res[1] > res[2]
-    assert res[2] < res[0] / 50.0
+def test_chopped_profiles_follow_the_full_fit():
+    # the chopped F and h interpolants of a smooth bump stay within 1e-13 of
+    # the largest coefficient of the full 160-term fit on [0, rho], and both
+    # are shorter than it
+    from numpy.polynomial import chebyshev as cheb
+
+    from zeromodes.field import smooth_profile_amplitude, smooth_profile_shape
+    from zeromodes.potential import _gl_integrals_from
+
+    bump = RadialBump(0.3 - 0.2j, 0.6, pi_flux("25/4"))
+    pot = PotentialField(FieldSpec(bumps=[bump]), disc_with_holes(3.0))
+    radial = pot._bumps[0]
+    rho, order, n_nodes = bump.support_radius, pot.quadrature_order, 160
+    k = np.arange(n_nodes)
+    t = 0.5 * rho * (1.0 + np.cos(math.pi * (2 * k + 1) / (2 * n_nodes)))
+    x = 2.0 * t / rho - 1.0
+    amp = smooth_profile_amplitude(bump)
+    f_full = cheb.chebfit(x, TWO_PI * _gl_integrals_from(
+        lambda r: amp * smooth_profile_shape(r, rho) * r, np.zeros_like(t), t, order),
+        n_nodes - 1)
+    h_vals = -radial.flux / TWO_PI * math.log(rho) + _gl_integrals_from(
+        lambda s: cheb.chebval(2.0 * s / rho - 1.0, f_full) / s,
+        t, np.full_like(t, rho), order) / TWO_PI
+    h_full = cheb.chebfit(x, h_vals, n_nodes - 1)
+
+    assert len(radial._cheb_f) < n_nodes and len(radial._cheb_h) < n_nodes
+    s = np.linspace(0.0, rho, 10_000)
+    for chopped, full in ((radial._cheb_f, f_full), (radial._cheb_h, h_full)):
+        gap = np.max(np.abs(cheb.chebval(2.0 * s / rho - 1.0, chopped)
+                            - cheb.chebval(2.0 * s / rho - 1.0, full)))
+        assert gap <= 1e-13 * np.max(np.abs(full))
 
 
 def test_quadrature_error_budget_on_support():

@@ -304,6 +304,23 @@ def test_gauge_invariance_of_counts_and_amplitudes():
     del u_norm
 
 
+def test_polyval_powers_against_mpmath():
+    # z^n built by one multiply per degree stays within 4 n eps of the
+    # 50-digit power, for degrees 0 to 200 at points of modulus up to 3
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    zs = 3.0 * np.sqrt(rng.random(24)) * np.exp(2j * math.pi * rng.random(24))
+    zs = np.concatenate([zs, [3.0, -3.0j, 1.0, 0.5 + 0.5j, -2.9999 + 0.001j]])
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for n in range(201):
+            got = zero_modes._polyval({n: 1.0 + 0.0j}, zs)
+            for z, value in zip(zs, got):
+                exact = mpmath.mpc(z.real, z.imag) ** n
+                err = abs(mpmath.mpc(value.real, value.imag) - exact) / abs(exact)
+                assert float(err) <= 4 * n * eps, (n, z)
+
+
 def _reference_report(mode, dom, fld, pot, grid, tol):
     """One mode verified on its own from the public oracle pieces: every
     function is evaluated on the whole point set through the mode's eval."""
@@ -360,6 +377,10 @@ def _basis_case(case):
                                  Hole(0.0, 4.0)], omitted_hole=2)
         fld = FieldSpec(bumps=[RadialBump(-1.0 + 0.9j, 0.5, pi_flux(5), Profile.UNIFORM_DISC)],
                         hole_fluxes=[pi_flux("1/2"), pi_flux("-1/4"), pi_flux("-21/4")])
+    elif case == "disc-high":  # x = 35/4: nine modes, degrees 0 to 8
+        dom = disc_with_holes(3.0, [Hole(1.2 + 0.4j, 0.35)])
+        fld = FieldSpec(bumps=[RadialBump(-0.8 + 0.3j, 0.6, pi_flux(17))],
+                        hole_fluxes=[pi_flux("1/2")])
     else:
         dom = plane_with_holes([Hole(1.5, 0.4)])
         fld = FieldSpec(bumps=[RadialBump(-1.0, 0.7, pi_flux("9/2"))],
@@ -371,10 +392,12 @@ def _basis_case(case):
         modes.insert(1, ZeroMode(Chirality.UP, {0: 1.0, 2: 0.5j}, pot, dom))
     if case == "plane":
         modes.append(ZeroMode(Chirality.UP, {2: 1.0 + 0.0j}, pot, dom))
+    if case == "disc-high":  # a dict whose degrees are not in ascending order
+        modes.append(ZeroMode(Chirality.UP, {5: 0.3, 0: 1.0, 2: 0.5j}, pot, dom))
     return dom, fld, pot, modes
 
 
-@pytest.mark.parametrize("case", ["disc-up", "disc-down", "sphere", "plane"])
+@pytest.mark.parametrize("case", ["disc-up", "disc-down", "sphere", "plane", "disc-high"])
 def test_verify_modes_matches_per_mode_reference(case, monkeypatch):
     # small chunks, so the shared pass crosses many chunk edges and ends on a
     # partial chunk
@@ -393,6 +416,8 @@ def test_verify_modes_matches_per_mode_reference(case, monkeypatch):
         assert [r.integrability_exponent_ok for r in reports] == [True, True, False]
     if case == "disc-up":  # three basis modes, and a combination of them
         assert len(modes) == 4 and all(r.passed for r in reports)
+    if case == "disc-high":
+        assert [m.degree for m in modes] == list(range(9)) + [5]
 
 
 def test_verify_modes_raises_for_the_first_coarse_mode():
@@ -523,3 +548,21 @@ def test_down_mode_verifies():
     for mode, report in zip(modes, verify_modes(modes, dom, fld, pot)):
         assert report.passed, report
         assert analytic_extension_check(mode, 0)
+
+
+# ---------------------------------------------------------------------------
+# public surface
+# ---------------------------------------------------------------------------
+
+
+def test_public_names_are_explicit_and_hold_no_submodule():
+    import types
+
+    import zeromodes
+
+    assert len(set(zeromodes.__all__)) == len(zeromodes.__all__)
+    for name in zeromodes.__all__:
+        assert not isinstance(getattr(zeromodes, name), types.ModuleType), name
+    for gone in ("eta_of_scaled", "zero_modes", "potential"):
+        assert gone not in zeromodes.__all__
+    assert not hasattr(PotentialField, "h_asymptotics")
