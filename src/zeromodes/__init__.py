@@ -83,7 +83,6 @@ from .zero_modes import (
     ZeroModeBasis,
     ZeroModeCount,
     analytic_extension_check,
-    basis_degrees,
     boundary_spectra,
     build_basis,
     count_zero_modes,
@@ -172,7 +171,6 @@ __all__ = [
     "ZeroModeBasis",
     "ZeroModeCount",
     "analytic_extension_check",
-    "basis_degrees",
     "boundary_spectra",
     "build_basis",
     "count_zero_modes",

@@ -95,14 +95,17 @@ def bm_verify(
     def vec_a(z):
         return 1j * x * z / np.abs(z) ** 2
 
+    def components_at(z):
+        return mode.eval_up(z), mode.eval_down(z)
+
     def residual_at(sel, step):
-        return dirac_residual(mode.eval_up, mode.eval_down, vec_a, zs[sel], step)
+        rows, _ = dirac_residual(components_at, (True, False), vec_a, zs[sel], step)
+        return np.maximum(*rows)
 
     step = grid.fd_step_factor * cfg.r_inner
-    res = residual_at(slice(None), step)
-    # the modulus after the residual pass, so its arrays reuse the memory that pass freed
-    scale = float(np.max(np.maximum(np.abs(mode.eval_up(zs)), np.abs(mode.eval_down(zs)))))
-    pde_residual, richardson = worst_residual(res, scale, residual_at, step, tol_residual)
+    rows, moduli = dirac_residual(components_at, (True, False), vec_a, zs, step)
+    pde_residual, richardson = worst_residual(
+        np.maximum(*rows), float(np.max(moduli)), residual_at, step, tol_residual)
 
     phis = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES, endpoint=False)
     boundary: Dict[str, float] = {}

@@ -51,6 +51,8 @@ EXIT_NUMERIC = 3
 
 # values one flux range may hold, so every config does a bounded amount of work
 MAX_RANGE_VALUES = 100_000
+# modes one verify may check: its point sets and residual rows grow with the count
+MAX_VERIFY_MODES = 256
 
 
 class ConfigError(Exception):
@@ -59,16 +61,31 @@ class ConfigError(Exception):
 
 def _fraction(text) -> Fraction:
     try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        value = Fraction(str(text))
+        float(value)  # a value past the float range overflows wherever it is used
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"bad rational value {text!r}: {exc}") from None
+    return value
+
+
+def _real(value, key: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return number
+
+
+def _point(pair, key: str) -> complex:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ConfigError(f"{key} must be a pair [x, y], got {pair!r}")
+    return complex(_real(pair[0], key), _real(pair[1], key))
 
 
 def _flux(node: Dict[str, Any], key_pi: str, key_raw: str):
     if key_pi in node:
         return PiFlux(_fraction(node[key_pi]))
     if key_raw in node:
-        return float(node[key_raw])
+        return _real(node[key_raw], key_raw)
     raise ConfigError(f"flux needs either {key_pi!r} or {key_raw!r}")
 
 
@@ -94,7 +111,7 @@ def _rational_range(node) -> List[PiFlux]:
 def parse_domain(node: Dict[str, Any]) -> DomainSpec:
     kind = node.get("kind")
     holes = [
-        Hole(complex(h["center"][0], h["center"][1]), float(h["radius"]))
+        Hole(_point(h["center"], "hole center"), _real(h["radius"], "hole radius"))
         for h in node.get("holes", [])
     ]
     if kind == "plane":
@@ -102,7 +119,8 @@ def parse_domain(node: Dict[str, Any]) -> DomainSpec:
     if kind == "disc":
         if "radius_out" not in node:
             raise ConfigError("disc domains need radius_out")
-        return DomainSpec(DomainKind.DISC, holes, radius_out=float(node["radius_out"]))
+        radius_out = _real(node["radius_out"], "radius_out")
+        return DomainSpec(DomainKind.DISC, holes, radius_out=radius_out)
     if kind == "sphere":
         omitted = node.get("omitted_hole")
         if omitted is not None and (not isinstance(omitted, int) or isinstance(omitted, bool)):
@@ -115,8 +133,8 @@ def parse_field(node: Dict[str, Any], n_holes: int) -> FieldSpec:
     bumps = []
     for b in node.get("bumps", []):
         bumps.append(RadialBump(
-            center=complex(b["center"][0], b["center"][1]),
-            support_radius=float(b["support_radius"]),
+            center=_point(b["center"], "bump center"),
+            support_radius=_real(b["support_radius"], "support_radius"),
             flux=_flux(b, "flux_pi", "flux"),
             profile=_choice(Profile, b.get("profile", "smooth"), "profile"),
         ))
@@ -124,7 +142,7 @@ def parse_field(node: Dict[str, Any], n_holes: int) -> FieldSpec:
     if fluxes_pi is not None:
         hole_fluxes = [PiFlux(_fraction(t)) for t in fluxes_pi]
     else:
-        hole_fluxes = [float(t) for t in node.get("hole_fluxes", [])]
+        hole_fluxes = [_real(t, "hole flux") for t in node.get("hole_fluxes", [])]
     if len(hole_fluxes) != n_holes:
         raise ConfigError(
             f"{len(hole_fluxes)} hole fluxes given for {n_holes} holes"
@@ -203,6 +221,9 @@ def cmd_verify(config, args) -> Dict[str, Any]:
     tol_leak = float(tolerances.get("leakage", tol))
     check_tolerances(tol, tol_leak)  # also when there is no mode to verify
     counted = count_zero_modes(domain, fld)
+    if counted.count > MAX_VERIFY_MODES:
+        raise ConfigError(f"verify would check {counted.count} modes; "
+                          f"at most {MAX_VERIFY_MODES} are allowed")
     base = _flux_payload(domain, fld)
     rows: List[Dict[str, Any]] = []
     if counted.count > 0:
@@ -240,7 +261,7 @@ def cmd_sweep(config, args) -> Dict[str, Any]:
         raise ConfigError("config needs a 'sweep' section")
     values = _rational_range(node["phi_pi"])
     q_values = [_fraction(t) for t in node.get("q_values", ["0"])]
-    radius_out = float(node.get("radius_out", 5.0))
+    radius_out = _real(node.get("radius_out", 5.0), "radius_out")
     plane = DomainSpec(DomainKind.PLANE, [])
     disc = DomainSpec(DomainKind.DISC, [], radius_out=radius_out)
     rows = []
@@ -319,11 +340,11 @@ def cmd_bm(config, args) -> Dict[str, Any]:
     if not node:
         raise ConfigError("config needs a 'bm' section")
     cfg = BMConfig(
-        r_inner=float(node["r_inner"]),
-        r_outer=float(node["r_outer"]),
+        r_inner=_real(node["r_inner"], "r_inner"),
+        r_outer=_real(node["r_outer"], "r_outer"),
         phi=_flux(node, "phi_pi", "phi"),
-        s_inner=float(node["s_inner"]),
-        s_outer=float(node["s_outer"]),
+        s_inner=_real(node["s_inner"], "s_inner"),
+        s_outer=_real(node["s_outer"], "s_outer"),
     )
     rows = []
     if "sweep" in node:

@@ -49,6 +49,9 @@ from .geometry import DomainKind, DomainSpec
 
 _GAUSS_CACHE: dict = {}
 
+# Gauss-Legendre nodes per radial integral of a smooth bump profile
+QUADRATURE_ORDER = 96
+
 # trailing Chebyshev coefficients of a bump profile below this fraction of
 # the largest are fitting noise and are dropped
 _CHEB_CHOP = 1e-14
@@ -78,15 +81,15 @@ def _gl_integrals_from(fn, lo: np.ndarray, hi: np.ndarray, order: int) -> np.nda
 class _BumpRadial:
     """Cached radial profiles F(s) (cumulative flux) and h(s) for one bump."""
 
-    def __init__(self, bump: RadialBump, order: int):
+    def __init__(self, bump: RadialBump):
         self.bump = bump
         self.flux = float(bump.flux)
         self.rho = bump.support_radius
         self.profile = bump.profile
         if bump.profile is Profile.SMOOTH_COMPACT:
-            self._build_smooth(order)
+            self._build_smooth()
 
-    def _build_smooth(self, order: int) -> None:
+    def _build_smooth(self) -> None:
         rho = self.rho
         amp = smooth_profile_amplitude(self.bump)
         self._density0 = amp * math.exp(-1.0)
@@ -99,7 +102,7 @@ class _BumpRadial:
             return amp * smooth_profile_shape(r, rho)
 
         f_vals = TWO_PI * _gl_integrals_from(
-            lambda r: density(r) * r, np.zeros_like(t), t, order
+            lambda r: density(r) * r, np.zeros_like(t), t, QUADRATURE_ORDER
         )
         self._cheb_f = _chopped(cheb.chebfit(2.0 * t / rho - 1.0, f_vals, n_nodes - 1))
 
@@ -110,7 +113,7 @@ class _BumpRadial:
 
         h_edge = -self.flux / TWO_PI * math.log(rho)
         h_vals = h_edge + _gl_integrals_from(
-            h_integrand, t, np.full_like(t, rho), order
+            h_integrand, t, np.full_like(t, rho), QUADRATURE_ORDER
         ) / TWO_PI
         self._cheb_h = _chopped(cheb.chebfit(2.0 * t / rho - 1.0, h_vals, n_nodes - 1))
 
@@ -164,10 +167,9 @@ class PotentialField:
     -(flux'_k/2pi) log|z - w_k| singular parts.  Immutable after construction.
     """
 
-    def __init__(self, fld: FieldSpec, domain: DomainSpec, quadrature_order: int = 96):
+    def __init__(self, fld: FieldSpec, domain: DomainSpec):
         self.field = fld
         self.domain = domain
-        self.quadrature_order = quadrature_order
         self.hole_sources: List[PointSource] = [
             PointSource(h.center, float(nf.value))
             for h, nf in zip(domain.holes, fld.normalized_hole_fluxes)
@@ -175,7 +177,7 @@ class PotentialField:
         if domain.kind is DomainKind.SPHERE:
             om = domain.omitted_hole
             self.hole_sources = [s for j, s in enumerate(self.hole_sources) if j != om]
-        self._bumps = [_BumpRadial(b, quadrature_order) for b in fld.bumps]
+        self._bumps = [_BumpRadial(b) for b in fld.bumps]
         self.total_flux = total_flux(fld, domain)
 
     # -- sources ---------------------------------------------------------

@@ -27,7 +27,6 @@ degree-exponent inequality plus a far-field decay sample.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -87,14 +86,6 @@ def count_zero_modes(domain: DomainSpec, fld: FieldSpec) -> ZeroModeCount:
     return ZeroModeCount(abs(signed), Chirality.UP if signed > 0 else Chirality.DOWN)
 
 
-def basis_degrees(domain: DomainSpec, fld: FieldSpec) -> Tuple[Chirality, List[int]]:
-    """Admissible monomial degrees matching the counting formulas."""
-    counted = count_zero_modes(domain, fld)
-    if counted.count == 0:
-        return counted.chirality, []
-    return counted.chirality, list(range(counted.count))
-
-
 @dataclass(frozen=True)
 class ZeroMode:
     """One definite-chirality solution e^{+-h} * polynomial (W-dressed on spheres)."""
@@ -111,9 +102,12 @@ class ZeroMode:
 
     def eval(self, z) -> np.ndarray:
         """Value of the nonzero spinor component at z."""
-        return _eval_component(
-            self.chirality, self.coefficients, self.w_dressed, self.potential, z
-        )
+        scalar = np.isscalar(z)
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        out = next(_basis_at([self], self.chirality, self.potential)(z))
+        if self.w_dressed:
+            out = out / np.sqrt(conformal.conformal_factor(z))
+        return out[0] if scalar else out
 
     def eval_g(self, z) -> np.ndarray:
         """The analytic (or anti-analytic) factor g = e^{-+h} u, undressed."""
@@ -142,12 +136,12 @@ def build_basis(
     domain: DomainSpec, fld: FieldSpec, potential: PotentialField
 ) -> ZeroModeBasis:
     """Monomial basis of the zero-mode space; raises EmptyBasis when count is 0."""
-    chirality, degrees = basis_degrees(domain, fld)
-    if not degrees:
+    counted = count_zero_modes(domain, fld)
+    if counted.count == 0:
         raise EmptyBasis("the configuration has no zero modes")
     return ZeroModeBasis(
-        chirality=chirality,
-        degrees=degrees,
+        chirality=counted.chirality,
+        degrees=list(range(counted.count)),
         potential=potential,
         domain=domain,
         w_dressed=domain.kind is DomainKind.SPHERE,
@@ -182,29 +176,25 @@ def _polyval(coefficients: Dict[int, complex], var: np.ndarray) -> np.ndarray:
     return _combine(coefficients, _powers(var, min(coefficients), max(coefficients)))
 
 
-def _envelope(chirality, potential, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """e^{+-h} at z and the variable (z or conj z) the polynomial takes there.
+def _basis_at(modes: Sequence["ZeroMode"], chirality, potential):
+    """The function z -> the flat (undressed) value of every mode at z, in order.
 
-    Every mode of one chirality shares both, so a basis evaluates them once.
+    One e^{+-h} and one walk up the powers of z (or conj z) serve all the modes.
     """
-    h = potential.eval_h(z)
-    if chirality is Chirality.UP:
-        return np.exp(h), z
-    return np.exp(-h), np.conj(z)
+    lo = min(min(mode.coefficients) for mode in modes)
+    top = max(mode.degree for mode in modes)
 
+    def at(z):
+        if chirality is Chirality.UP:
+            factor, var = np.exp(potential.eval_h(z)), z
+        else:
+            factor, var = np.exp(-potential.eval_h(z)), np.conj(z)
+        powers = _powers(var, lo, top)
+        for mode in modes:
+            poly = _combine(mode.coefficients, powers)
+            yield np.multiply(factor, poly, out=poly)
 
-def _times_polynomial(envelope, coefficients) -> np.ndarray:
-    factor, var = envelope
-    return factor * _polyval(coefficients, var)
-
-
-def _eval_component(chirality, coefficients, dressed, potential, z) -> np.ndarray:
-    scalar = np.isscalar(z)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = _times_polynomial(_envelope(chirality, potential, z), coefficients)
-    if dressed:
-        out = out / np.sqrt(conformal.conformal_factor(z))
-    return out[0] if scalar else out
+    return at
 
 
 # ----------------------------------------------------------------------------
@@ -227,8 +217,8 @@ class GridSpec:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if value is not None and not value > 0:
-                raise ValueError(f"grid {name} must be positive, got {value!r}")
+            if value is not None and not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"grid {name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -303,37 +293,26 @@ def _bulk_points(domain: DomainSpec, fld: FieldSpec, grid: GridSpec,
     return zz[keep]
 
 
-# d4's numerator -u(2s) + 8u(s) - 8u(-s) + u(-2s): the multiples of the
-# shift s it samples, in the order _d4_add sums them
-_D4_SHIFTS = (2, 1, -1, -2)
+# the fourth-order central difference along a step s is
+# (-u(2s) + 8u(s) - 8u(-s) + u(-2s)) / 12|s|: (multiple of s, weight) per term
+_STENCIL = ((2, -1), (1, 8), (-1, -8), (-2, 1))
+
+# points per chunk of the residual pass: the values at one stencil shift and
+# three partial arrays per component take a few MB, not nine full-size arrays
+_CHUNK_POINTS = 16384
 
 
-def _d4_add(partial, k: int, u: np.ndarray) -> np.ndarray:
-    """The partial numerator of d4 after its k-th term u (k = 0 starts it).
-
-    The partial sum is updated in place, so it must not be shared.
-    """
-    if k == 0:
-        return -u
-    if k == 1:
-        partial += 8 * u
-    elif k == 2:
-        partial -= 8 * u
-    else:
-        partial += u
-    return partial
-
-
-def d4(at, shift: complex) -> np.ndarray:
-    """Fourth-order central difference along the complex step ``shift``.
-
-    ``at(s)`` is the function on the point set shifted by s; the stencil asks
-    for s = 2 shift, shift, -shift and -2 shift.
-    """
+def _central_difference(components_at, z: np.ndarray, shift: complex) -> List[np.ndarray]:
+    """Every component's fourth-order central difference along the complex step ``shift``."""
     partial = None
-    for k, multiple in enumerate(_D4_SHIFTS):
-        partial = _d4_add(partial, k, at(multiple * shift))
-    return partial / (12 * abs(shift))
+    for multiple, weight in _STENCIL:
+        values = components_at(z + multiple * shift)
+        if partial is None:
+            partial = [weight * u for u in values]
+        else:
+            for i, u in enumerate(values):
+                partial[i] += weight * u
+    return [p / (12 * abs(shift)) for p in partial]
 
 
 def _component_residual(ux, uy, u0, av, up: bool) -> np.ndarray:
@@ -344,23 +323,45 @@ def _component_residual(ux, uy, u0, av, up: bool) -> np.ndarray:
     return np.abs(-2j * 0.5 * (ux - 1j * uy) - np.conj(av) * u0)
 
 
-def dirac_residual(up, down, a, zs: np.ndarray, step: float) -> np.ndarray:
-    """|D_a u| at each point by fourth-order central differences.
+def dirac_residual(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: float,
+                   weight=None) -> Tuple[np.ndarray, np.ndarray]:
+    """|D_a u| of each spinor component at each point, by fourth-order central differences.
 
-    ``up``, ``down`` and ``a`` evaluate the spinor components and the vector
-    potential; None stands for a zero component.  The residual is the larger
-    of the two component equations.
+    ``components_at(z)`` gives the values of every component at z, and
+    ``ups[i]`` says whether component i obeys the spin-up or the spin-down
+    equation; ``a`` evaluates the vector potential.  ``weight(z)``, when
+    given, returns the factors the residual and the modulus take at z (the
+    sphere's W^{-3/2} and W^{-1/2}).  The points are walked in chunks of
+    ``_CHUNK_POINTS``, with one ``components_at`` call per stencil shift.
+
+    Returns the residual rows, shape (len(ups), zs.size), and each
+    component's largest modulus.
     """
-    av = a(zs)
-    parts = []
-    for fn, is_up in ((up, True), (down, False)):
-        if fn is not None:
-            def at(s, fn=fn):
-                return fn(zs + s)
+    rows = np.empty((len(ups), zs.size))
+    moduli = np.zeros(len(ups))
+    for lo in range(0, zs.size, _CHUNK_POINTS):
+        chunk = slice(lo, lo + _CHUNK_POINTS)
+        z = zs[chunk]
+        ux, uy = (_central_difference(components_at, z, shift) for shift in (step, 1j * step))
+        av = a(z)
+        if weight is not None:
+            w_res, w_mod = weight(z)
+        for i, (dx, dy, u0) in enumerate(zip(ux, uy, components_at(z))):
+            r = _component_residual(dx, dy, u0, av, ups[i])
+            u_abs = np.abs(u0)
+            if weight is not None:
+                r, u_abs = r * w_res, u_abs * w_mod
+            rows[i, chunk] = r
+            moduli[i] = np.maximum(moduli[i], np.max(u_abs))
+        del ux, uy  # before the next chunk's stencil passes, not after them
+    return rows, moduli
 
-            parts.append(_component_residual(
-                d4(at, step), d4(at, 1j * step), at(0), av, is_up))
-    return functools.reduce(np.maximum, parts)
+
+def _conformal_weights(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """W^{-3/2} on the residual and W^{-1/2} on the modulus of a sphere's
+    flat-metric components, at z on the projected disc."""
+    w = conformal.conformal_factor(z)
+    return w ** (-1.5), w ** (-0.5)
 
 
 def worst_residual(res: np.ndarray, scale: float, residual_at, step: float,
@@ -418,11 +419,6 @@ def _residual_points(dom: DomainSpec, f: FieldSpec, grid: GridSpec,
     return np.concatenate(point_sets)
 
 
-# points per chunk of the residual pass: the powers of z at one stencil shift
-# and three partial arrays per mode take a few MB, not nine full-size arrays
-_CHUNK_POINTS = 16384
-
-
 def check_tolerances(tol_residual: float, tol_leakage: float) -> None:
     """Raise ValueError unless both verification tolerances are positive and finite."""
     for name, value in (("residual", tol_residual), ("leakage", tol_leakage)):
@@ -464,115 +460,61 @@ def verify_modes(
     chirality, dressed = first.chirality, first.w_dressed
     dom, f = _reduced_problem(domain, fld)
 
-    def spinor(component):
-        return (component, None) if chirality is Chirality.UP else (None, component)
-
     fd = grid.fd_step if grid.fd_step is not None \
         else _fd_scale(dom, f) * grid.fd_step_factor
+    up = chirality is Chirality.UP
+    basis_at = _basis_at(modes, chirality, potential)
 
-    # --- PDE residual over polar annuli plus the bulk grid, chunk by chunk.
-    # Components are flat-metric: the conformal factor enters only as the
-    # W^{-3/2} weight on the residual and W^{-1/2} on the modulus.
+    # --- PDE residual over polar annuli plus the bulk grid.  Components are
+    # flat-metric: the conformal factor enters only as the weights.
+    weight = _conformal_weights if dressed else None
     zs = _residual_points(dom, f, grid, fd)
-    lo_degree = min(min(mode.coefficients) for mode in modes)
-    top = max(mode.degree for mode in modes)
-    res = np.empty((len(modes), zs.size))
-    scales = np.zeros(len(modes))
-    for lo in range(0, zs.size, _CHUNK_POINTS):
-        chunk = slice(lo, lo + _CHUNK_POINTS)
-        zc = zs[chunk]
-
-        def basis_at(z):
-            # one envelope and one walk up the powers serve every mode
-            factor, var = _envelope(chirality, potential, z)
-            powers = _powers(var, lo_degree, top)
-            for mode in modes:
-                poly = _combine(mode.coefficients, powers)
-                yield np.multiply(factor, poly, out=poly)
-
-        # each mode's d4 numerators summed shift by shift, in d4's own order
-        derivatives = []
-        for shift in (fd, 1j * fd):
-            partial = [None] * len(modes)
-            for k, multiple in enumerate(_D4_SHIFTS):
-                for m, u in enumerate(basis_at(zc + multiple * shift)):
-                    partial[m] = _d4_add(partial[m], k, u)
-            derivatives.append([p / (12 * abs(shift)) for p in partial])
-        av = potential.eval_a(zc)
-        if dressed:
-            w = conformal.conformal_factor(zc)
-            w_res, w_mod = w ** (-1.5), w ** (-0.5)
-        for m, (ux, uy, u0) in enumerate(zip(*derivatives, basis_at(zc))):
-            r = _component_residual(ux, uy, u0, av, chirality is Chirality.UP)
-            u_abs = np.abs(u0)
-            if dressed:
-                r, u_abs = r * w_res, u_abs * w_mod
-            res[m, chunk] = r
-            scales[m] = max(scales[m], float(np.max(u_abs)))
-
+    res, scales = dirac_residual(basis_at, (up,) * len(modes), potential.eval_a, zs, fd, weight)
     pde = []
     for m, mode in enumerate(modes):
-        u_flat = functools.partial(_eval_component, chirality, mode.coefficients,
-                                   False, potential)
+        def residual_at(sel, step, mode=mode):
+            rows, _ = dirac_residual(_basis_at([mode], chirality, potential), (up,),
+                                     potential.eval_a, zs[sel], step, weight)
+            return rows[0]
 
-        def residual_at(sel, step):
-            r = dirac_residual(*spinor(u_flat), potential.eval_a, zs[sel], step)
-            return r * conformal.conformal_factor(zs[sel]) ** (-1.5) if dressed else r
-
-        pde.append(worst_residual(res[m], scales[m], residual_at, fd, tol_residual))
+        pde.append(worst_residual(res[m], float(scales[m]), residual_at, fd, tol_residual))
 
     # --- boundary trace leakage; e^{+-h} and the phase once per circle
     phis = np.linspace(0.0, 2.0 * math.pi, grid.n_boundary_samples, endpoint=False)
-    circles = []
+    trace_leakages: List[Dict[str, float]] = [{} for _ in modes]
     for label, spec in boundary_spectra(dom, f).items():
         center = 0.0 if spec.is_outer else dom.holes[spec.boundary].center
-        pts = center + spec.radius * np.exp(1j * phis)
-        circles.append((label, spec, _envelope(chirality, potential, pts),
-                        potential.boundary_phase_exponent(center, spec.radius, phis)))
-
-    def leakages(mode) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for label, spec, envelope, exponent in circles:
-            samples = _times_polynomial(envelope, mode.coefficients)
+        exponent = potential.boundary_phase_exponent(center, spec.radius, phis)
+        circle = center + spec.radius * np.exp(1j * phis)
+        for out, samples in zip(trace_leakages, basis_at(circle)):
             samples = samples / math.sqrt(float(np.mean(np.abs(samples) ** 2)))
             zero = np.zeros_like(samples)
-            up, down = (samples, zero) if chirality is Chirality.UP else (zero, samples)
-            out[label] = leakage(trace_from_samples(spec, phis, up, down, exponent), spec)
-        return out
+            pair = (samples, zero) if up else (zero, samples)
+            out[label] = leakage(trace_from_samples(spec, phis, *pair, exponent), spec)
 
-    # --- square integrability at infinity (plane only)
+    # --- square integrability at infinity (plane only): the degree-exponent
+    # inequality plus the decay of |u| from the decay radius to twice it
+    integrable: List[Optional[bool]] = [None] * len(modes)
     if dom.kind is DomainKind.PLANE:
         x = flux_over_2pi(total_flux(f, dom))
-        radius = grid.decay_radius
         angles = np.exp(1j * (np.linspace(0, 2 * math.pi, 8, endpoint=False) + 0.1))
-        far, near = (_envelope(chirality, potential, r * angles)
-                     for r in (2 * radius, radius))
-
-    def exponent_ok(mode) -> Optional[bool]:
-        if dom.kind is not DomainKind.PLANE:
-            return None
-        if chirality is Chirality.UP:
-            exact_ok = mode.degree - x < -1
-        else:
-            exact_ok = mode.degree + x < -1
-        ratio = np.max(np.abs(_times_polynomial(far, mode.coefficients))
-                       / np.abs(_times_polynomial(near, mode.coefficients)))
-        return bool(exact_ok and ratio < 0.55)
+        far, near = (basis_at(r * angles) for r in (2 * grid.decay_radius, grid.decay_radius))
+        for m, (mode, u_far, u_near) in enumerate(zip(modes, far, near)):
+            exact_ok = (mode.degree - x if up else mode.degree + x) < -1
+            integrable[m] = bool(exact_ok and np.max(np.abs(u_far) / np.abs(u_near)) < 0.55)
 
     reports = []
-    for mode, (pde_residual, richardson_factor) in zip(modes, pde):
-        trace_leakage = leakages(mode)
-        integrable = exponent_ok(mode)
+    for (pde_residual, ratio), trace_leakage, ok in zip(pde, trace_leakages, integrable):
         passed = (
             pde_residual < tol_residual
             and all(v < tol_leakage for v in trace_leakage.values())
-            and (integrable is None or integrable)
+            and (ok is None or ok)
         )
         reports.append(VerificationReport(
             pde_residual=pde_residual,
             trace_leakage=trace_leakage,
-            integrability_exponent_ok=integrable,
-            richardson_factor=richardson_factor,
+            integrability_exponent_ok=ok,
+            richardson_factor=ratio,
             passed=passed,
             tolerances={"pde_residual": tol_residual, "leakage": tol_leakage},
         ))

@@ -136,3 +136,20 @@ def test_unbalanced_magnitudes_shift_the_matching_flux():
     assert mode is not None and mode.exponent == pytest.approx(1.0)
     assert bm_verify(cfg, mode).passed
     assert bm_zero_mode(BMConfig(1.0, 2.0, math.pi, 1.0, -2.0)) is None
+
+
+def test_bm_verify_fails_a_spinor_that_is_nan_at_one_residual_point():
+    from zeromodes.geometry import Annulus
+    from zeromodes.zero_modes import GridSpec, _polar_points
+
+    grid = GridSpec()
+    bad = _polar_points(0.0, Annulus(OPP.r_inner, OPP.r_outer), grid.radial, grid.angular)[777]
+    mode = bm_zero_mode(OPP)
+
+    class Spoiled(type(mode)):
+        def eval_up(self, z):
+            return np.where(z == bad, np.nan, super().eval_up(z))
+
+    report = bm_verify(OPP, Spoiled(mode.n, mode.exponent, mode.config))
+    assert math.isnan(report.pde_residual)
+    assert not report.passed

@@ -143,6 +143,8 @@ def _with(path, value, config=DISC_3PI):
                    id=f"grid-{key}-zero")
       for key in ("radial", "angular", "bulk_divisor", "n_boundary_samples",
                   "max_bulk_points", "fd_step_factor", "fd_step", "decay_radius")],
+    pytest.param("verify", _with(["grid"], {"fd_step": math.inf}),
+                 "grid fd_step must be positive and finite", id="grid-fd_step-inf"),
     pytest.param("verify --grid 0", DISC_3PI, "grid scale must be positive",
                  id="grid-scale-zero"),
     *[pytest.param(f"verify --tol {tol}", DISC_3PI,
@@ -161,6 +163,19 @@ def _with(path, value, config=DISC_3PI):
     *[pytest.param("count", _with(["domain", "omitted_hole"], value, SPHERE_3PI),
                    "omitted_hole must be a hole index", id=f"omitted-hole-{value}")
       for value in (True, 1.0, "1")],
+    pytest.param("verify", _with(["domain", "radius_out"], math.inf),
+                 "radius_out must be finite", id="radius-out-inf"),
+    pytest.param("count", _with(["field", "bumps", 0], {
+        "center": [-0.8, 0.3], "support_radius": 0.6, "flux": math.inf}),
+                 "flux must be finite", id="bump-flux-inf"),
+    pytest.param("count", _with(["field"], {"hole_fluxes": [math.inf]}),
+                 "hole flux must be finite", id="hole-flux-inf"),
+    pytest.param("count", _with(["domain", "holes", 0, "center"], [1.2]),
+                 "hole center must be a pair [x, y]", id="hole-center-one-coordinate"),
+    pytest.param("count", _with(["field", "q"], "1e400"),
+                 "bad rational value '1e400'", id="q-past-the-float-range"),
+    pytest.param("verify", _with(["field", "bumps", 0, "flux_pi"], "1e7"),
+                 "verify would check 5000000 modes; at most 256", id="verify-too-many-modes"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, config, message):
     code, out, err = run_cli(capsys, *command.split(), "--config",

@@ -204,12 +204,12 @@ def test_chopped_profiles_follow_the_full_fit():
     from numpy.polynomial import chebyshev as cheb
 
     from zeromodes.field import smooth_profile_amplitude, smooth_profile_shape
-    from zeromodes.potential import _gl_integrals_from
+    from zeromodes.potential import QUADRATURE_ORDER, _gl_integrals_from
 
     bump = RadialBump(0.3 - 0.2j, 0.6, pi_flux("25/4"))
     pot = PotentialField(FieldSpec(bumps=[bump]), disc_with_holes(3.0))
     radial = pot._bumps[0]
-    rho, order, n_nodes = bump.support_radius, pot.quadrature_order, 160
+    rho, order, n_nodes = bump.support_radius, QUADRATURE_ORDER, 160
     k = np.arange(n_nodes)
     t = 0.5 * rho * (1.0 + np.cos(math.pi * (2 * k + 1) / (2 * n_nodes)))
     x = 2.0 * t / rho - 1.0

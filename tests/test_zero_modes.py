@@ -215,6 +215,21 @@ def test_verify_next_degree_fails(disc_problem):
     assert not report.passed
 
 
+def test_verify_fails_a_spinor_that_is_nan_at_one_residual_point(monkeypatch):
+    # e^{h} is NaN at one point of the residual set, and nowhere else
+    pot = PotentialField(FLD1, DOM1)
+    grid = GridSpec(radial=16, angular=64, bulk_divisor=8)
+    mode = build_basis(DOM1, FLD1, pot).modes()[0]
+    assert verify_mode(mode, DOM1, FLD1, pot, grid).passed
+    fd = zero_modes._fd_scale(DOM1, FLD1) * grid.fd_step_factor
+    bad = zero_modes._residual_points(DOM1, FLD1, grid, fd)[100]
+    eval_h = pot.eval_h
+    monkeypatch.setattr(pot, "eval_h", lambda z: np.where(z == bad, np.nan, eval_h(z)))
+    report = verify_mode(mode, DOM1, FLD1, pot, grid)
+    assert math.isnan(report.pde_residual)
+    assert not report.passed
+
+
 ZS = np.array([0.3 + 0.2j, -0.7 + 0.5j, 1.1 - 0.4j])
 
 
@@ -245,7 +260,10 @@ def _z(z):
 def test_dirac_residual_at_zero_potential(up, down, expected):
     # with a = 0 the equations are dbar u+ = 0 and d u- = 0; the fourth-order
     # stencil is exact on these polynomials, so only rounding is left
-    res = dirac_residual(up, down, lambda z: 0.0, ZS, 1e-2)
+    spinor = [(fn, is_up) for fn, is_up in ((up, True), (down, False)) if fn is not None]
+    rows, _ = dirac_residual(lambda z: [fn(z) for fn, _ in spinor],
+                             [is_up for _, is_up in spinor], lambda z: 0.0, ZS, 1e-2)
+    res = np.max(rows, axis=0)
     assert res.shape == ZS.shape
     assert np.all(np.abs(res - expected) < 1e-12)
 
@@ -322,27 +340,30 @@ def test_polyval_powers_against_mpmath():
 
 
 def _reference_report(mode, dom, fld, pot, grid, tol):
-    """One mode verified on its own from the public oracle pieces: every
-    function is evaluated on the whole point set through the mode's eval."""
+    """One mode verified on its own from the public oracle pieces, with the
+    spinor evaluated through the mode's own eval."""
     red_dom, red_fld = dom, fld
     if dom.kind is DomainKind.SPHERE:
         red = sphere_to_disc(dom, fld)
         red_dom, red_fld = red.disc_domain, red.disc_field
     flat = dataclasses.replace(mode, w_dressed=False).eval
-    spinor = (flat, None) if mode.chirality is Chirality.UP else (None, flat)
+    ups = (mode.chirality is Chirality.UP,)
     fd = grid.fd_step if grid.fd_step is not None \
         else zero_modes._fd_scale(red_dom, red_fld) * grid.fd_step_factor
     zs = zero_modes._residual_points(red_dom, red_fld, grid, fd)
 
-    def residual_at(sel, step):
-        res = dirac_residual(*spinor, pot.eval_a, zs[sel], step)
-        return res * conformal_factor(zs[sel]) ** (-1.5) if mode.w_dressed else res
+    def weight(z):
+        w = conformal_factor(z)
+        return w ** (-1.5), w ** (-0.5)
 
-    modulus = np.abs(flat(zs))
-    if mode.w_dressed:
-        modulus = modulus * conformal_factor(zs) ** (-0.5)
-    pde, _ = worst_residual(residual_at(slice(None), fd), float(np.max(modulus)),
-                            residual_at, fd, tol)
+    def residual_at(sel, step):
+        rows, moduli = dirac_residual(lambda z: (flat(z),), ups, pot.eval_a, zs[sel], step,
+                                      weight if mode.w_dressed else None)
+        return rows[0], float(moduli[0])
+
+    res, modulus = residual_at(slice(None), fd)
+    pde, _ = worst_residual(res, modulus, lambda sel, step: residual_at(sel, step)[0],
+                            fd, tol)
 
     phis = np.linspace(0.0, 2.0 * math.pi, grid.n_boundary_samples, endpoint=False)
     leakages = {}
