@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -38,7 +39,8 @@ from typing import Any, Dict, List, Optional
 
 from .berry_mondragon import BMConfig, bm_flux_sweep, bm_verify, bm_zero_mode
 from .errors import ZeroModesError
-from .eta_index import eta_closed, eta_richardson_to_zero, eta_series, index_formula, index_vs_count
+from .eta_index import (check_s_values, eta_closed, eta_richardson_to_zero, eta_series,
+                        index_formula, index_vs_count)
 from .field import FieldSpec, KernelChoice, PiFlux, Profile, RadialBump, total_flux, validate_field
 from .geometry import DomainKind, DomainSpec, Hole, validate_domain
 from .potential import PotentialField
@@ -73,6 +75,14 @@ def _real(value, key: str) -> float:
     if not math.isfinite(number):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return number
+
+
+def _array(node: Dict[str, Any], key: str, default) -> list:
+    """The JSON array at ``key``; a string would be split into characters."""
+    value = node.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a JSON array, got {value!r}")
+    return value
 
 
 def _point(pair, key: str) -> complex:
@@ -138,11 +148,10 @@ def parse_field(node: Dict[str, Any], n_holes: int) -> FieldSpec:
             flux=_flux(b, "flux_pi", "flux"),
             profile=_choice(Profile, b.get("profile", "smooth"), "profile"),
         ))
-    fluxes_pi = node.get("hole_fluxes_pi")
-    if fluxes_pi is not None:
-        hole_fluxes = [PiFlux(_fraction(t)) for t in fluxes_pi]
+    if "hole_fluxes_pi" in node:
+        hole_fluxes = [PiFlux(_fraction(t)) for t in _array(node, "hole_fluxes_pi", [])]
     else:
-        hole_fluxes = [_real(t, "hole flux") for t in node.get("hole_fluxes", [])]
+        hole_fluxes = [_real(t, "hole flux") for t in _array(node, "hole_fluxes", [])]
     if len(hole_fluxes) != n_holes:
         raise ConfigError(
             f"{len(hole_fluxes)} hole fluxes given for {n_holes} holes"
@@ -260,7 +269,9 @@ def cmd_sweep(config, args) -> Dict[str, Any]:
     if not node:
         raise ConfigError("config needs a 'sweep' section")
     values = _rational_range(node["phi_pi"])
-    q_values = [_fraction(t) for t in node.get("q_values", ["0"])]
+    # (q, count key, index key, eta key) per column group, built once
+    columns = [(q, f"count_disc_q={q}", f"index_q={q}", f"eta_outer_q={q}")
+               for q in (_fraction(t) for t in _array(node, "q_values", ["0"]))]
     radius_out = _real(node.get("radius_out", 5.0), "radius_out")
     plane = DomainSpec(DomainKind.PLANE, [])
     disc = DomainSpec(DomainKind.DISC, [], radius_out=radius_out)
@@ -269,17 +280,15 @@ def cmd_sweep(config, args) -> Dict[str, Any]:
     for phi in values:
         row: Dict[str, Any] = {"phi_pi": str(phi.multiplier), "phi": float(phi)}
         jumped: List[str] = []
-        fld0 = FieldSpec(bumps=[RadialBump(0.0, 1.0, phi)], hole_fluxes=[])
-        row["count_plane"] = count_zero_modes(plane, fld0).count
-        for q in q_values:
-            fldq = FieldSpec(bumps=[RadialBump(0.0, 1.0, phi)], hole_fluxes=[],
-                             q_shift=q)
-            key = f"count_disc_q={q}"
+        bumps = [RadialBump(0.0, 1.0, phi)]
+        row["count_plane"] = count_zero_modes(plane, FieldSpec(bumps=bumps)).count
+        for q, key, index_key, eta_key in columns:
+            fldq = FieldSpec(bumps=bumps, q_shift=q)
             counted = count_zero_modes(disc, fldq)
             row[key] = counted.count
             assembly = index_formula(disc, fldq)
-            row[f"index_q={q}"] = assembly.index
-            row[f"eta_outer_q={q}"] = assembly.boundary_eta["outer"]
+            row[index_key] = assembly.index
+            row[eta_key] = assembly.boundary_eta["outer"]
             if key in prev and prev[key] != counted.count:
                 jumped.append(key)
             prev[key] = counted.count
@@ -290,11 +299,13 @@ def cmd_sweep(config, args) -> Dict[str, Any]:
 
 def cmd_eta(config, args) -> Dict[str, Any]:
     node = config.get("eta", {})
-    c_values = [_fraction(t) for t in node.get("c_values", ["1/8", "1/4", "1/3", "1/2", "3/4"])]
-    s_values = [float(s) for s in node.get("s_values", [0.2, 0.1, 0.05])]
+    c_values = [_fraction(t)
+                for t in _array(node, "c_values", ["1/8", "1/4", "1/3", "1/2", "3/4"])]
+    s_values = [float(s) for s in _array(node, "s_values", [0.2, 0.1, 0.05])]
     n_terms = node.get("n_terms", 4000)
     if not isinstance(n_terms, int) or isinstance(n_terms, bool):
         raise ConfigError(f"eta n_terms must be an integer, got {n_terms!r}")
+    check_s_values(s_values)
     rows = []
     for c in c_values:
         series = [
@@ -426,7 +437,12 @@ COMMANDS = {
 }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first :func:`main` call of a process.
+
+    Parsing leaves the parser as it was, so later calls share it.
+    """
     parser = argparse.ArgumentParser(
         prog="zeromodes",
         description="Zero modes, eta invariants and index tables for magnetic "
@@ -438,7 +454,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--tol", type=float, help="override residual tolerance")
     parser.add_argument("--grid", type=int, help="grid scale parameter")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         config = load_config(args.config)

@@ -95,26 +95,54 @@ class EtaSeriesResult:
     n_terms: int
 
 
+def _check_s(s: float) -> None:
+    if not -1.0 < s < math.inf:  # NaN fails this too
+        raise DomainError(f"eta series is defined for finite s > -1, got {s}")
+
+
 def eta_series(c: Union[float, Fraction], s: float, n_terms: int) -> EtaSeriesResult:
-    """Accelerated partial eta function at s > -1 with its truncation bound."""
-    if not s > -1.0:  # NaN fails this too
-        raise DomainError(f"eta series is defined for s > -1, got {s}")
+    """Accelerated partial eta function at finite s > -1 with its truncation bound.
+
+    DomainError when s is outside that range or a term overflows the float
+    range (large s makes <c>^{-s} overflow).
+    """
+    _check_s(s)
     if not 8 <= n_terms <= MAX_ETA_TERMS:
         raise ValueError(f"eta series needs 8 to {MAX_ETA_TERMS} terms, got {n_terms}")
     if is_integer_within(c):
         raise ValueError("eta series takes non-integer c; integers give eta = 0")
     cu = float(unit_representative(c))
     n = np.arange(1, n_terms + 1)
-    series = float(np.sum(rho_term(s, cu, n)))
-    if s == 1.0:
-        integral = math.log((1.0 + cu) / (1.0 - cu))
-    else:
-        p = 1.0 - s
-        integral = ((1.0 + cu) ** p - (1.0 - cu) ** p) / p
-    value = -(cu ** (-s)) + series + integral
+    try:
+        with np.errstate(over="raise"):
+            series = float(np.sum(rho_term(s, cu, n)))
+            if s == 1.0:
+                integral = math.log((1.0 + cu) / (1.0 - cu))
+            else:
+                p = 1.0 - s
+                integral = ((1.0 + cu) ** p - (1.0 - cu) ** p) / p
+            value = -(cu ** (-s)) + series + integral
+    except (OverflowError, FloatingPointError):
+        raise DomainError(f"eta series overflows the float range at s = {s}") from None
     tail = abs(s) * cu * n_terms ** (-s - 1.0) \
         + 11.0 * abs(s * (s + 1.0)) * n_terms ** (-s - 2.0)
     return EtaSeriesResult(value=value, tail_bound=tail, s=s, n_terms=n_terms)
+
+
+def check_s_values(s_values: Sequence[float]) -> None:
+    """Reject s values the eta table cannot use, before any series work.
+
+    Each s must be in the series' domain, finite and > -1 (DomainError), and
+    the list must suit Richardson extrapolation to s = 0: not empty, every s
+    positive, each entry exactly half the one before (ValueError).
+    """
+    s_values = list(s_values)
+    for s in s_values:
+        _check_s(s)
+    if not s_values or not all(s > 0.0 for s in s_values):
+        raise ValueError(f"Richardson needs finite positive s values, got {s_values}")
+    if any(b != a / 2 for a, b in zip(s_values, s_values[1:])):
+        raise ValueError(f"Richardson needs s values that halve at every step, got {s_values}")
 
 
 def eta_richardson_to_zero(
@@ -124,17 +152,12 @@ def eta_richardson_to_zero(
 ) -> float:
     """Eta at s = 0 by Richardson extrapolation from small positive s.
 
-    The s_values must be finite and positive and halve exactly from one
-    entry to the next, as the defaults do (ValueError otherwise).  Four
+    The s_values must pass :func:`check_s_values`, as the defaults do.  Four
     levels keep the extrapolation error below 1e-3 even for the steep
     representatives (three levels leave ~(ln 8)^3/6 * s1*s2*s3 = 1.5e-3 at
     c = 1/8).
     """
-    s_values = list(s_values)
-    if not s_values or not all(0.0 < s < math.inf for s in s_values):
-        raise ValueError(f"Richardson needs finite positive s values, got {s_values}")
-    if any(b != a / 2 for a, b in zip(s_values, s_values[1:])):
-        raise ValueError(f"Richardson needs s values that halve at every step, got {s_values}")
+    check_s_values(s_values)
     vals = [eta_series(c, s, n_terms).value for s in s_values]
     table = list(vals)
     for level in range(1, len(table)):

@@ -42,7 +42,8 @@ class PiFlux:
 
     @property
     def over_2pi(self) -> Fraction:
-        return self.multiplier / 2
+        m = self.multiplier
+        return Fraction(m.numerator, 2 * m.denominator)
 
     def __add__(self, other: "PiFlux") -> "PiFlux":
         return PiFlux(self.multiplier + other.multiplier)
@@ -140,10 +141,7 @@ def normalize_flux(
 def _sum_fluxes(parts: Sequence[FluxLike]) -> FluxLike:
     """Sum that stays exact when every part is a PiFlux."""
     if parts and all(isinstance(p, PiFlux) for p in parts):
-        total = Fraction(0)
-        for p in parts:
-            total += p.multiplier
-        return PiFlux(total)
+        return PiFlux(threshold_sum(*(p.multiplier for p in parts)))
     return float(sum(float(p) for p in parts))
 
 

@@ -12,6 +12,10 @@ some value y = flux/2pi + q +- 1/2 sits on an integer.  Two rules decide it:
 Everything else is built on these two.  The counting formulas use the
 convention that floor(y) is the biggest integer *strictly* smaller than y,
 so floor(2) = 1.
+
+Exact (int or Fraction) values are decided on their numerator and
+denominator in integer arithmetic, so a threshold costs a few integer
+operations and at most one new Fraction, not a chain of Fraction operators.
 """
 
 from __future__ import annotations
@@ -27,19 +31,32 @@ INT_DETECTION_TOL = 1e-12
 
 HALF = Fraction(1, 2)
 
+_EXACT = (int, Fraction)
+
 
 def threshold_sum(*parts: Real) -> Real:
-    """Sum of the parts, a Fraction when all are int or Fraction, else a float."""
-    if all(isinstance(p, (int, Fraction)) for p in parts):
-        return sum(parts, Fraction(0))
-    return sum(float(p) for p in parts)
+    """Sum of the parts, a Fraction when all are int or Fraction, else a float.
+
+    Exact parts are added as numerators over the lcm of their denominators,
+    and the one Fraction is built at the end.
+    """
+    num, den = 0, 1
+    for p in parts:
+        if not isinstance(p, _EXACT):
+            return sum(float(p) for p in parts)
+        n, d = p.numerator, p.denominator
+        if d != den:
+            lcm = math.lcm(den, d)
+            num, n, den = num * (lcm // den), n * (lcm // d), lcm
+        num += n
+    return Fraction(num, den)
 
 
 def integer_at(y: Real) -> Optional[int]:
     """The integer y sits on, exactly for int/Fraction and within tolerance for floats."""
+    if isinstance(y, _EXACT):
+        return y.numerator if y.denominator == 1 else None
     k = round(y)
-    if isinstance(y, (int, Fraction)):
-        return k if k == y else None
     return k if abs(y - k) <= INT_DETECTION_TOL else None
 
 
@@ -50,6 +67,8 @@ def is_integer_within(y: Real) -> bool:
 
 def floor_strict(y: Real) -> int:
     """Biggest integer strictly less than y (so floor_strict(2) == 1)."""
+    if isinstance(y, _EXACT):
+        return -(-y.numerator // y.denominator) - 1  # ceil(y) - 1
     k = integer_at(y)
     return k - 1 if k is not None else math.floor(y)
 
@@ -59,9 +78,12 @@ def unit_representative(c: Real) -> Real:
 
     Undefined for integer c; callers must handle that branch first.
     """
-    r = c - math.floor(c)
-    if r >= 1:  # float folding lands on 1.0 for values like -1e-17
-        r -= 1
+    if isinstance(c, _EXACT):
+        r = Fraction(c.numerator % c.denominator, c.denominator)
+    else:
+        r = c - math.floor(c)
+        if r >= 1:  # float folding lands on 1.0 for values like -1e-17
+            r -= 1
     if r == 0:
         raise ValueError("unit_representative is undefined for integer input")
     return r

@@ -4,9 +4,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import zeromodes
 from zeromodes.cli import main, render
 
 DISC_3PI = {
@@ -176,6 +180,23 @@ def _with(path, value, config=DISC_3PI):
                  "bad rational value '1e400'", id="q-past-the-float-range"),
     pytest.param("verify", _with(["field", "bumps", 0, "flux_pi"], "1e7"),
                  "verify would check 5000000 modes; at most 256", id="verify-too-many-modes"),
+    # a string would be split into characters: "1" read as the one flux pi
+    pytest.param("count", _with(["field", "hole_fluxes_pi"], "1"),
+                 "hole_fluxes_pi must be a JSON array, got '1'", id="hole-fluxes-pi-string"),
+    pytest.param("count", _with(["field"], {"hole_fluxes": "1"}),
+                 "hole_fluxes must be a JSON array, got '1'", id="hole-fluxes-string"),
+    pytest.param("sweep", {"sweep": {"phi_pi": {"start": "0", "stop": "1", "step": "1/2"},
+                                     "q_values": "0"}},
+                 "q_values must be a JSON array, got '0'", id="sweep-q-values-string"),
+    pytest.param("eta", {"eta": {"c_values": "7"}},
+                 "c_values must be a JSON array, got '7'", id="eta-c-values-string"),
+    pytest.param("eta", {"eta": {"c_values": ["1/3"], "s_values": "4"}},
+                 "s_values must be a JSON array, got '4'", id="eta-s-values-string"),
+    # refused before any series work, so no numpy warning reaches stderr
+    pytest.param("eta", {"eta": {"c_values": ["1/3"], "s_values": [math.inf]}},
+                 "finite s > -1", id="eta-s-inf"),
+    pytest.param("eta", {"eta": {"c_values": ["1/3"], "s_values": [1e308, 5e307]}},
+                 "eta series overflows the float range at s = 1e+308", id="eta-s-overflow"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, config, message):
     code, out, err = run_cli(capsys, *command.split(), "--config",
@@ -304,3 +325,23 @@ def test_out_file_written(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "count", "--config", cfg, "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["rows"][0]["count"] == 1
+
+
+def test_one_process_matches_fresh_processes(tmp_path, capsys):
+    """The parser is shared by every main call of a process and carries
+    nothing from one call to the next: a CSV verify does not make the next
+    command print CSV."""
+    config = dict(DISC_3PI, sweep={"phi_pi": {"start": "-2", "stop": "2", "step": "1/4"},
+                                   "q_values": ["0", "1/3"]})
+    cfg = write_config(tmp_path, config)
+    commands = [["verify", "--config", cfg, "--tol", "1e-3", "--format", "csv"],
+                ["index", "--config", cfg], ["sweep", "--config", cfg]]
+    in_process = [run_cli(capsys, *argv)[:2] for argv in commands]
+    src = os.path.dirname(os.path.dirname(zeromodes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for argv, (code, out) in zip(commands, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "zeromodes.cli", *argv],
+                               capture_output=True, env=env, check=False)
+        assert (code, out.encode()) == (fresh.returncode, fresh.stdout), argv[0]
+    assert in_process[0][1].startswith("domain,") and in_process[1][1].startswith("{")

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zeromodes import (
@@ -11,10 +12,12 @@ from zeromodes import (
     RadialBump,
     count_zero_modes,
     disc_with_holes,
+    eta_closed,
     index_vs_count,
     pi_flux,
     plane_with_holes,
 )
+from zeromodes.numutil import floor_strict, integer_at, threshold_sum, unit_representative
 
 Q_GRID = [Fraction(q) for q in
           ("0", "1/4", "-1/4", "1/3", "-1/3", "1/2", "1/6", "2/5", "-3/8")]
@@ -52,3 +55,36 @@ def test_float_flux_decides_thresholds_like_exact_flux(q, bump_pi, holes_pi):
         assert abs(rep.assembly.raw - rep.signed_count) <= 1e-9
         assert rep.index == rep.signed_count
         assert rep.consistent
+
+
+# exact values with numerators and denominators past 2**53, plain ints and
+# integer-valued Fractions among them
+big = st.integers(min_value=-2**80, max_value=2**80)
+exact = st.one_of(
+    st.integers(min_value=-2**60, max_value=2**60),
+    st.builds(Fraction, big, st.integers(min_value=1, max_value=2**70)),
+    st.builds(Fraction, st.integers(min_value=-50, max_value=50),
+              st.sampled_from([1, 2, 3, 8, 10**20 + 1])),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(exact, st.lists(exact, min_size=1, max_size=4))
+@example(Fraction(2**60 + 1, 2), [Fraction(-1, 2), 3])
+@example(-2, [Fraction(-7, 2)])
+def test_integer_paths_agree_with_fraction_arithmetic(y, parts):
+    k = round(y)
+    assert integer_at(y) == (k if k == y else None)
+    assert floor_strict(y) == math.floor(y) - (1 if y == math.floor(y) else 0)
+    total = threshold_sum(*parts)
+    assert type(total) is Fraction and total == sum(parts, Fraction(0))
+    if y == math.floor(y):
+        with pytest.raises(ValueError):
+            unit_representative(y)
+        assert eta_closed(y) == 0.0
+    else:
+        r = unit_representative(y)
+        assert type(r) is Fraction and r == y - math.floor(y)
+        assert eta_closed(y) == float(2 * (y - math.floor(y)) - 1)
+    # one float part sends the sum down the float path
+    assert threshold_sum(*parts, 0.5) == sum(float(p) for p in (*parts, 0.5))
