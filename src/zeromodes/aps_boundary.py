@@ -21,7 +21,8 @@ default, the spin-up one for the alternate choice.  Spelled out as index sets
     outer: up allowed iff l < x - 1/2,   down allowed iff l >= x + 1/2.
 
 Kernel vectors exist only when x -+ 1/2 is an integer, as decided by
-:func:`numutil.integer_at`.  Each spectrum decides its two thresholds once.
+:func:`numutil.integer_at`, and each spin's cut is :func:`numutil.floor_strict`
+of its threshold.  Each spectrum decides its two thresholds once.
 
 Trace membership is measured in the weighted norm
 
@@ -47,7 +48,7 @@ import numpy as np
 
 from .field import FluxLike, KernelChoice, flux_over_2pi
 from .geometry import OUTER
-from .numutil import HALF, floor_strict, is_integer_within, threshold_sum
+from .numutil import HALF, floor_strict, integer_at, threshold_sum
 
 
 class Spin(Enum):
@@ -77,7 +78,7 @@ class BoundarySpectrum:
                         (Spin.DOWN, threshold_sum(x, HALF))):
             below = (spin is Spin.UP) == self.is_outer  # admissible set lies below t
             kernel_admissible = (spin is Spin.DOWN) != alternate
-            kernel_below = is_integer_within(t) and kernel_admissible == below
+            kernel_below = integer_at(t) is not None and kernel_admissible == below
             cuts[spin] = (floor_strict(t) + (1 if kernel_below else 0), below)
         object.__setattr__(self, "_x", float(x))
         object.__setattr__(self, "_cuts", cuts)

@@ -39,8 +39,8 @@ from typing import Any, Dict, List, Optional
 
 from .berry_mondragon import BMConfig, bm_flux_sweep, bm_verify, bm_zero_mode
 from .errors import ZeroModesError
-from .eta_index import (check_s_values, eta_closed, eta_richardson_to_zero, eta_series,
-                        index_formula, index_vs_count)
+from .eta_index import (check_s_values, eta_closed, eta_series, index_formula, index_vs_count,
+                        richardson_to_zero)
 from .field import FieldSpec, KernelChoice, PiFlux, Profile, RadialBump, total_flux, validate_field
 from .geometry import DomainKind, DomainSpec, Hole, validate_domain
 from .potential import PotentialField
@@ -122,7 +122,7 @@ def parse_domain(node: Dict[str, Any]) -> DomainSpec:
     kind = node.get("kind")
     holes = [
         Hole(_point(h["center"], "hole center"), _real(h["radius"], "hole radius"))
-        for h in node.get("holes", [])
+        for h in _array(node, "holes", [])
     ]
     if kind == "plane":
         return DomainSpec(DomainKind.PLANE, holes)
@@ -141,7 +141,7 @@ def parse_domain(node: Dict[str, Any]) -> DomainSpec:
 
 def parse_field(node: Dict[str, Any], n_holes: int) -> FieldSpec:
     bumps = []
-    for b in node.get("bumps", []):
+    for b in _array(node, "bumps", []):
         bumps.append(RadialBump(
             center=_point(b["center"], "bump center"),
             support_radius=_real(b["support_radius"], "support_radius"),
@@ -308,14 +308,12 @@ def cmd_eta(config, args) -> Dict[str, Any]:
     check_s_values(s_values)
     rows = []
     for c in c_values:
-        series = [
-            {"s": s, "value": eta_series(c, s, n_terms).value} for s in s_values
-        ]
+        values = [eta_series(c, s, n_terms).value for s in s_values]
         rows.append({
             "c": str(c),
             "eta_closed": eta_closed(c),
-            "eta_richardson": eta_richardson_to_zero(c, tuple(s_values), n_terms),
-            "eta": series,
+            "eta_richardson": richardson_to_zero(values),
+            "eta": [{"s": s, "value": v} for s, v in zip(s_values, values)],
         })
     return {"command": "eta", "rows": rows}
 

@@ -5,7 +5,8 @@ elementary:
 
     eta = -1 + 2<c>   for non-integer c, 0 otherwise,
 
-with <c> the unique representative of c in (0, 1).  The partial eta function
+with <c> = c - floor_strict(c) the unique representative of c in (0, 1),
+exact for a Fraction.  The partial eta function
 eta_s at positive s is computed by pairing (n-<c>)^{-s} - (n+<c>)^{-s} and
 accelerating with the per-interval integral correction
 
@@ -51,7 +52,7 @@ from .errors import DomainError
 from .conformal import sphere_to_disc
 from .field import FieldSpec, KernelChoice, flux_over_2pi, total_flux
 from .geometry import DomainKind, DomainSpec
-from .numutil import HALF, is_integer_within, threshold_sum, unit_representative
+from .numutil import HALF, floor_strict, integer_at, threshold_sum
 from .zero_modes import Chirality, count_zero_modes
 
 # terms one eta series may sum, so every config does a bounded amount of work
@@ -64,10 +65,10 @@ def eta_closed(c: Union[float, Fraction]) -> float:
     Fraction input is folded exactly, so eta(c) + eta(-c) cancels to zero
     for every rational c, not just dyadic ones.
     """
-    if is_integer_within(c):
+    if integer_at(c) is not None:
         return 0.0
     # -1 + 2<c> from the exact ratio in integers, rounded once to a float
-    n, d = unit_representative(c).as_integer_ratio()
+    n, d = threshold_sum(c, -floor_strict(c)).as_integer_ratio()
     return (2 * n - d) / d
 
 
@@ -109,9 +110,9 @@ def eta_series(c: Union[float, Fraction], s: float, n_terms: int) -> EtaSeriesRe
     _check_s(s)
     if not 8 <= n_terms <= MAX_ETA_TERMS:
         raise ValueError(f"eta series needs 8 to {MAX_ETA_TERMS} terms, got {n_terms}")
-    if is_integer_within(c):
+    if integer_at(c) is not None:
         raise ValueError("eta series takes non-integer c; integers give eta = 0")
-    cu = float(unit_representative(c))
+    cu = float(threshold_sum(c, -floor_strict(c)))
     n = np.arange(1, n_terms + 1)
     try:
         with np.errstate(over="raise"):
@@ -158,8 +159,12 @@ def eta_richardson_to_zero(
     c = 1/8).
     """
     check_s_values(s_values)
-    vals = [eta_series(c, s, n_terms).value for s in s_values]
-    table = list(vals)
+    return richardson_to_zero([eta_series(c, s, n_terms).value for s in s_values])
+
+
+def richardson_to_zero(values: Sequence[float]) -> float:
+    """Richardson extrapolation to s = 0 of eta_s values already summed at s, s/2, ..."""
+    table = list(values)
     for level in range(1, len(table)):
         factor = 2.0 ** level
         table = [
@@ -205,7 +210,7 @@ def index_formula(domain: DomainSpec, fld: FieldSpec) -> IndexResult:
     raw = bulk
     for label, phi in fluxes.items():
         c = threshold_sum(flux_over_2pi(phi), q, -HALF)
-        ker = 1 if is_integer_within(c) else 0
+        ker = 1 if integer_at(c) is not None else 0
         # holes carry the flipped sign; a kernel's zero eta stays +0.0
         eta = eta_closed(c) if label == "outer" or ker else -eta_closed(c)
         etas[label] = eta
@@ -255,6 +260,6 @@ def index_vs_count(domain: DomainSpec, fld: FieldSpec) -> IndexCountReport:
         signed_count=signed,
         count=counted.count,
         chirality=counted.chirality,
-        consistent=is_integer_within(idx.raw) and idx.index == signed,
+        consistent=integer_at(idx.raw) is not None and idx.index == signed,
         assembly=idx,
     )

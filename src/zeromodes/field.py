@@ -11,6 +11,9 @@ interval determined by the boundary-operator shift q and the kernel choice:
 
     default kernel:   flux/2pi in [-q - 1/2, -q + 1/2)
     alternate kernel: flux/2pi in (-1/2, 1/2]       (defined for q = 0)
+
+The fold rounds by :func:`numutil.floor_strict`, so a value on an end of the
+interval (within ``INT_DETECTION_TOL`` for a float) folds to the closed end.
 """
 
 from __future__ import annotations
@@ -26,9 +29,15 @@ import numpy as np
 
 from .errors import SphereFluxMismatch
 from .geometry import DomainKind, DomainSpec
-from .numutil import HALF, integer_at, threshold_sum
+from .numutil import HALF, floor_strict, threshold_sum
 
 TWO_PI = 2.0 * math.pi
+
+# Gauss-Legendre nodes per radial integral of a smooth bump profile
+QUADRATURE_ORDER = 96
+
+# largest |bulk + raw hole fluxes| a sphere field may carry
+SPHERE_BALANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,12 +134,10 @@ def normalize_flux(
         if q != 0:
             raise ValueError("alternate kernel choice is defined for q = 0 only")
         # target (-1/2, 1/2]: m = ceil(x - 1/2), ties at +1/2 stay
-        y, rounding = threshold_sum(x, -HALF), math.ceil
+        m = floor_strict(threshold_sum(x, -HALF)) + 1
     else:
         # target [-q-1/2, -q+1/2): m = floor(x + q + 1/2), ties at the lower end stay
-        y, rounding = threshold_sum(x, q, HALF), math.floor
-    k = integer_at(y)
-    m = k if k is not None else rounding(y)
+        m = -floor_strict(-threshold_sum(x, q, HALF)) - 1
     if isinstance(phi, PiFlux):
         value: FluxLike = PiFlux(phi.multiplier - 2 * m)
     else:
@@ -178,10 +185,10 @@ def semi_total_flux(fld: FieldSpec, omitted_hole: int) -> FluxLike:
     return _sum_fluxes(parts) if parts else 0.0
 
 
-def check_sphere_flux_balance(fld: FieldSpec, tol: float = 1e-9) -> None:
+def check_sphere_flux_balance(fld: FieldSpec) -> None:
     """Raise SphereFluxMismatch unless bulk + all raw hole fluxes sum to zero."""
     total = float(bulk_flux(fld)) + sum(float(p) for p in fld.hole_fluxes)
-    if abs(total) > tol:
+    if abs(total) > SPHERE_BALANCE_TOL:
         raise SphereFluxMismatch(
             f"total flux on the sphere must vanish, got {total:.3e}"
         )
@@ -223,12 +230,18 @@ def smooth_profile_shape(r: np.ndarray, rho: float) -> np.ndarray:
     return out
 
 
+@functools.cache
+def gauss_nodes() -> Tuple[np.ndarray, np.ndarray]:
+    """Order-QUADRATURE_ORDER Gauss-Legendre nodes and weights on [-1, 1]; read only."""
+    return np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
+
+
 @functools.lru_cache(maxsize=None)
 def _smooth_norm_unit() -> float:
     # 2*pi * int_0^1 exp(-1/(1-u^2)) u du, the unit-radius bump's integral,
-    # by the order-96 Gauss-Legendre rule the potential profiles use (the
-    # map from [-1, 1] to [0, 1] halves the weights: 2*pi/2 = pi)
-    x, w = np.polynomial.legendre.leggauss(96)
+    # by the Gauss-Legendre rule the potential profiles use (the map from
+    # [-1, 1] to [0, 1] halves the weights: 2*pi/2 = pi)
+    x, w = gauss_nodes()
     u = 0.5 * (x + 1.0)
     return math.pi * float(np.exp(-1.0 / (1.0 - u * u)) * u @ w)
 

@@ -1,17 +1,19 @@
-"""The one policy for threshold decisions: strict floor and integer tests.
+"""The one policy for threshold decisions: three primitives.
 
-Every count, admissible index set and index in this package turns on whether
-some value y = flux/2pi + q +- 1/2 sits on an integer.  Two rules decide it:
+Every count, admissible index set, gauge fold and index in this package turns
+on whether some value y = flux/2pi + q +- 1/2 sits on an integer.  Three
+functions decide it, and every caller spells its decision with them:
 
 * :func:`threshold_sum` adds the parts of y.  The sum is a Fraction when every
   part is an int or a Fraction, and a float otherwise.
 * :func:`integer_at` says which integer y sits on, if any: exactly for a
   Fraction, and within ``INT_DETECTION_TOL`` for a float, so a float that
   carries rounding from an intended threshold counts as on it.
-
-Everything else is built on these two.  The counting formulas use the
-convention that floor(y) is the biggest integer *strictly* smaller than y,
-so floor(2) = 1.
+* :func:`floor_strict` is the biggest integer *strictly* smaller than y, so
+  floor_strict(2) = 1, with ties decided by :func:`integer_at`.  It spells
+  every other rounding: ceil(y) = floor_strict(y) + 1, floor(y) =
+  -floor_strict(-y) - 1, and the representative in (0, 1) of a non-integer
+  c is threshold_sum(c, -floor_strict(c)).
 
 Exact (int or Fraction) values are decided on their numerator and
 denominator in integer arithmetic, so a threshold costs a few integer
@@ -60,11 +62,6 @@ def integer_at(y: Real) -> Optional[int]:
     return k if abs(y - k) <= INT_DETECTION_TOL else None
 
 
-def is_integer_within(y: Real) -> bool:
-    """Whether y sits on an integer under :func:`integer_at`."""
-    return integer_at(y) is not None
-
-
 def floor_strict(y: Real) -> int:
     """Biggest integer strictly less than y (so floor_strict(2) == 1)."""
     if isinstance(y, _EXACT):
@@ -72,18 +69,3 @@ def floor_strict(y: Real) -> int:
     k = integer_at(y)
     return k - 1 if k is not None else math.floor(y)
 
-
-def unit_representative(c: Real) -> Real:
-    """The unique value in (0, 1) differing from c by an integer.
-
-    Undefined for integer c; callers must handle that branch first.
-    """
-    if isinstance(c, _EXACT):
-        r = Fraction(c.numerator % c.denominator, c.denominator)
-    else:
-        r = c - math.floor(c)
-        if r >= 1:  # float folding lands on 1.0 for values like -1e-17
-            r -= 1
-    if r == 0:
-        raise ValueError("unit_representative is undefined for integer input")
-    return r

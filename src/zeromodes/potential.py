@@ -19,17 +19,18 @@ differentiation is needed anywhere.
 
 Smooth-compact bumps have no closed forms; their radial F and h profiles are
 evaluated once per bump at Chebyshev nodes with fixed-order Gauss-Legendre
-quadrature and then read back through the interpolants.  Both profiles are
-smooth on [0, rho], so the interpolation error sits far below the 1e-8
-quadrature budget; the interpolants keep only the coefficients down to 1e-14
-of their largest (F is chopped before the h quadrature reads it).
+quadrature (:func:`field.gauss_nodes`) and then read back through the
+interpolants.  Both profiles are smooth on [0, rho], so the interpolation
+error sits far below the 1e-8 quadrature budget; the interpolants keep only
+the coefficients down to 1e-14 of their largest (F is chopped before the h
+quadrature reads it).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -40,17 +41,13 @@ from .field import (
     Profile,
     RadialBump,
     TWO_PI,
+    gauss_nodes,
     smooth_profile_amplitude,
     smooth_profile_shape,
     total_flux,
 )
 from .geometry import DomainKind, DomainSpec
 
-
-_GAUSS_CACHE: dict = {}
-
-# Gauss-Legendre nodes per radial integral of a smooth bump profile
-QUADRATURE_ORDER = 96
 
 # trailing Chebyshev coefficients of a bump profile below this fraction of
 # the largest are fitting noise and are dropped
@@ -64,15 +61,9 @@ def _chopped(coef: np.ndarray) -> np.ndarray:
     return coef[: kept[-1] + 1]
 
 
-def _gauss_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    if order not in _GAUSS_CACHE:
-        _GAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GAUSS_CACHE[order]
-
-
-def _gl_integrals_from(fn, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
+def _gl_integrals_from(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Vector of integrals of fn over [lo_i, hi_i], one fixed rule per row."""
-    x, w = _gauss_nodes(order)
+    x, w = gauss_nodes()
     mid = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]
     return (half[:, 0]) * (fn(mid + half * x[None, :]) @ w)
@@ -101,9 +92,7 @@ class _BumpRadial:
         def density(r):
             return amp * smooth_profile_shape(r, rho)
 
-        f_vals = TWO_PI * _gl_integrals_from(
-            lambda r: density(r) * r, np.zeros_like(t), t, QUADRATURE_ORDER
-        )
+        f_vals = TWO_PI * _gl_integrals_from(lambda r: density(r) * r, np.zeros_like(t), t)
         self._cheb_f = _chopped(cheb.chebfit(2.0 * t / rho - 1.0, f_vals, n_nodes - 1))
 
         # h from the smooth radial relation h'(s) = -F(s)/(2 pi s); the
@@ -112,9 +101,7 @@ class _BumpRadial:
             return cheb.chebval(2.0 * s / rho - 1.0, self._cheb_f) / s
 
         h_edge = -self.flux / TWO_PI * math.log(rho)
-        h_vals = h_edge + _gl_integrals_from(
-            h_integrand, t, np.full_like(t, rho), QUADRATURE_ORDER
-        ) / TWO_PI
+        h_vals = h_edge + _gl_integrals_from(h_integrand, t, np.full_like(t, rho)) / TWO_PI
         self._cheb_h = _chopped(cheb.chebfit(2.0 * t / rho - 1.0, h_vals, n_nodes - 1))
 
     def flux_within(self, s: np.ndarray) -> np.ndarray:

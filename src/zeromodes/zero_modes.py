@@ -202,6 +202,11 @@ def _basis_at(modes: Sequence["ZeroMode"], chirality, potential):
 # ----------------------------------------------------------------------------
 
 
+# points per annulus (radial * angular) and samples per circle, so every grid
+# does a bounded amount of work
+MAX_ANNULUS_POINTS, MAX_BOUNDARY_SAMPLES = 2 ** 22, 2 ** 20
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Grid and stencil parameters for the verification oracles."""
@@ -219,6 +224,13 @@ class GridSpec:
         for name, value in vars(self).items():
             if value is not None and not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"grid {name} must be positive and finite, got {value!r}")
+        if self.radial * self.angular > MAX_ANNULUS_POINTS:
+            raise ValueError(f"grid radial * angular is {self.radial * self.angular} points "
+                             f"per annulus; at most {MAX_ANNULUS_POINTS} are allowed")
+        m = self.n_boundary_samples
+        if not isinstance(m, int) or not 2 <= m <= MAX_BOUNDARY_SAMPLES or m & (m - 1):
+            raise ValueError(f"grid n_boundary_samples must be a power of two from 2 to "
+                             f"{MAX_BOUNDARY_SAMPLES}, got {m!r}")
 
 
 @dataclass(frozen=True)

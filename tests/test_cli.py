@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -102,6 +103,8 @@ SPHERE_3PI = {
                          "flux_pi": "3", "profile": "smooth"}],
               "hole_fluxes_pi": ["1/2", "-7/2"]},
 }
+NO_HOLE = {"domain": {"kind": "disc", "radius_out": 3.0, "holes": []},
+           "field": dict(DISC_3PI["field"], hole_fluxes_pi=[])}
 BM = {"r_inner": 1.0, "r_outer": 2.0, "s_inner": 1.0, "s_outer": -1.0, "phi_pi": "1"}
 
 
@@ -197,12 +200,50 @@ def _with(path, value, config=DISC_3PI):
                  "finite s > -1", id="eta-s-inf"),
     pytest.param("eta", {"eta": {"c_values": ["1/3"], "s_values": [1e308, 5e307]}},
                  "eta series overflows the float range at s = 1e+308", id="eta-s-overflow"),
+    # an object was read as no hole or no bump, a string failed on indexing
+    pytest.param("count", _with(["domain", "holes"], {}, NO_HOLE),
+                 "holes must be a JSON array, got {}", id="holes-object"),
+    pytest.param("count", _with(["domain", "holes"], "x"),
+                 "holes must be a JSON array, got 'x'", id="holes-string"),
+    pytest.param("count", _with(["field", "bumps"], {}),
+                 "bumps must be a JSON array, got {}", id="bumps-object"),
+    pytest.param("count", _with(["field", "bumps"], "x"),
+                 "bumps must be a JSON array, got 'x'", id="bumps-string"),
+    # refused when the GridSpec is built, before any point is allocated
+    pytest.param("verify", _with(["grid"], {"radial": 10**6, "angular": 4 * 10**6}),
+                 "at most 4194304 are allowed", id="grid-points-past-the-cap"),
+    pytest.param("verify --grid 100000", DISC_3PI,
+                 "grid radial * angular is 40000000000 points", id="grid-scale-past-the-cap"),
+    pytest.param("verify", _with(["grid"], {"n_boundary_samples": 3}),
+                 "n_boundary_samples must be a power of two", id="grid-samples-not-power-of-two"),
+    pytest.param("verify", _with(["grid"], {"n_boundary_samples": 2**21}),
+                 "power of two from 2 to 1048576, got 2097152", id="grid-samples-past-the-cap"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, config, message):
     code, out, err = run_cli(capsys, *command.split(), "--config",
                              write_config(tmp_path, config))
     assert code == 2 and out == ""
     assert err.startswith("config error:") and message in err
+
+
+def test_eta_table_sums_each_series_once(tmp_path, capsys, monkeypatch):
+    from zeromodes import cli, eta_index
+
+    calls = []
+    for module in (cli, eta_index):
+        for name in ("eta_series", "check_s_values"):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, _fn=fn: calls.append(_fn.__name__) or _fn(*args))
+    s_values = [0.2, 0.1, 0.05, 0.025]
+    cfg = write_config(tmp_path, {"eta": {"c_values": ["1/8", "-5/3", "7/4"],
+                                          "s_values": s_values, "n_terms": 500}})
+    code, out, _ = run_cli(capsys, "eta", "--config", cfg)
+    assert code == 0
+    assert calls.count("eta_series") == 3 * 4 and calls.count("check_s_values") == 1
+    for row in json.loads(out)["rows"]:
+        assert row["eta_richardson"] == eta_index.eta_richardson_to_zero(
+            Fraction(row["c"]), s_values, 500)
 
 
 def test_verify_all_pass(tmp_path, capsys):

@@ -204,22 +204,22 @@ def test_chopped_profiles_follow_the_full_fit():
     from numpy.polynomial import chebyshev as cheb
 
     from zeromodes.field import smooth_profile_amplitude, smooth_profile_shape
-    from zeromodes.potential import QUADRATURE_ORDER, _gl_integrals_from
+    from zeromodes.potential import _gl_integrals_from
 
     bump = RadialBump(0.3 - 0.2j, 0.6, pi_flux("25/4"))
     pot = PotentialField(FieldSpec(bumps=[bump]), disc_with_holes(3.0))
     radial = pot._bumps[0]
-    rho, order, n_nodes = bump.support_radius, QUADRATURE_ORDER, 160
+    rho, n_nodes = bump.support_radius, 160
     k = np.arange(n_nodes)
     t = 0.5 * rho * (1.0 + np.cos(math.pi * (2 * k + 1) / (2 * n_nodes)))
     x = 2.0 * t / rho - 1.0
     amp = smooth_profile_amplitude(bump)
     f_full = cheb.chebfit(x, TWO_PI * _gl_integrals_from(
-        lambda r: amp * smooth_profile_shape(r, rho) * r, np.zeros_like(t), t, order),
+        lambda r: amp * smooth_profile_shape(r, rho) * r, np.zeros_like(t), t),
         n_nodes - 1)
     h_vals = -radial.flux / TWO_PI * math.log(rho) + _gl_integrals_from(
         lambda s: cheb.chebval(2.0 * s / rho - 1.0, f_full) / s,
-        t, np.full_like(t, rho), order) / TWO_PI
+        t, np.full_like(t, rho)) / TWO_PI
     h_full = cheb.chebfit(x, h_vals, n_nodes - 1)
 
     assert len(radial._cheb_f) < n_nodes and len(radial._cheb_h) < n_nodes

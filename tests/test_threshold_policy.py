@@ -3,21 +3,22 @@
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zeromodes import (
     FieldSpec,
     Hole,
+    KernelChoice,
     RadialBump,
     count_zero_modes,
     disc_with_holes,
     eta_closed,
     index_vs_count,
+    normalize_flux,
     pi_flux,
     plane_with_holes,
 )
-from zeromodes.numutil import floor_strict, integer_at, threshold_sum, unit_representative
+from zeromodes.numutil import HALF, floor_strict, integer_at, threshold_sum
 
 Q_GRID = [Fraction(q) for q in
           ("0", "1/4", "-1/4", "1/3", "-1/3", "1/2", "1/6", "2/5", "-3/8")]
@@ -79,12 +80,30 @@ def test_integer_paths_agree_with_fraction_arithmetic(y, parts):
     total = threshold_sum(*parts)
     assert type(total) is Fraction and total == sum(parts, Fraction(0))
     if y == math.floor(y):
-        with pytest.raises(ValueError):
-            unit_representative(y)
         assert eta_closed(y) == 0.0
     else:
-        r = unit_representative(y)
-        assert type(r) is Fraction and r == y - math.floor(y)
         assert eta_closed(y) == float(2 * (y - math.floor(y)) - 1)
     # one float part sends the sum down the float path
     assert threshold_sum(*parts, 0.5) == sum(float(p) for p in (*parts, 0.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-64, max_value=64).map(lambda k: Fraction(k, 4)),
+       st.sampled_from(Q_GRID), st.sampled_from(list(KernelChoice)))
+@example(Fraction(1), Fraction(0), KernelChoice.DEFAULT)  # flux/2pi at -q + 1/2
+@example(Fraction(-3, 2), Fraction(1, 4), KernelChoice.DEFAULT)  # at -q - 1/2
+@example(Fraction(1), Fraction(0), KernelChoice.ALTERNATE)  # at +1/2
+@example(Fraction(-1), Fraction(0), KernelChoice.ALTERNATE)  # at -1/2
+def test_float_flux_ties_fold_like_exact_ties(m, q, kernel):
+    # m*pi on the quarter grid puts flux/2pi on an end of the target interval
+    # whenever m/2 + q + 1/2 (default) or m/2 - 1/2 (alternate) is an integer
+    if kernel is KernelChoice.ALTERNATE:
+        q = Fraction(0)
+    exact = normalize_flux(pi_flux(m), q, kernel)
+    assert normalize_flux(float(m) * math.pi, q, kernel).gauge_integer == exact.gauge_integer
+    # the exact fold lands in the target interval, a tie on its closed end
+    y = exact.value.over_2pi
+    if kernel is KernelChoice.DEFAULT:
+        assert -q - HALF <= y < -q + HALF
+    else:
+        assert -HALF < y <= HALF

@@ -577,6 +577,7 @@ def test_down_mode_verifies():
 
 
 def test_public_names_are_explicit_and_hold_no_submodule():
+    import inspect
     import types
 
     import zeromodes
@@ -587,3 +588,9 @@ def test_public_names_are_explicit_and_hold_no_submodule():
     for gone in ("eta_of_scaled", "zero_modes", "potential"):
         assert gone not in zeromodes.__all__
     assert not hasattr(PotentialField, "h_asymptotics")
+    # the threshold policy is three primitives and nothing built on them
+    from zeromodes import numutil
+
+    defined = {name for name, obj in vars(numutil).items()
+               if inspect.isfunction(obj) and obj.__module__ == numutil.__name__}
+    assert defined == {"threshold_sum", "integer_at", "floor_strict"}
