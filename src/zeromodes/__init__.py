@@ -82,11 +82,9 @@ from .zero_modes import (
     ZeroMode,
     ZeroModeBasis,
     ZeroModeCount,
-    analytic_extension_check,
     boundary_spectra,
     build_basis,
     count_zero_modes,
-    laurent_coefficients,
     verify_mode,
     verify_modes,
 )
@@ -170,11 +168,9 @@ __all__ = [
     "ZeroMode",
     "ZeroModeBasis",
     "ZeroModeCount",
-    "analytic_extension_check",
     "boundary_spectra",
     "build_basis",
     "count_zero_modes",
-    "laurent_coefficients",
     "verify_mode",
     "verify_modes",
 ]

@@ -358,8 +358,10 @@ def cmd_bm(config, args) -> Dict[str, Any]:
     rows = []
     if "sweep" in node:
         sw = node["sweep"]
-        rows = bm_flux_sweep(cfg, _rational_range(sw),
-                             unbounded=bool(sw.get("unbounded", False)))
+        unbounded = sw.get("unbounded", False)
+        if not isinstance(unbounded, bool):
+            raise ConfigError(f"bm sweep unbounded must be true or false, got {unbounded!r}")
+        rows = bm_flux_sweep(cfg, _rational_range(sw), unbounded=unbounded)
         return {"command": "bm", "rows": rows}
     mode = bm_zero_mode(cfg)
     row: Dict[str, Any] = {

@@ -93,12 +93,15 @@ class ZeroMode:
     chirality: Chirality
     coefficients: Dict[int, complex]
     potential: PotentialField
-    domain: DomainSpec
-    w_dressed: bool = False
 
     @property
     def degree(self) -> int:
         return max(self.coefficients)
+
+    @property
+    def w_dressed(self) -> bool:
+        """Whether the mode carries the sphere's W^{-1/2} conformal dressing."""
+        return self.potential.domain.kind is DomainKind.SPHERE
 
     def eval(self, z) -> np.ndarray:
         """Value of the nonzero spinor component at z."""
@@ -109,27 +112,16 @@ class ZeroMode:
             out = out / np.sqrt(conformal.conformal_factor(z))
         return out[0] if scalar else out
 
-    def eval_g(self, z) -> np.ndarray:
-        """The analytic (or anti-analytic) factor g = e^{-+h} u, undressed."""
-        z = np.asarray(z, dtype=complex)
-        var = z if self.chirality is Chirality.UP else np.conj(z)
-        return _polyval(self.coefficients, var)
-
 
 @dataclass(frozen=True)
 class ZeroModeBasis:
     chirality: Chirality
     degrees: List[int]
     potential: PotentialField
-    domain: DomainSpec
-    w_dressed: bool = False
 
     def modes(self) -> List[ZeroMode]:
-        return [
-            ZeroMode(self.chirality, {n: 1.0 + 0.0j}, self.potential,
-                     self.domain, self.w_dressed)
-            for n in self.degrees
-        ]
+        return [ZeroMode(self.chirality, {n: 1.0 + 0.0j}, self.potential)
+                for n in self.degrees]
 
 
 def build_basis(
@@ -143,8 +135,6 @@ def build_basis(
         chirality=counted.chirality,
         degrees=list(range(counted.count)),
         potential=potential,
-        domain=domain,
-        w_dressed=domain.kind is DomainKind.SPHERE,
     )
 
 
@@ -170,10 +160,6 @@ def _combine(coefficients: Dict[int, complex], powers: Dict[int, np.ndarray]) ->
     for n in rest:
         out += coefficients[n] * powers[n]
     return out
-
-
-def _polyval(coefficients: Dict[int, complex], var: np.ndarray) -> np.ndarray:
-    return _combine(coefficients, _powers(var, min(coefficients), max(coefficients)))
 
 
 def _basis_at(modes: Sequence["ZeroMode"], chirality, potential):
@@ -221,6 +207,10 @@ class GridSpec:
     max_bulk_points: int = 2_000_000
 
     def __post_init__(self):
+        for name in ("radial", "angular", "max_bulk_points"):  # point counts
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"grid {name} must be an integer, got {value!r}")
         for name, value in vars(self).items():
             if value is not None and not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"grid {name} must be positive and finite, got {value!r}")
@@ -449,15 +439,16 @@ def verify_modes(
 ) -> List[VerificationReport]:
     """Independent check of candidate modes against (domain, field), in one pass.
 
-    The modes must share chirality, dressing, potential and domain, as the
-    modes of one basis do: e^{+-h}, the vector potential and the boundary
-    data are evaluated once for all of them, and each mode applies only its
-    own polynomial.  The modes are evaluated with the *passed* potential, so
-    a candidate can be re-verified against a perturbed field.  Boundary
-    samples are normalized to unit root-mean-square on each circle before the
-    Fourier projection, so the reported leakage is the weighted fraction of
-    the trace sitting on forbidden indices and the absolute tolerance is
-    scale-free.  Reports follow the order of ``modes``, and GridTooCoarse is
+    The modes must share chirality and potential, as the modes of one basis
+    do: e^{+-h}, the vector potential and the boundary data are evaluated
+    once for all of them, and each mode applies only its own polynomial.
+    The modes are evaluated with the *passed* potential, so a candidate can
+    be re-verified against a perturbed field.  Boundary samples are
+    normalized to unit root-mean-square on each circle before the Fourier
+    projection, so the reported leakage is the weighted fraction of the trace
+    sitting on forbidden indices and the absolute tolerance is scale-free.
+    On a hole circle that leakage is also what checks that the analytic
+    factor g = e^{-+h} u continues into the hole.  Reports follow the order of ``modes``, and GridTooCoarse is
     raised for the first mode in that order whose worst residual does not
     converge under step halving.
     """
@@ -465,10 +456,9 @@ def verify_modes(
     if not modes:
         raise ValueError("verify_modes needs at least one mode")
     first = modes[0]
-    if any(m.chirality is not first.chirality or m.w_dressed != first.w_dressed
-           or m.potential is not first.potential or m.domain != first.domain
+    if any(m.chirality is not first.chirality or m.potential is not first.potential
            for m in modes):
-        raise ValueError("verified modes must share chirality, dressing, potential and domain")
+        raise ValueError("verified modes must share chirality and potential")
     chirality, dressed = first.chirality, first.w_dressed
     dom, f = _reduced_problem(domain, fld)
 
@@ -544,56 +534,3 @@ def verify_mode(
 ) -> VerificationReport:
     """Independent check of one candidate mode; see :func:`verify_modes`."""
     return verify_modes([mode], domain, fld, potential, grid, tol_residual, tol_leakage)[0]
-
-
-def laurent_coefficients(
-    fn, center: complex, radii: Sequence[float], n_max: int = 64, samples: int = 512
-) -> Dict[int, complex]:
-    """Laurent coefficients of fn around center from several probe radii.
-
-    The per-radius estimate DFT_n(r) * r^{-n} amplifies rounding noise where
-    the true coefficient vanishes (large |n| with unfavourable r), so for
-    each n the radius giving the smallest magnitude is kept: genuine
-    coefficients agree across radii, spurious ones collapse.
-    """
-    phis = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    per_radius = []
-    for r in radii:
-        vals = fn(center + r * np.exp(1j * phis))
-        coeff = np.fft.fft(np.asarray(vals, dtype=complex)) / samples
-        per_radius.append({
-            n: complex(coeff[n % samples]) * r ** (-n)
-            for n in range(-n_max, n_max + 1)
-        })
-    out: Dict[int, complex] = {}
-    for n in range(-n_max, n_max + 1):
-        out[n] = min((table[n] for table in per_radius), key=abs)
-    return out
-
-
-def analytic_extension_check(
-    mode: ZeroMode, hole_index: int, rel_tol: float = 1e-6
-) -> bool:
-    """Whether g = e^{-+h} u continues analytically into the given hole.
-
-    Checks that every negative-index Laurent coefficient on the probe annulus
-    is below rel_tol times the largest coefficient.  Anti-analytic spin-down
-    factors are handled by conjugating the angular variable.
-    """
-    dom, f = _reduced_problem(mode.domain, mode.potential.field)
-    hole = dom.holes[hole_index]
-    probe = annulus_probe(dom, hole_index, support_radii_from(f, hole.center))
-    radii = [probe.inner + (probe.outer - probe.inner) * t for t in (0.3, 0.55, 0.8)]
-
-    def g(z):
-        vals = mode.eval_g(z)
-        if mode.chirality is Chirality.DOWN:
-            return np.conj(vals)  # expand conj(g) in z; its coefficients mirror g
-        return vals
-
-    coeffs = laurent_coefficients(g, hole.center, radii)
-    top = max(abs(v) for v in coeffs.values())
-    worst_negative = max(
-        (abs(v) for n, v in coeffs.items() if n < 0), default=0.0
-    )
-    return worst_negative < rel_tol * top

@@ -179,7 +179,7 @@ def test_criterion_3_randomized_mode_verification():
             modes = []
             x = float(pot.total_flux) / (2 * math.pi)
             chirality = Chirality.UP if x > 0 else Chirality.DOWN
-        candidate = ZeroMode(chirality, {counted.count: 1.0 + 0.0j}, pot, dom)
+        candidate = ZeroMode(chirality, {counted.count: 1.0 + 0.0j}, pot)
         *reports, report = verify_modes(modes + [candidate], dom, fld, pot, grid)
         for mode_report in reports:
             ok &= mode_report.pde_residual < 1e-6

@@ -218,6 +218,21 @@ def _with(path, value, config=DISC_3PI):
                  "n_boundary_samples must be a power of two", id="grid-samples-not-power-of-two"),
     pytest.param("verify", _with(["grid"], {"n_boundary_samples": 2**21}),
                  "power of two from 2 to 1048576, got 2097152", id="grid-samples-past-the-cap"),
+    # a float point count ran on np.arange of it, a bool on one radius
+    pytest.param("verify", _with(["grid"], {"radial": 2.5}),
+                 "grid radial must be an integer, got 2.5", id="grid-radial-float"),
+    pytest.param("verify", _with(["grid"], {"angular": 8.5}),
+                 "grid angular must be an integer, got 8.5", id="grid-angular-float"),
+    pytest.param("verify", _with(["grid"], {"radial": True}),
+                 "grid radial must be an integer, got True", id="grid-radial-bool"),
+    pytest.param("verify", _with(["grid"], {"max_bulk_points": 1e5}),
+                 "grid max_bulk_points must be an integer, got 100000.0",
+                 id="grid-max-bulk-float"),
+    # bool("false") is True: the string ran the unbounded sweep
+    pytest.param("bm", {"bm": dict(BM, sweep={"start": "0", "stop": "1", "step": "1/2",
+                                              "unbounded": "false"})},
+                 "bm sweep unbounded must be true or false, got 'false'",
+                 id="bm-unbounded-string"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, config, message):
     code, out, err = run_cli(capsys, *command.split(), "--config",

@@ -201,8 +201,8 @@ def test_sphere_count_matches_reduced_disc_and_mode_verifies():
 
     pot = PotentialField(fld, dom)
     basis = build_basis(dom, fld, pot)
-    assert basis.w_dressed
     mode = basis.modes()[0]
+    assert mode.w_dressed
     assert verify_mode(mode, dom, fld, pot).pde_residual < 1e-6
 
     # the dressing really is W^{-1/2} against the flat evaluation
