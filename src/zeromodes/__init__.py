@@ -56,8 +56,6 @@ from .field import (
     eval_B,
     normalize_flux,
     pi_flux,
-    semi_total_flux,
-    total_flux,
     validate_field,
 )
 from .geometry import (
@@ -142,8 +140,6 @@ __all__ = [
     "eval_B",
     "normalize_flux",
     "pi_flux",
-    "semi_total_flux",
-    "total_flux",
     "validate_field",
     # geometry
     "OUTER",

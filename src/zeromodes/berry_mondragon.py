@@ -7,7 +7,8 @@ components circle by circle.  Matching the inner and outer relations forces
     (R1/R2)^E = K,   E = Phi/pi - 2n + 1,   K = -S_in/S_out,
 
 for some integer n, so a zero mode exists only when K > 0 and the matching
-exponent E = log(K)/log(R1/R2) makes n = (Phi/pi + 1 - E)/2 an integer.  For
+exponent E = log(K)/log(R1/R2) makes n = (Phi/pi + 1 - E)/2 an integer (as
+:func:`numutil.integer_at` decides it: exactly for a PiFlux when K = 1).  For
 |S_in| = |S_out| (K = 1) this is exactly "flux an odd multiple of pi with
 opposite signs of S", one mode per 2pi of flux, and the mode is
 
@@ -26,11 +27,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .field import FluxLike, TWO_PI
+from .field import FluxLike, PiFlux, TWO_PI
 from .geometry import Annulus
+from .numutil import integer_at
 from .zero_modes import GridSpec, VerificationReport, _polar_points, dirac_residual, worst_residual
 
-_MATCH_TOL = 1e-9
 # points per circle at which the boundary relation is checked
 _BOUNDARY_SAMPLES = 512
 
@@ -74,11 +75,14 @@ def bm_zero_mode(cfg: BMConfig) -> Optional[BMMode]:
     if ratio <= 0:
         return None
     exponent = math.log(ratio) / math.log(cfg.r_inner / cfg.r_outer)
-    n_real = (float(cfg.phi) / math.pi + 1.0 - exponent) / 2.0
-    n = round(n_real)
-    if abs(n_real - n) > _MATCH_TOL:
+    if isinstance(cfg.phi, PiFlux) and exponent == 0.0:
+        # S_in = -S_out: n = (m + 1)/2 for phi = m*pi, decided exactly
+        n = integer_at((cfg.phi.multiplier + 1) / 2)
+    else:
+        n = integer_at((float(cfg.phi) / math.pi + 1.0 - exponent) / 2.0)
+    if n is None:
         return None
-    return BMMode(n=int(n), exponent=exponent, config=cfg)
+    return BMMode(n=n, exponent=exponent, config=cfg)
 
 
 def bm_verify(

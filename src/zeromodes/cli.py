@@ -38,10 +38,11 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
 from .berry_mondragon import BMConfig, bm_flux_sweep, bm_verify, bm_zero_mode
+from .conformal import flat_problem
 from .errors import ZeroModesError
 from .eta_index import (check_s_values, eta_closed, eta_series, index_formula, index_vs_count,
                         richardson_to_zero)
-from .field import FieldSpec, KernelChoice, PiFlux, Profile, RadialBump, total_flux, validate_field
+from .field import FieldSpec, KernelChoice, PiFlux, Profile, RadialBump, validate_field
 from .geometry import DomainKind, DomainSpec, Hole, validate_domain
 from .potential import PotentialField
 from .zero_modes import GridSpec, build_basis, check_tolerances, count_zero_modes, verify_modes
@@ -70,8 +71,15 @@ def _fraction(text) -> Fraction:
     return value
 
 
+def _number(value, key: str) -> float:
+    """float(value), refusing a JSON boolean, which float() reads as 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _real(value, key: str) -> float:
-    number = float(value)
+    number = _number(value, key)
     if not math.isfinite(number):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return number
@@ -201,7 +209,7 @@ def _flux_payload(domain: DomainSpec, fld: FieldSpec) -> Dict[str, Any]:
     normalized = [float(nf.value) for nf in fld.normalized_hole_fluxes]
     return {
         "domain": domain.kind.value,
-        "phi_total": float(total_flux(fld, domain)),
+        "phi_total": float(flat_problem(domain, fld)[1].total_flux),
         "phi_normalized": normalized,
         "q": float(fld.q_shift),
         "kernel_choice": fld.kernel_choice.value,
@@ -226,8 +234,8 @@ def cmd_verify(config, args) -> Dict[str, Any]:
     if unknown:
         raise ConfigError(f"unknown tolerances keys {unknown}")
     tol = float(args.tol) if args.tol is not None else \
-        float(tolerances.get("residual", 1e-6))
-    tol_leak = float(tolerances.get("leakage", tol))
+        _number(tolerances.get("residual", 1e-6), "residual tolerance")
+    tol_leak = _number(tolerances.get("leakage", tol), "leakage tolerance")
     check_tolerances(tol, tol_leak)  # also when there is no mode to verify
     counted = count_zero_modes(domain, fld)
     if counted.count > MAX_VERIFY_MODES:
@@ -301,7 +309,7 @@ def cmd_eta(config, args) -> Dict[str, Any]:
     node = config.get("eta", {})
     c_values = [_fraction(t)
                 for t in _array(node, "c_values", ["1/8", "1/4", "1/3", "1/2", "3/4"])]
-    s_values = [float(s) for s in _array(node, "s_values", [0.2, 0.1, 0.05])]
+    s_values = [_number(s, "eta s value") for s in _array(node, "s_values", [0.2, 0.1, 0.05])]
     n_terms = node.get("n_terms", 4000)
     if not isinstance(n_terms, int) or isinstance(n_terms, bool):
         raise ConfigError(f"eta n_terms must be an integer, got {n_terms!r}")

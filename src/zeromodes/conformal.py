@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
+
 import numpy as np
 
 from .errors import NorthPole, PolePoint
@@ -150,3 +152,20 @@ def sphere_to_disc(domain: DomainSpec, fld: FieldSpec) -> SphereReduction:
         kernel_choice=fld.kernel_choice,
     )
     return SphereReduction(disc_domain=disc, disc_field=reduced, omitted_hole=om)
+
+
+def flat_problem(domain: DomainSpec, fld: FieldSpec) -> Tuple[DomainSpec, FieldSpec]:
+    """The flat (plane or disc) problem whose modes, counts and fluxes stand
+    for those of (domain, fld): a sphere's projected disc, or the problem itself.
+
+    Raises ValueError when the field does not carry one flux per hole; a
+    sphere must also pass :func:`sphere_to_disc`.
+    """
+    if len(fld.hole_fluxes) != domain.n_holes:
+        raise ValueError(
+            f"field carries {len(fld.hole_fluxes)} hole fluxes for {domain.n_holes} holes"
+        )
+    if domain.kind is not DomainKind.SPHERE:
+        return domain, fld
+    red = sphere_to_disc(domain, fld)
+    return red.disc_domain, red.disc_field

@@ -49,8 +49,8 @@ from typing import Dict, Sequence, Union
 import numpy as np
 
 from .errors import DomainError
-from .conformal import sphere_to_disc
-from .field import FieldSpec, KernelChoice, flux_over_2pi, total_flux
+from .conformal import flat_problem
+from .field import FieldSpec, KernelChoice, flux_over_2pi
 from .geometry import DomainKind, DomainSpec
 from .numutil import HALF, floor_strict, integer_at, threshold_sum
 from .zero_modes import Chirality, count_zero_modes
@@ -183,31 +183,29 @@ def richardson_to_zero(values: Sequence[float]) -> float:
 class IndexResult:
     index: int
     raw: float
-    bulk: float
     boundary_eta: Dict[str, float]
     kernel_dims: Dict[str, int]
-    endomorphism_term: float
 
 
 def index_formula(domain: DomainSpec, fld: FieldSpec) -> IndexResult:
     """Assemble the boundary-corrected index; ``index`` is the rounded raw sum.
 
-    Disc domains with the default kernel only; hole fluxes enter through
-    their q-normalized values and kernel dimensions follow the threshold
-    policy of :mod:`numutil`.
+    Disc domains, and spheres on their projected disc, with the default
+    kernel only; hole fluxes enter through their q-normalized values and
+    kernel dimensions follow the threshold policy of :mod:`numutil`.
     """
-    if domain.kind is not DomainKind.DISC:
+    if domain.kind is DomainKind.PLANE:
         raise ValueError("the index assembly is stated for disc domains")
+    domain, fld = flat_problem(domain, fld)
     if fld.kernel_choice is not KernelChoice.DEFAULT:
         raise ValueError("the index assembly uses the default kernel choice")
     q = fld.q_shift
     fluxes = {f"hole{j}": nf.value for j, nf in enumerate(fld.normalized_hole_fluxes)}
-    fluxes["outer"] = total_flux(fld, domain)
+    fluxes["outer"] = fld.total_flux
 
-    bulk = sum(float(flux_over_2pi(b.flux)) for b in fld.bumps)
+    raw = sum(float(flux_over_2pi(b.flux)) for b in fld.bumps)
     etas: Dict[str, float] = {}
     kers: Dict[str, int] = {}
-    raw = bulk
     for label, phi in fluxes.items():
         c = threshold_sum(flux_over_2pi(phi), q, -HALF)
         ker = 1 if integer_at(c) is not None else 0
@@ -216,16 +214,8 @@ def index_formula(domain: DomainSpec, fld: FieldSpec) -> IndexResult:
         etas[label] = eta
         kers[label] = ker
         raw -= 0.5 * (eta + ker)
-    endo = (1 - domain.n_holes) * float(q)
-    raw += endo
-    return IndexResult(
-        index=round(raw),
-        raw=raw,
-        bulk=bulk,
-        boundary_eta=etas,
-        kernel_dims=kers,
-        endomorphism_term=endo,
-    )
+    raw += (1 - domain.n_holes) * float(q)
+    return IndexResult(index=round(raw), raw=raw, boundary_eta=etas, kernel_dims=kers)
 
 
 @dataclass(frozen=True)
@@ -242,13 +232,9 @@ def index_vs_count(domain: DomainSpec, fld: FieldSpec) -> IndexCountReport:
     """Compare the index assembly against the signed zero-mode count.
 
     Consistent means the raw assembly is an integer equal to the signed
-    count; spheres are assembled on their projected disc.
+    count.
     """
-    if domain.kind is DomainKind.SPHERE:
-        red = sphere_to_disc(domain, fld)
-        idx = index_formula(red.disc_domain, red.disc_field)
-    else:
-        idx = index_formula(domain, fld)
+    idx = index_formula(domain, fld)
     counted = count_zero_modes(domain, fld)
     signed = {
         Chirality.UP: counted.count,

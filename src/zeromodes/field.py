@@ -116,6 +116,18 @@ class FieldSpec:
         return tuple(normalize_flux(p, self.q_shift, self.kernel_choice)
                      for p in self.hole_fluxes)
 
+    @functools.cached_property
+    def total_flux(self) -> FluxLike:
+        """Bulk flux plus every normalized hole flux, once per field.
+
+        This is the flux the outer circle sees on a flat (plane or disc)
+        problem; a sphere's is the total of its projected disc field
+        (``conformal.flat_problem``), the semi-total flux.
+        """
+        parts: List[FluxLike] = [b.flux for b in self.bumps]
+        parts += [nf.value for nf in self.normalized_hole_fluxes]
+        return _sum_fluxes(parts) if parts else 0.0
+
 
 @dataclass(frozen=True)
 class NormalizedFlux:
@@ -154,35 +166,6 @@ def _sum_fluxes(parts: Sequence[FluxLike]) -> FluxLike:
 
 def bulk_flux(fld: FieldSpec) -> FluxLike:
     return _sum_fluxes([b.flux for b in fld.bumps]) if fld.bumps else 0.0
-
-
-def total_flux(fld: FieldSpec, domain: DomainSpec) -> FluxLike:
-    """Bulk flux plus normalized hole fluxes; semi-total for sphere domains.
-
-    On the sphere the raw fluxes must sum to zero (the potential one-form is
-    globally defined), and the designated omitted hole is excluded from the
-    normalized sum.
-    """
-    if len(fld.hole_fluxes) != domain.n_holes:
-        raise ValueError(
-            f"field carries {len(fld.hole_fluxes)} hole fluxes for {domain.n_holes} holes"
-        )
-    if domain.kind is DomainKind.SPHERE:
-        check_sphere_flux_balance(fld)
-        return semi_total_flux(fld, domain.omitted_hole)
-    parts: List[FluxLike] = [b.flux for b in fld.bumps]
-    parts += [nf.value for nf in fld.normalized_hole_fluxes]
-    return _sum_fluxes(parts) if parts else 0.0
-
-
-def semi_total_flux(fld: FieldSpec, omitted_hole: int) -> FluxLike:
-    """Bulk flux plus normalized fluxes of every hole except the omitted one."""
-    if not 0 <= omitted_hole < len(fld.hole_fluxes):
-        raise ValueError(f"omitted hole {omitted_hole} out of range")
-    parts: List[FluxLike] = [b.flux for b in fld.bumps]
-    parts += [nf.value for j, nf in enumerate(fld.normalized_hole_fluxes)
-              if j != omitted_hole]
-    return _sum_fluxes(parts) if parts else 0.0
 
 
 def check_sphere_flux_balance(fld: FieldSpec) -> None:

@@ -35,6 +35,7 @@ from typing import List
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
+from .conformal import flat_problem
 from .errors import SingularPoint
 from .field import (
     FieldSpec,
@@ -44,9 +45,8 @@ from .field import (
     gauss_nodes,
     smooth_profile_amplitude,
     smooth_profile_shape,
-    total_flux,
 )
-from .geometry import DomainKind, DomainSpec
+from .geometry import DomainSpec
 
 
 # trailing Chebyshev coefficients of a bump profile below this fraction of
@@ -151,21 +151,20 @@ class PotentialField:
 
     Hole fields enter through their normalized fluxes (the gauge-reduced delta
     model), so h is the sum of a smooth bump part and
-    -(flux'_k/2pi) log|z - w_k| singular parts.  Immutable after construction.
+    -(flux'_k/2pi) log|z - w_k| singular parts; a sphere's holes are those of
+    its projected disc (``conformal.flat_problem``).  Immutable after
+    construction.
     """
 
     def __init__(self, fld: FieldSpec, domain: DomainSpec):
         self.field = fld
         self.domain = domain
+        flat_domain, flat_field = flat_problem(domain, fld)
         self.hole_sources: List[PointSource] = [
             PointSource(h.center, float(nf.value))
-            for h, nf in zip(domain.holes, fld.normalized_hole_fluxes)
+            for h, nf in zip(flat_domain.holes, flat_field.normalized_hole_fluxes)
         ]
-        if domain.kind is DomainKind.SPHERE:
-            om = domain.omitted_hole
-            self.hole_sources = [s for j, s in enumerate(self.hole_sources) if j != om]
         self._bumps = [_BumpRadial(b) for b in fld.bumps]
-        self.total_flux = total_flux(fld, domain)
 
     # -- sources ---------------------------------------------------------
 
@@ -174,10 +173,6 @@ class PotentialField:
         return self.hole_sources + [
             PointSource(b.bump.center, b.flux) for b in self._bumps
         ]
-
-    def enclosed_flux(self, center: complex, radius: float) -> float:
-        return sum(s.flux for s in self.point_sources()
-                   if abs(s.center - center) < radius)
 
     # -- scalar potential --------------------------------------------------
 

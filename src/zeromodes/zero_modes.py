@@ -44,7 +44,6 @@ from .field import (
     flux_over_2pi,
     support_extents_from,
     support_radii_from,
-    total_flux,
 )
 from .geometry import OUTER, Annulus, DomainKind, DomainSpec, annulus_probe
 from .numutil import HALF, floor_strict, threshold_sum
@@ -72,7 +71,7 @@ def count_zero_modes(domain: DomainSpec, fld: FieldSpec) -> ZeroModeCount:
     """Number of zero modes and their common chirality."""
     if domain.kind is DomainKind.SPHERE:
         _require_sphere_canonical(fld)
-    x = flux_over_2pi(total_flux(fld, domain))
+    x = flux_over_2pi(conformal.flat_problem(domain, fld)[1].total_flux)
     if domain.kind is DomainKind.PLANE:
         n = max(0, floor_strict(abs(x)))
         signed = n if x > 0 else -n
@@ -212,6 +211,8 @@ class GridSpec:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"grid {name} must be an integer, got {value!r}")
         for name, value in vars(self).items():
+            if isinstance(value, bool):  # True > 0, so it would run as 1
+                raise ValueError(f"grid {name} must be a number, got {value!r}")
             if value is not None and not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"grid {name} must be positive and finite, got {value!r}")
         if self.radial * self.angular > MAX_ANNULUS_POINTS:
@@ -231,14 +232,6 @@ class VerificationReport:
     richardson_factor: float
     passed: bool
     tolerances: Dict[str, float]
-
-
-def _reduced_problem(domain: DomainSpec, fld: FieldSpec):
-    """Sphere problems verify on their projected disc; others pass through."""
-    if domain.kind is not DomainKind.SPHERE:
-        return domain, fld
-    red = conformal.sphere_to_disc(domain, fld)
-    return red.disc_domain, red.disc_field
 
 
 def _fd_scale(domain: DomainSpec, fld: FieldSpec) -> float:
@@ -389,7 +382,7 @@ def worst_residual(res: np.ndarray, scale: float, residual_at, step: float,
 
 def boundary_spectra(domain: DomainSpec, fld: FieldSpec) -> Dict[str, BoundarySpectrum]:
     """Boundary spectra keyed by 'hole<j>' and (bounded domains) 'outer'."""
-    dom, f = _reduced_problem(domain, fld)
+    dom, f = conformal.flat_problem(domain, fld)
     out: Dict[str, BoundarySpectrum] = {}
     for j, hole in enumerate(dom.holes):
         out[f"hole{j}"] = BoundarySpectrum(
@@ -399,7 +392,7 @@ def boundary_spectra(domain: DomainSpec, fld: FieldSpec) -> Dict[str, BoundarySp
     if dom.kind is DomainKind.DISC:
         out["outer"] = BoundarySpectrum(
             boundary=OUTER, radius=dom.radius_out,
-            flux_through=total_flux(f, dom),
+            flux_through=f.total_flux,
             q=f.q_shift, kernel_choice=f.kernel_choice,
         )
     return out
@@ -460,7 +453,7 @@ def verify_modes(
            for m in modes):
         raise ValueError("verified modes must share chirality and potential")
     chirality, dressed = first.chirality, first.w_dressed
-    dom, f = _reduced_problem(domain, fld)
+    dom, f = conformal.flat_problem(domain, fld)
 
     fd = grid.fd_step if grid.fd_step is not None \
         else _fd_scale(dom, f) * grid.fd_step_factor
@@ -498,7 +491,7 @@ def verify_modes(
     # inequality plus the decay of |u| from the decay radius to twice it
     integrable: List[Optional[bool]] = [None] * len(modes)
     if dom.kind is DomainKind.PLANE:
-        x = flux_over_2pi(total_flux(f, dom))
+        x = flux_over_2pi(f.total_flux)
         angles = np.exp(1j * (np.linspace(0, 2 * math.pi, 8, endpoint=False) + 0.1))
         far, near = (basis_at(r * angles) for r in (2 * grid.decay_radius, grid.decay_radius))
         for m, (mode, u_far, u_near) in enumerate(zip(modes, far, near)):

@@ -38,7 +38,6 @@ from zeromodes import (
     patch_spinor,
     pi_flux,
     plane_with_holes,
-    semi_total_flux,
     sphere_to_disc,
     sphere_with_holes,
     verify_mode,
@@ -177,7 +176,7 @@ def test_criterion_3_randomized_mode_verification():
             chirality = counted.chirality
         else:
             modes = []
-            x = float(pot.total_flux) / (2 * math.pi)
+            x = float(fld.total_flux) / (2 * math.pi)
             chirality = Chirality.UP if x > 0 else Chirality.DOWN
         candidate = ZeroMode(chirality, {counted.count: 1.0 + 0.0j}, pot)
         *reports, report = verify_modes(modes + [candidate], dom, fld, pot, grid)
@@ -280,6 +279,14 @@ def test_criterion_6_index_consistency():
 # ---------------------------------------------------------------------------
 
 
+def _semi_total_over_2pi(fld: FieldSpec, omitted: int) -> Fraction:
+    """Bulk plus normalized hole fluxes over 2pi, every hole but ``omitted``."""
+    parts = [b.flux.multiplier for b in fld.bumps]
+    parts += [normalize_flux(p).value.multiplier
+              for j, p in enumerate(fld.hole_fluxes) if j != omitted]
+    return sum(parts) / 2
+
+
 def test_criterion_7_sphere_reduction():
     rng = np.random.default_rng(31)
     ok = True
@@ -300,18 +307,19 @@ def test_criterion_7_sphere_reduction():
         fld = FieldSpec(bumps=[RadialBump(0.0, 0.5, pi_flux(bulk))],
                         hole_fluxes=[pi_flux(m) for m in fluxes])
 
-        semi = semi_total_flux(fld, n_inner).multiplier / 2
+        semi = _semi_total_over_2pi(fld, n_inner)
         expected = abs(strict_floor(semi + Fraction(1, 2)))
         counted = count_zero_modes(dom, fld)
         ok &= counted.count == expected
 
         red = sphere_to_disc(dom, fld)
+        ok &= red.disc_field.total_flux.multiplier / 2 == semi
         ok &= count_zero_modes(red.disc_domain, red.disc_field).count == expected
 
         # designation independence is pure flux arithmetic
         counts = set()
         for om in range(len(fluxes)):
-            s = semi_total_flux(fld, om).multiplier / 2
+            s = _semi_total_over_2pi(fld, om)
             counts.add(abs(strict_floor(s + Fraction(1, 2))))
         ok &= counts == {expected}
 

@@ -228,6 +228,25 @@ def _with(path, value, config=DISC_3PI):
     pytest.param("verify", _with(["grid"], {"max_bulk_points": 1e5}),
                  "grid max_bulk_points must be an integer, got 100000.0",
                  id="grid-max-bulk-float"),
+    # float(True) is 1.0: a JSON boolean ran as the number one
+    pytest.param("sweep", {"sweep": {"phi_pi": {"start": "0", "stop": "1", "step": "1/2"},
+                                     "radius_out": True}},
+                 "radius_out must be a number, got True", id="radius-out-bool"),
+    pytest.param("verify", _with(["tolerances"], {"residual": True}),
+                 "residual tolerance must be a number, got True", id="residual-bool"),
+    pytest.param("verify", _with(["tolerances"], {"leakage": True}),
+                 "leakage tolerance must be a number, got True", id="leakage-bool"),
+    pytest.param("eta", {"eta": {"c_values": ["1/3"], "s_values": [True, 0.5, 0.25]}},
+                 "eta s value must be a number, got True", id="eta-s-bool"),
+    *[pytest.param("verify", _with(["grid"], {key: True}),
+                   f"grid {key} must be a number, got True", id=f"grid-{key}-bool")
+      for key in ("bulk_divisor", "fd_step_factor", "fd_step", "decay_radius")],
+    # every command reduces a sphere to its disc the same way, so each refuses
+    # a designated hole that is not origin-centred
+    *[pytest.param(command, _with(["domain", "holes", 1, "center"], [0.5, 0.0], SPHERE_3PI),
+                   "the designated hole must be an origin-centred circle",
+                   id=f"off-centre-sphere-{command}")
+      for command in ("count", "index", "verify")],
     # bool("false") is True: the string ran the unbounded sweep
     pytest.param("bm", {"bm": dict(BM, sweep={"start": "0", "stop": "1", "step": "1/2",
                                               "unbounded": "false"})},
@@ -259,6 +278,22 @@ def test_eta_table_sums_each_series_once(tmp_path, capsys, monkeypatch):
     for row in json.loads(out)["rows"]:
         assert row["eta_richardson"] == eta_index.eta_richardson_to_zero(
             Fraction(row["c"]), s_values, 500)
+
+
+def test_each_field_sums_its_flux_once(tmp_path, capsys, monkeypatch):
+    from zeromodes import field
+
+    calls = []
+    monkeypatch.setattr(field, "_sum_fluxes",
+                        lambda parts, _fn=field._sum_fluxes: calls.append(1) or _fn(parts))
+    code, _, _ = run_cli(capsys, "index", "--config", write_config(tmp_path, DISC_3PI))
+    assert code == 0 and len(calls) == 1
+    # a sweep cell builds one field for the plane and one per q
+    calls.clear()
+    cfg = write_config(tmp_path, {"sweep": {
+        "phi_pi": {"start": "-2", "stop": "2", "step": "1/4"}, "q_values": ["0", "1/3"]}})
+    code, out, _ = run_cli(capsys, "sweep", "--config", cfg)
+    assert code == 0 and len(calls) == 3 * len(json.loads(out)["rows"])
 
 
 def test_verify_all_pass(tmp_path, capsys):

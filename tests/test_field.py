@@ -25,11 +25,10 @@ from zeromodes import (
     normalize_flux,
     pi_flux,
     plane_with_holes,
-    semi_total_flux,
     sphere_with_holes,
-    total_flux,
     validate_field,
 )
+from zeromodes.conformal import flat_problem
 
 TWO_PI = 2 * math.pi
 
@@ -108,39 +107,42 @@ def test_total_flux_examples():
         hole_fluxes=[5 * math.pi],
     )
     dom = plane_with_holes([Hole(4.0, 0.5)])
-    assert float(total_flux(fld, dom)) == pytest.approx(math.pi)
+    assert flat_problem(dom, fld) == (dom, fld)
+    assert float(fld.total_flux) == pytest.approx(math.pi)
+    with pytest.raises(ValueError, match="field carries 1 hole fluxes for 0 holes"):
+        flat_problem(plane_with_holes([]), fld)
 
     empty = FieldSpec()
-    assert float(total_flux(empty, plane_with_holes([]))) == 0.0
+    assert float(empty.total_flux) == 0.0
 
 
 def test_total_flux_gauge_invariance():
-    dom = plane_with_holes([Hole(4.0, 0.5), Hole(-4.0, 0.5)])
     fld = FieldSpec(hole_fluxes=[pi_flux("1/2"), pi_flux("-1/4")])
     shifted = FieldSpec(hole_fluxes=[pi_flux("5/2"), pi_flux("-1/4")])
-    assert total_flux(fld, dom).multiplier == total_flux(shifted, dom).multiplier
+    assert fld.total_flux.multiplier == shifted.total_flux.multiplier
 
 
 def test_sphere_total_is_semi_total_and_balance_checked():
     dom = sphere_with_holes([Hole(1.0, 0.3), Hole(-1.0, 0.3), Hole(0.0, 3.0)],
                             omitted_hole=2)
     fld = FieldSpec(hole_fluxes=[pi_flux("1/2"), pi_flux("-1/2"), pi_flux(0)])
-    assert total_flux(fld, dom).multiplier == Fraction(0)
+    flat = flat_problem(dom, fld)[1]
+    assert flat.total_flux.multiplier == Fraction(0)
     # zero-sum verified by summation of the raw fluxes
     assert float(pi_flux("1/2")) + float(pi_flux("-1/2")) + 0.0 == 0.0
-    semi = semi_total_flux(fld, 2)
-    assert semi.multiplier == Fraction(0)
-    assert semi_total_flux(fld, 0).multiplier == Fraction(-1, 2)
+    # the semi-total is the total of every hole but the designated one
+    assert flat.hole_fluxes == fld.hole_fluxes[:2]
+    assert FieldSpec(hole_fluxes=fld.hole_fluxes[1:]).total_flux.multiplier == Fraction(-1, 2)
 
     bad = FieldSpec(hole_fluxes=[pi_flux("1/2"), pi_flux("-1/2"), pi_flux(1)])
     with pytest.raises(SphereFluxMismatch):
-        total_flux(bad, dom)
+        flat_problem(dom, bad)
 
 
 def test_semi_total_example_half_pi():
     dom = sphere_with_holes([Hole(1.0, 0.3), Hole(0.0, 3.0)], omitted_hole=1)
     fld = FieldSpec(hole_fluxes=[pi_flux("1/2"), pi_flux("-1/2")])
-    assert float(total_flux(fld, dom)) == pytest.approx(math.pi / 2)
+    assert float(flat_problem(dom, fld)[1].total_flux) == pytest.approx(math.pi / 2)
 
 
 def test_eval_B_uniform_disc():
