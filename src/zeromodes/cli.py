@@ -54,7 +54,7 @@ EXIT_NUMERIC = 3
 
 # values one flux range may hold, so every config does a bounded amount of work
 MAX_RANGE_VALUES = 100_000
-# modes one verify may check: its point sets and residual rows grow with the count
+# modes one verify may check: its work, and each chunk's stencil values, grow with the count
 MAX_VERIFY_MODES = 256
 
 

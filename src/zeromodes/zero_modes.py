@@ -257,6 +257,12 @@ def _polar_points(center: complex, annulus: Annulus, radial: int, angular: int):
     return (center + radii[:, None] * np.exp(1j * angles[None, :])).ravel()
 
 
+# points per chunk of the residual pass, and at most per block of bulk lattice
+# rows (one row at least): a chunk's values at one stencil shift and three
+# partial arrays per component take a few MB, not nine full-size arrays
+_CHUNK_POINTS = 16384
+
+
 def _bulk_points(domain: DomainSpec, fld: FieldSpec, grid: GridSpec,
                  fd_step: float) -> np.ndarray:
     spacing = _grid_reference(domain, fld) / grid.bulk_divisor
@@ -275,26 +281,28 @@ def _bulk_points(domain: DomainSpec, fld: FieldSpec, grid: GridSpec,
         spacing *= 2.0
         n = int((hi - lo) / spacing) + 1
     ax = lo + spacing * np.arange(n)
-    zz = (ax[None, :] + 1j * ax[:, None]).ravel()
-    keep = np.ones(zz.shape, dtype=bool)
-    if domain.kind is DomainKind.DISC:
-        keep &= np.abs(zz) < domain.radius_out - 2 * fd_step
-    for h in domain.holes:
-        keep &= np.abs(zz - h.center) > h.radius
-    for b in fld.bumps:
-        if b.profile is Profile.UNIFORM_DISC:
-            # the density jumps at the support edge; skip the stencil-wide ring
-            keep &= np.abs(np.abs(zz - b.center) - b.support_radius) > 3 * fd_step
-    return zz[keep]
+    # the n x n lattice in blocks of rows, masked block by block; the kept
+    # points come out in the order of the whole lattice
+    kept = []
+    block = max(1, _CHUNK_POINTS // n)
+    for row in range(0, n, block):
+        zz = (ax[None, :] + 1j * ax[row:row + block, None]).ravel()
+        keep = np.ones(zz.shape, dtype=bool)
+        if domain.kind is DomainKind.DISC:
+            keep &= np.abs(zz) < domain.radius_out - 2 * fd_step
+        for h in domain.holes:
+            keep &= np.abs(zz - h.center) > h.radius
+        for b in fld.bumps:
+            if b.profile is Profile.UNIFORM_DISC:
+                # the density jumps at the support edge; skip the stencil-wide ring
+                keep &= np.abs(np.abs(zz - b.center) - b.support_radius) > 3 * fd_step
+        kept.append(zz[keep])
+    return np.concatenate(kept)
 
 
 # the fourth-order central difference along a step s is
 # (-u(2s) + 8u(s) - 8u(-s) + u(-2s)) / 12|s|: (multiple of s, weight) per term
 _STENCIL = ((2, -1), (1, 8), (-1, -8), (-2, 1))
-
-# points per chunk of the residual pass: the values at one stencil shift and
-# three partial arrays per component take a few MB, not nine full-size arrays
-_CHUNK_POINTS = 16384
 
 
 def _central_difference(components_at, z: np.ndarray, shift: complex) -> List[np.ndarray]:
@@ -318,25 +326,16 @@ def _component_residual(ux, uy, u0, av, up: bool) -> np.ndarray:
     return np.abs(-2j * 0.5 * (ux - 1j * uy) - np.conj(av) * u0)
 
 
-def dirac_residual(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: float,
-                   weight=None) -> Tuple[np.ndarray, np.ndarray]:
-    """|D_a u| of each spinor component at each point, by fourth-order central differences.
+def _residual_chunks(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: float,
+                     weight=None):
+    """The one walk of the residual oracle over the points, in chunks of ``_CHUNK_POINTS``.
 
-    ``components_at(z)`` gives the values of every component at z, and
-    ``ups[i]`` says whether component i obeys the spin-up or the spin-down
-    equation; ``a`` evaluates the vector potential.  ``weight(z)``, when
-    given, returns the factors the residual and the modulus take at z (the
-    sphere's W^{-3/2} and W^{-1/2}).  The points are walked in chunks of
-    ``_CHUNK_POINTS``, with one ``components_at`` call per stencil shift.
-
-    Returns the residual rows, shape (len(ups), zs.size), and each
-    component's largest modulus.
+    Yields ``(i, lo, residual, modulus)``: component i's residual at each
+    point of the chunk that starts at ``zs[lo]``, and its largest modulus
+    there.  Each chunk takes one ``components_at`` call per stencil shift.
     """
-    rows = np.empty((len(ups), zs.size))
-    moduli = np.zeros(len(ups))
     for lo in range(0, zs.size, _CHUNK_POINTS):
-        chunk = slice(lo, lo + _CHUNK_POINTS)
-        z = zs[chunk]
+        z = zs[lo:lo + _CHUNK_POINTS]
         ux, uy = (_central_difference(components_at, z, shift) for shift in (step, 1j * step))
         av = a(z)
         if weight is not None:
@@ -346,10 +345,61 @@ def dirac_residual(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: 
             u_abs = np.abs(u0)
             if weight is not None:
                 r, u_abs = r * w_res, u_abs * w_mod
-            rows[i, chunk] = r
-            moduli[i] = np.maximum(moduli[i], np.max(u_abs))
+            yield i, lo, r, np.max(u_abs)
         del ux, uy  # before the next chunk's stencil passes, not after them
+
+
+def dirac_residual(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: float,
+                   weight=None) -> Tuple[np.ndarray, np.ndarray]:
+    """|D_a u| of each spinor component at each point, by fourth-order central differences.
+
+    ``components_at(z)`` gives the values of every component at z, and
+    ``ups[i]`` says whether component i obeys the spin-up or the spin-down
+    equation; ``a`` evaluates the vector potential.  ``weight(z)``, when
+    given, returns the factors the residual and the modulus take at z (the
+    sphere's W^{-3/2} and W^{-1/2}).
+
+    Returns the residual rows, shape (len(ups), zs.size), and each
+    component's largest modulus.  :func:`worst_points` walks the points the
+    same way but keeps only each component's worst point.
+    """
+    rows = np.empty((len(ups), zs.size))
+    moduli = np.zeros(len(ups))
+    for i, lo, r, modulus in _residual_chunks(components_at, ups, a, zs, step, weight):
+        rows[i, lo:lo + r.size] = r
+        moduli[i] = np.maximum(moduli[i], modulus)
     return rows, moduli
+
+
+# a residual and the index of its point
+Worst = Tuple[np.float64, int]
+
+
+def _worse(p: Worst, q: Worst) -> Worst:
+    """The point ``np.argmax`` over both would pick: a NaN residual, else the
+    larger residual, else the smaller index."""
+    return min(p, q, key=lambda point: (0, 0.0, point[1]) if math.isnan(point[0])
+               else (1, -point[0], point[1]))
+
+
+def worst_points(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: float,
+                 weight=None) -> Tuple[List[Worst], np.ndarray]:
+    """Each component's largest residual with the first index where it occurs,
+    and its largest modulus, in memory that does not grow with ``zs``.
+
+    The arguments are those of :func:`dirac_residual`.  A NaN residual is
+    the worst, as ``np.argmax`` over the whole row would make it.
+    """
+    if not zs.size:
+        raise ValueError("no point to check the Dirac residual at: "
+                         "the finite-difference step leaves none inside the domain")
+    worst: List[Worst] = [(np.float64(-np.inf), -1)] * len(ups)
+    moduli = np.zeros(len(ups))
+    for i, lo, r, modulus in _residual_chunks(components_at, ups, a, zs, step, weight):
+        k = int(np.argmax(r))
+        worst[i] = _worse(worst[i], (r[k], lo + k))
+        moduli[i] = np.maximum(moduli[i], modulus)
+    return worst, moduli
 
 
 def _conformal_weights(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -359,20 +409,21 @@ def _conformal_weights(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return w ** (-1.5), w ** (-0.5)
 
 
-def worst_residual(res: np.ndarray, scale: float, residual_at, step: float,
+def worst_residual(worst: Worst, scale: np.float64, residual_at, step: float,
                    tol_residual: float) -> Tuple[float, float]:
     """Largest residual relative to the spinor's size, and its step-halving ratio.
 
-    ``res`` is the residual at every point at ``step``, ``scale`` the
-    spinor's largest modulus and ``residual_at(sel, step)`` the residual at
-    the points ``sel`` selects.  The step is halved at the worst point only;
-    GridTooCoarse is raised when the two residuals there differ by more than
-    ten tolerances (no convergence).
+    ``worst`` is the largest residual at ``step`` and its point's index (from
+    :func:`worst_points`), ``scale`` the spinor's largest modulus and
+    ``residual_at(idx, step)`` the residual at point ``idx``.  Division by
+    ``scale`` is monotone, so the worst scaled residual is the worst residual
+    scaled; both divide in numpy float64.  The step is halved at the worst
+    point only; GridTooCoarse is raised when the two residuals there differ
+    by more than ten tolerances (no convergence).
     """
-    res = res / scale
-    idx = int(np.argmax(res))
-    residual = float(res[idx])
-    residual_half = float(residual_at(slice(idx, idx + 1), step / 2)[0]) / scale
+    value, idx = worst
+    residual = float(value / scale)
+    residual_half = float(residual_at(idx, step / 2) / scale)
     if abs(residual - residual_half) > 10.0 * tol_residual:
         raise GridTooCoarse(
             f"residual {residual:.3e} vs {residual_half:.3e} under step halving"
@@ -464,15 +515,15 @@ def verify_modes(
     # flat-metric: the conformal factor enters only as the weights.
     weight = _conformal_weights if dressed else None
     zs = _residual_points(dom, f, grid, fd)
-    res, scales = dirac_residual(basis_at, (up,) * len(modes), potential.eval_a, zs, fd, weight)
+    worst, scales = worst_points(basis_at, (up,) * len(modes), potential.eval_a, zs, fd, weight)
     pde = []
     for m, mode in enumerate(modes):
-        def residual_at(sel, step, mode=mode):
-            rows, _ = dirac_residual(_basis_at([mode], chirality, potential), (up,),
-                                     potential.eval_a, zs[sel], step, weight)
-            return rows[0]
+        def residual_at(idx, step, mode=mode):
+            (point,), _ = worst_points(_basis_at([mode], chirality, potential), (up,),
+                                       potential.eval_a, zs[idx:idx + 1], step, weight)
+            return point[0]
 
-        pde.append(worst_residual(res[m], float(scales[m]), residual_at, fd, tol_residual))
+        pde.append(worst_residual(worst[m], scales[m], residual_at, fd, tol_residual))
 
     # --- boundary trace leakage; e^{+-h} and the phase once per circle
     phis = np.linspace(0.0, 2.0 * math.pi, grid.n_boundary_samples, endpoint=False)

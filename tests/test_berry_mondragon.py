@@ -153,3 +153,27 @@ def test_bm_verify_fails_a_spinor_that_is_nan_at_one_residual_point():
     report = bm_verify(OPP, Spoiled(mode.n, mode.exponent, mode.config))
     assert math.isnan(report.pde_residual)
     assert not report.passed
+
+
+def test_bm_verify_fails_a_nan_residual_in_a_later_chunk(monkeypatch):
+    from zeromodes import zero_modes
+    from zeromodes.geometry import Annulus
+    from zeromodes.zero_modes import GridSpec, _polar_points
+
+    monkeypatch.setattr(zero_modes, "_CHUNK_POINTS", 1000)
+    # the NaN reaches residual point 5000 (the sixth chunk) through one
+    # stencil point, and no modulus: a running maximum kept with `>` drops it
+    grid = GridSpec()
+    step = grid.fd_step_factor * OPP.r_inner
+    zs = _polar_points(0.0, Annulus(OPP.r_inner, OPP.r_outer), grid.radial, grid.angular)
+    bad = zs[5000] + 1j * step
+    mode = bm_zero_mode(OPP)
+    assert bm_verify(OPP, mode).passed
+
+    class Spoiled(type(mode)):
+        def eval_down(self, z):
+            return np.where(z == bad, np.nan, super().eval_down(z))
+
+    report = bm_verify(OPP, Spoiled(mode.n, mode.exponent, mode.config))
+    assert math.isnan(report.pde_residual)
+    assert not report.passed

@@ -228,6 +228,9 @@ def _with(path, value, config=DISC_3PI):
     pytest.param("verify", _with(["grid"], {"max_bulk_points": 1e5}),
                  "grid max_bulk_points must be an integer, got 100000.0",
                  id="grid-max-bulk-float"),
+    # a step this wide leaves no residual point inside the disc
+    pytest.param("verify", _with(["grid"], {"fd_step": 2.0}, NO_HOLE),
+                 "no point to check the Dirac residual at", id="grid-fd-step-leaves-no-point"),
     # float(True) is 1.0: a JSON boolean ran as the number one
     pytest.param("sweep", {"sweep": {"phi_pi": {"start": "0", "stop": "1", "step": "1/2"},
                                      "radius_out": True}},

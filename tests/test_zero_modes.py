@@ -35,7 +35,7 @@ from zeromodes import (
     verify_modes,
 )
 from zeromodes import zero_modes
-from zeromodes.zero_modes import dirac_residual, worst_residual
+from zeromodes.zero_modes import dirac_residual
 
 PLANE = plane_with_holes([])
 DISC = disc_with_holes(5.0)
@@ -335,9 +335,23 @@ def test_polyval_powers_against_mpmath():
                 assert float(err) <= 4 * n * eps, (n, z)
 
 
+def _full_row_worst(res, scale, residual_at, step, tol):
+    """The worst-point reduction over a whole residual row: divide the row by
+    the spinor's size, argmax it and halve the step there.  Returns the
+    scaled residual and its step-halving ratio, or raises GridTooCoarse."""
+    res = res / scale
+    idx = int(np.argmax(res))
+    residual = float(res[idx])
+    residual_half = float(residual_at(slice(idx, idx + 1), step / 2)[0]) / scale
+    if abs(residual - residual_half) > 10.0 * tol:
+        raise GridTooCoarse(f"residual {residual:.3e} vs {residual_half:.3e} under step halving")
+    return residual, residual / residual_half if residual_half > 0 else math.inf
+
+
 def _reference_report(mode, dom, fld, pot, grid, tol):
     """One mode verified on its own from the public oracle pieces, with the
-    spinor evaluated through the mode's own eval."""
+    spinor evaluated through the mode's own eval and the residual reduced
+    over the whole row at once."""
     red_dom, red_fld = dom, fld
     if dom.kind is DomainKind.SPHERE:
         red = sphere_to_disc(dom, fld)
@@ -358,8 +372,7 @@ def _reference_report(mode, dom, fld, pot, grid, tol):
         return rows[0], float(moduli[0])
 
     res, modulus = residual_at(slice(None), fd)
-    pde, _ = worst_residual(res, modulus, lambda sel, step: residual_at(sel, step)[0],
-                            fd, tol)
+    pde = _full_row_worst(res, modulus, lambda sel, step: residual_at(sel, step)[0], fd, tol)
 
     phis = np.linspace(0.0, 2.0 * math.pi, grid.n_boundary_samples, endpoint=False)
     leakages = {}
@@ -424,8 +437,8 @@ def test_verify_modes_matches_per_mode_reference(case, monkeypatch):
     reports = verify_modes(modes, dom, fld, pot, grid)
     assert len(reports) == len(modes) >= 2
     for mode, report in zip(modes, reports):
-        pde, leakages = _reference_report(mode, dom, fld, pot, grid, 1e-6)
-        assert report.pde_residual == pde
+        (pde, ratio), leakages = _reference_report(mode, dom, fld, pot, grid, 1e-6)
+        assert (report.pde_residual, report.richardson_factor) == (pde, ratio)
         assert report.trace_leakage.keys() == leakages.keys()
         for label, value in leakages.items():
             assert abs(report.trace_leakage[label] - value) <= 1e-15 * abs(value)
@@ -486,6 +499,154 @@ def test_verify_modes_peak_memory_stays_below_one_parent_mode():
     # the traced peak of ONE verify_mode call before the shared basis pass
     # (every stencil shift held at full size), measured as 49.2 MB
     assert peak <= 49.2e6
+
+
+def test_verify_modes_memory_does_not_grow_with_modes_times_points():
+    # 16 candidate modes on 404,501 points (25 chunks): one residual row per
+    # mode would add 15 x points x 8 B = 48.5 MB over a single mode; the
+    # streamed worst points add one chunk's working set per mode (measured
+    # 8.3 MB, against 58 MB with whole rows)
+    dom, fld = disc_with_holes(3.0), FieldSpec()
+    pot = PotentialField(fld, dom)
+    grid = GridSpec(bulk_divisor=44)
+    fd = zero_modes._fd_scale(dom, fld) * grid.fd_step_factor
+    points = zero_modes._residual_points(dom, fld, grid, fd).size
+    assert points > 20 * zero_modes._CHUNK_POINTS
+    peaks = []
+    for count in (1, 16):
+        modes = [ZeroMode(Chirality.UP, {n: 1.0 + 0.0j}, pot) for n in range(count)]
+        tracemalloc.start()
+        try:
+            verify_modes(modes, dom, fld, pot, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 16 * points * 8 / 4
+
+
+def test_a_nan_residual_in_a_later_chunk_fails_the_mode(monkeypatch):
+    # e^{h} is NaN at one stencil point of residual point 2500 (the third
+    # chunk), so that point's residual is NaN while every modulus stays
+    # finite: only the reduction can carry the NaN to the report, and a
+    # running maximum kept with `>` would drop it and pass the mode
+    monkeypatch.setattr(zero_modes, "_CHUNK_POINTS", 1000)
+    pot = PotentialField(FLD1, DOM1)
+    grid = GridSpec(radial=16, angular=64, bulk_divisor=8)
+    mode = build_basis(DOM1, FLD1, pot).modes()[0]
+    assert verify_mode(mode, DOM1, FLD1, pot, grid).passed
+    fd = zero_modes._fd_scale(DOM1, FLD1) * grid.fd_step_factor
+    bad = zero_modes._residual_points(DOM1, FLD1, grid, fd)[2500] + fd
+    eval_h = pot.eval_h
+    monkeypatch.setattr(pot, "eval_h", lambda z: np.where(z == bad, np.nan, eval_h(z)))
+    report = verify_mode(mode, DOM1, FLD1, pot, grid)
+    assert math.isnan(report.pde_residual)
+    assert not report.passed
+
+
+def test_a_zero_spinor_divides_in_numpy_and_fails(disc_problem):
+    # its largest modulus is 0: the scaled residual is numpy's 0/0 = NaN, not a
+    # Python ZeroDivisionError
+    dom, fld, pot = disc_problem
+    with pytest.warns(RuntimeWarning):
+        report = verify_mode(ZeroMode(Chirality.UP, {0: 0j}, pot), dom, fld, pot)
+    assert math.isnan(report.pde_residual)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("case", ["opposite-signs", "unbalanced", "bent-up", "bent-down"])
+def test_bm_verify_matches_full_row_reference(case, monkeypatch):
+    # the larger of the two components' streamed worst points equals the
+    # argmax of np.maximum over both whole residual rows
+    from zeromodes import BMConfig, bm_verify, bm_zero_mode
+    from zeromodes.geometry import Annulus
+
+    monkeypatch.setattr(zero_modes, "_CHUNK_POINTS", 1000)
+    cfg = BMConfig(1.0, 2.0, 2 * math.pi, 1.0, -2.0) if case == "unbalanced" \
+        else BMConfig(1.0, 2.0, math.pi, 1.0, -1.0)
+    mode = bm_zero_mode(cfg)
+    if case.startswith("bent"):
+        up_bend, down_bend = (0.5, 0.0) if case == "bent-up" else (0.0, 0.5)
+
+        class Bent(type(mode)):
+            def eval_up(self, z):
+                return np.abs(z) ** up_bend * super().eval_up(z)
+
+            def eval_down(self, z):
+                return np.abs(z) ** down_bend * super().eval_down(z)
+
+        mode = Bent(mode.n, mode.exponent, mode.config)
+    report = bm_verify(cfg, mode)
+
+    grid = GridSpec()
+    zs = zero_modes._polar_points(0.0, Annulus(cfg.r_inner, cfg.r_outer),
+                                  grid.radial, grid.angular)
+    x = float(cfg.phi) / (2 * math.pi)
+
+    def residual_at(sel, step):
+        rows, moduli = dirac_residual(lambda z: (mode.eval_up(z), mode.eval_down(z)),
+                                      (True, False), lambda z: 1j * x * z / np.abs(z) ** 2,
+                                      zs[sel], step)
+        return np.maximum(*rows), float(np.max(moduli))
+
+    step = grid.fd_step_factor * cfg.r_inner
+    res, scale = residual_at(slice(None), step)
+    expected = _full_row_worst(res, scale, lambda sel, h: residual_at(sel, h)[0], step, 1e-6)
+    assert (report.pde_residual, report.richardson_factor) == expected
+    assert (report.pde_residual > 0.1) == case.startswith("bent")
+
+
+def _full_lattice_bulk(domain, fld, grid, fd_step):
+    """The bulk point set from the whole n x n lattice, masked at once."""
+    spacing = zero_modes._grid_reference(domain, fld) / grid.bulk_divisor
+    if domain.kind is DomainKind.DISC:
+        lo, hi = -domain.radius_out, domain.radius_out
+    else:
+        xs = [h.center.real for h in domain.holes] + [b.center.real for b in fld.bumps]
+        ys = [h.center.imag for h in domain.holes] + [b.center.imag for b in fld.bumps]
+        ext = [h.radius for h in domain.holes] + [b.support_radius for b in fld.bumps]
+        m = max(ext) + 1.0
+        lo, hi = min(min(xs), min(ys)) - m, max(max(xs), max(ys)) + m
+    n = int((hi - lo) / spacing) + 1
+    while n * n > grid.max_bulk_points:
+        spacing *= 2.0
+        n = int((hi - lo) / spacing) + 1
+    ax = lo + spacing * np.arange(n)
+    zz = (ax[None, :] + 1j * ax[:, None]).ravel()
+    keep = np.ones(zz.shape, dtype=bool)
+    if domain.kind is DomainKind.DISC:
+        keep &= np.abs(zz) < domain.radius_out - 2 * fd_step
+    for h in domain.holes:
+        keep &= np.abs(zz - h.center) > h.radius
+    for b in fld.bumps:
+        if b.profile is Profile.UNIFORM_DISC:
+            keep &= np.abs(np.abs(zz - b.center) - b.support_radius) > 3 * fd_step
+    return zz[keep]
+
+
+@pytest.mark.parametrize("chunk", [16384, 1000, 1])
+@pytest.mark.parametrize("case", ["plane", "disc", "sphere", "uniform-ring", "doubled"])
+def test_bulk_points_built_by_blocks_equal_the_full_lattice(case, chunk, monkeypatch):
+    monkeypatch.setattr(zero_modes, "_CHUNK_POINTS", chunk)
+    grid = GridSpec()
+    if case == "plane":
+        dom, fld = _basis_case("plane")[:2]
+    elif case == "sphere":  # the projected disc, with a uniform bump's ring
+        red = sphere_to_disc(*_basis_case("sphere")[:2])
+        dom, fld = red.disc_domain, red.disc_field
+    elif case == "uniform-ring":
+        dom = disc_with_holes(3.0)
+        fld = FieldSpec(bumps=[RadialBump(0.5 - 0.2j, 1.1, pi_flux(3), Profile.UNIFORM_DISC)])
+    else:
+        dom, fld = _spin_up_disc()
+        if case == "doubled":
+            grid = GridSpec(max_bulk_points=5000)
+    fd = zero_modes._fd_scale(dom, fld) * grid.fd_step_factor
+    expected = _full_lattice_bulk(dom, fld, grid, fd)
+    got = zero_modes._bulk_points(dom, fld, grid, fd)
+    assert got.size > 1000
+    assert np.array_equal(got, expected)
+    if case == "doubled":  # the spacing was doubled at least once
+        assert 4 * got.size < _full_lattice_bulk(dom, fld, GridSpec(), fd).size
 
 
 # ---------------------------------------------------------------------------
