@@ -16,7 +16,6 @@ from .aps_boundary import (
 from .berry_mondragon import BMConfig, BMMode, bm_flux_sweep, bm_verify, bm_zero_mode
 from .conformal import (
     MobiusCoeffs,
-    SphereReduction,
     conformal_factor,
     conformal_ratio,
     mobius_for_point,
@@ -68,6 +67,7 @@ from .geometry import (
     annulus_probe,
     disc_with_holes,
     plane_with_holes,
+    projected_disc,
     sphere_with_holes,
     validate_domain,
 )
@@ -103,7 +103,6 @@ __all__ = [
     "bm_zero_mode",
     # conformal
     "MobiusCoeffs",
-    "SphereReduction",
     "conformal_factor",
     "conformal_ratio",
     "mobius_for_point",
@@ -151,6 +150,7 @@ __all__ = [
     "annulus_probe",
     "disc_with_holes",
     "plane_with_holes",
+    "projected_disc",
     "sphere_with_holes",
     "validate_domain",
     # numutil

@@ -85,6 +85,14 @@ def _real(value, key: str) -> float:
     return number
 
 
+def _object(node, key: str) -> Dict[str, Any]:
+    """``node`` itself, if it is a JSON object; a list would be read by index
+    or as pairs."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {node!r}")
+    return node
+
+
 def _array(node: Dict[str, Any], key: str, default) -> list:
     """The JSON array at ``key``; a string would be split into characters."""
     value = node.get(key, default)
@@ -127,10 +135,11 @@ def _rational_range(node) -> List[PiFlux]:
 
 
 def parse_domain(node: Dict[str, Any]) -> DomainSpec:
+    node = _object(node, "domain")
     kind = node.get("kind")
     holes = [
         Hole(_point(h["center"], "hole center"), _real(h["radius"], "hole radius"))
-        for h in _array(node, "holes", [])
+        for h in (_object(entry, "hole") for entry in _array(node, "holes", []))
     ]
     if kind == "plane":
         return DomainSpec(DomainKind.PLANE, holes)
@@ -148,8 +157,9 @@ def parse_domain(node: Dict[str, Any]) -> DomainSpec:
 
 
 def parse_field(node: Dict[str, Any], n_holes: int) -> FieldSpec:
+    node = _object(node, "field")
     bumps = []
-    for b in _array(node, "bumps", []):
+    for b in (_object(entry, "bump") for entry in _array(node, "bumps", [])):
         bumps.append(RadialBump(
             center=_point(b["center"], "bump center"),
             support_radius=_real(b["support_radius"], "support_radius"),
@@ -174,7 +184,7 @@ def parse_field(node: Dict[str, Any], n_holes: int) -> FieldSpec:
 
 def load_config(path: str) -> Dict[str, Any]:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _object(json.load(fh), "config")
 
 
 def _validated_problem(config):
@@ -190,7 +200,7 @@ def _validated_problem(config):
 
 
 def _grid_from(config, args) -> GridSpec:
-    node = dict(config.get("grid", {}))
+    node = dict(_object(config.get("grid", {}), "grid"))
     if args.grid is not None:
         n = int(args.grid)
         if n < 1:
@@ -227,9 +237,7 @@ def cmd_count(config, args) -> Dict[str, Any]:
 def cmd_verify(config, args) -> Dict[str, Any]:
     domain, fld = _validated_problem(config)
     grid = _grid_from(config, args)
-    tolerances = config.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("tolerances must be an object")
+    tolerances = _object(config.get("tolerances", {}), "tolerances")
     unknown = sorted(set(tolerances) - {"residual", "leakage"})
     if unknown:
         raise ConfigError(f"unknown tolerances keys {unknown}")
@@ -273,10 +281,10 @@ def cmd_verify(config, args) -> Dict[str, Any]:
 
 
 def cmd_sweep(config, args) -> Dict[str, Any]:
-    node = config.get("sweep")
+    node = _object(config.get("sweep", {}), "sweep")
     if not node:
         raise ConfigError("config needs a 'sweep' section")
-    values = _rational_range(node["phi_pi"])
+    values = _rational_range(_object(node["phi_pi"], "sweep.phi_pi"))
     # (q, count key, index key, eta key) per column group, built once
     columns = [(q, f"count_disc_q={q}", f"index_q={q}", f"eta_outer_q={q}")
                for q in (_fraction(t) for t in _array(node, "q_values", ["0"]))]
@@ -306,7 +314,7 @@ def cmd_sweep(config, args) -> Dict[str, Any]:
 
 
 def cmd_eta(config, args) -> Dict[str, Any]:
-    node = config.get("eta", {})
+    node = _object(config.get("eta", {}), "eta")
     c_values = [_fraction(t)
                 for t in _array(node, "c_values", ["1/8", "1/4", "1/3", "1/2", "3/4"])]
     s_values = [_number(s, "eta s value") for s in _array(node, "s_values", [0.2, 0.1, 0.05])]
@@ -353,7 +361,7 @@ def cmd_index(config, args) -> Dict[str, Any]:
 
 
 def cmd_bm(config, args) -> Dict[str, Any]:
-    node = config.get("bm")
+    node = _object(config.get("bm", {}), "bm")
     if not node:
         raise ConfigError("config needs a 'bm' section")
     cfg = BMConfig(
@@ -365,7 +373,7 @@ def cmd_bm(config, args) -> Dict[str, Any]:
     )
     rows = []
     if "sweep" in node:
-        sw = node["sweep"]
+        sw = _object(node["sweep"], "bm.sweep")
         unbounded = sw.get("unbounded", False)
         if not isinstance(unbounded, bool):
             raise ConfigError(f"bm sweep unbounded must be true or false, got {unbounded!r}")

@@ -24,8 +24,8 @@ from typing import Tuple
 import numpy as np
 
 from .errors import NorthPole, PolePoint
-from .field import FieldSpec, check_sphere_flux_balance
-from .geometry import DomainKind, DomainSpec, disc_with_holes
+from .field import FieldSpec, KernelChoice, check_sphere_flux_balance
+from .geometry import DomainKind, DomainSpec, projected_disc
 
 
 def conformal_factor(z) -> np.ndarray:
@@ -115,43 +115,22 @@ def conformal_ratio(z: complex, m: MobiusCoeffs) -> float:
     return 1.0 / abs(w) ** 2
 
 
-@dataclass(frozen=True)
-class SphereReduction:
-    """Projected flat problem of a sphere problem; sphere modes are W^{-1/2} u_flat."""
+def sphere_to_disc(domain: DomainSpec, fld: FieldSpec) -> Tuple[DomainSpec, FieldSpec]:
+    """Reduce a sphere-with-holes problem to its projected disc problem, whose
+    modes times W^{-1/2} are the sphere's.
 
-    disc_domain: DomainSpec
-    disc_field: FieldSpec
-    omitted_hole: int
-
-
-def sphere_to_disc(domain: DomainSpec, fld: FieldSpec) -> SphereReduction:
-    """Reduce a sphere-with-holes problem to its projected disc problem.
-
-    Expects the stored normal form: the designated hole is the image
-    complement of an origin-centred circle (the configuration after rotating
-    that hole to the projection pole), with every other hole strictly inside.
-    The flux data must balance to zero over the whole sphere.
+    The disc is :func:`geometry.projected_disc`, and its field drops the
+    designated hole's flux.  Sphere results are stated for q = 0 with the
+    default kernel (ValueError otherwise), and the flux data must balance to
+    zero over the whole sphere (SphereFluxMismatch otherwise).
     """
-    if domain.kind is not DomainKind.SPHERE:
-        raise ValueError("sphere_to_disc expects a sphere domain")
+    if fld.q_shift != 0 or fld.kernel_choice is not KernelChoice.DEFAULT:
+        raise ValueError("sphere results are stated for q = 0 with the default kernel")
     check_sphere_flux_balance(fld)
-    om = domain.omitted_hole
-    outer = domain.holes[om]
-    if abs(outer.center) > 1e-12 * max(1.0, outer.radius):
-        raise ValueError(
-            "the designated hole must be an origin-centred circle "
-            "(rotate the sphere data to the projection normal form first)"
-        )
-    holes = [h for j, h in enumerate(domain.holes) if j != om]
-    fluxes = [p for j, p in enumerate(fld.hole_fluxes) if j != om]
-    disc = disc_with_holes(outer.radius, holes)
-    reduced = FieldSpec(
-        bumps=list(fld.bumps),
-        hole_fluxes=fluxes,
-        q_shift=fld.q_shift,
-        kernel_choice=fld.kernel_choice,
-    )
-    return SphereReduction(disc_domain=disc, disc_field=reduced, omitted_hole=om)
+    disc = projected_disc(domain)
+    fluxes = [p for j, p in enumerate(fld.hole_fluxes) if j != domain.omitted_hole]
+    return disc, FieldSpec(bumps=list(fld.bumps), hole_fluxes=fluxes,
+                           q_shift=fld.q_shift, kernel_choice=fld.kernel_choice)
 
 
 def flat_problem(domain: DomainSpec, fld: FieldSpec) -> Tuple[DomainSpec, FieldSpec]:
@@ -167,5 +146,4 @@ def flat_problem(domain: DomainSpec, fld: FieldSpec) -> Tuple[DomainSpec, FieldS
         )
     if domain.kind is not DomainKind.SPHERE:
         return domain, fld
-    red = sphere_to_disc(domain, fld)
-    return red.disc_domain, red.disc_field
+    return sphere_to_disc(domain, fld)

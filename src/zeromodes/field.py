@@ -28,7 +28,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import SphereFluxMismatch
-from .geometry import DomainKind, DomainSpec
+from .geometry import DomainKind, DomainSpec, _checked_domain
 from .numutil import HALF, floor_strict, threshold_sum
 
 TWO_PI = 2.0 * math.pi
@@ -178,28 +178,27 @@ def check_sphere_flux_balance(fld: FieldSpec) -> None:
 
 
 def validate_field(fld: FieldSpec, domain: DomainSpec) -> List[str]:
-    """Containment checks for bump supports; violations returned as messages."""
+    """Containment checks for bump supports; violations returned as messages.
+
+    A sphere is checked on its projected disc (``geometry.projected_disc``),
+    and holes are named by their index in ``domain``.
+    """
     bad: List[str] = []
     if len(fld.hole_fluxes) != domain.n_holes:
         bad.append(
             f"field carries {len(fld.hole_fluxes)} hole fluxes for {domain.n_holes} holes"
         )
-    holes = list(enumerate(domain.holes))
-    if domain.kind is DomainKind.SPHERE:
-        om = domain.omitted_hole
-        outer_c = domain.holes[om].center
-        outer_r = domain.holes[om].radius
-        holes = [(i, h) for i, h in holes if i != om]
+    try:
+        flat, index = _checked_domain(domain)
+    except ValueError as exc:
+        return bad + [str(exc)]
     for bi, b in enumerate(fld.bumps):
-        for hi, h in holes:
+        for hi, h in zip(index, flat.holes):
             if not abs(b.center - h.center) > b.support_radius + h.radius:
                 bad.append(f"bump {bi} support touches hole {hi}")
-        if domain.kind is DomainKind.DISC:
-            if not abs(b.center) + b.support_radius < domain.radius_out:
+        if flat.kind is DomainKind.DISC:
+            if not abs(b.center) + b.support_radius < flat.radius_out:
                 bad.append(f"bump {bi} support not inside the outer boundary")
-        elif domain.kind is DomainKind.SPHERE:
-            if not abs(b.center - outer_c) + b.support_radius < outer_r:
-                bad.append(f"bump {bi} support not inside the projected outer circle")
     return bad
 
 

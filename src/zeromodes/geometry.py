@@ -4,14 +4,15 @@ A domain is a list of open discs removed from the plane, from a disc of radius
 ``radius_out`` centred at the origin, or from the stereographic image of a
 sphere.  Sphere domains are stored post-projection: the designated
 ``omitted_hole`` is the hole whose image is the complement of a disc, so its
-circle plays the role of the outer boundary of the projected problem.
+circle plays the role of the outer boundary of the projected problem
+(:func:`projected_disc`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import NoClearance
 
@@ -91,37 +92,58 @@ class Annulus:
     outer: float
 
 
-def validate_domain(spec: DomainSpec) -> ValidationResult:
-    """Check hole disjointness and containment; violations are data, not errors."""
-    bad: List[str] = []
-    holes = spec.holes
-    if spec.kind is DomainKind.SPHERE:
-        om = spec.omitted_hole
-        if om is None or not 0 <= om < len(holes):
-            bad.append(f"omitted hole index {om} out of range")
-            return ValidationResult(False, bad)
-        outer = holes[om]
-        inner = [(i, h) for i, h in enumerate(holes) if i != om]
-        # projected picture: every other hole strictly inside the omitted circle
-        for i, h in inner:
-            if not abs(h.center - outer.center) + h.radius < outer.radius:
-                bad.append(f"hole {i} not contained in the projected outer circle (hole {om})")
-        for a in range(len(inner)):
-            for b in range(a + 1, len(inner)):
-                ia, ha = inner[a]
-                ib, hb = inner[b]
-                if not ha.distance_to(hb) > 0:
-                    bad.append(f"holes {ia},{ib} overlap")
-        return ValidationResult(not bad, bad)
+def projected_disc(spec: DomainSpec) -> DomainSpec:
+    """The disc a sphere domain stands for: the designated hole's circle less
+    every other hole.
 
+    This states the sphere's normal form once: ``omitted_hole`` indexes a
+    hole, and that hole is the image complement of an origin-centred circle
+    (the configuration after rotating it to the projection pole).  Raises
+    ValueError otherwise.
+    """
+    if spec.kind is not DomainKind.SPHERE:
+        raise ValueError("projected_disc expects a sphere domain")
+    om = spec.omitted_hole
+    if not 0 <= om < spec.n_holes:
+        raise ValueError(f"omitted hole index {om} out of range")
+    outer = spec.holes[om]
+    if abs(outer.center) > 1e-12 * max(1.0, outer.radius):
+        raise ValueError(
+            "the designated hole must be an origin-centred circle "
+            "(rotate the sphere data to the projection normal form first)"
+        )
+    return disc_with_holes(outer.radius, [h for j, h in enumerate(spec.holes) if j != om])
+
+
+def _checked_domain(spec: DomainSpec) -> Tuple[DomainSpec, List[int]]:
+    """The flat domain the checks of ``spec`` run on (a sphere's
+    :func:`projected_disc`, else ``spec``) and the index in ``spec`` of each
+    of its holes.  Raises ValueError as :func:`projected_disc` does."""
+    if spec.kind is not DomainKind.SPHERE:
+        return spec, list(range(spec.n_holes))
+    return projected_disc(spec), [j for j in range(spec.n_holes) if j != spec.omitted_hole]
+
+
+def validate_domain(spec: DomainSpec) -> ValidationResult:
+    """Check hole disjointness and containment; violations are data, not errors.
+
+    A sphere is checked as its :func:`projected_disc`, and each violation
+    names holes by their index in ``spec``.
+    """
+    try:
+        flat, index = _checked_domain(spec)
+    except ValueError as exc:
+        return ValidationResult(False, [str(exc)])
+    bad: List[str] = []
+    holes = flat.holes
     for i in range(len(holes)):
         for j in range(i + 1, len(holes)):
             if not holes[i].distance_to(holes[j]) > 0:
-                bad.append(f"holes {i},{j} overlap")
-    if spec.kind is DomainKind.DISC:
+                bad.append(f"holes {index[i]},{index[j]} overlap")
+    if flat.kind is DomainKind.DISC:
         for i, h in enumerate(holes):
-            if not abs(h.center) + h.radius < spec.radius_out:
-                bad.append(f"hole {i} not contained")
+            if not abs(h.center) + h.radius < flat.radius_out:
+                bad.append(f"hole {index[i]} not contained")
     return ValidationResult(not bad, bad)
 
 

@@ -62,15 +62,8 @@ class ZeroModeCount:
     chirality: Chirality
 
 
-def _require_sphere_canonical(fld: FieldSpec) -> None:
-    if fld.q_shift != 0 or fld.kernel_choice is not KernelChoice.DEFAULT:
-        raise ValueError("sphere results are stated for q = 0 with the default kernel")
-
-
 def count_zero_modes(domain: DomainSpec, fld: FieldSpec) -> ZeroModeCount:
     """Number of zero modes and their common chirality."""
-    if domain.kind is DomainKind.SPHERE:
-        _require_sphere_canonical(fld)
     x = flux_over_2pi(conformal.flat_problem(domain, fld)[1].total_flux)
     if domain.kind is DomainKind.PLANE:
         n = max(0, floor_strict(abs(x)))
@@ -349,28 +342,6 @@ def _residual_chunks(components_at, ups: Sequence[bool], a, zs: np.ndarray, step
         del ux, uy  # before the next chunk's stencil passes, not after them
 
 
-def dirac_residual(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: float,
-                   weight=None) -> Tuple[np.ndarray, np.ndarray]:
-    """|D_a u| of each spinor component at each point, by fourth-order central differences.
-
-    ``components_at(z)`` gives the values of every component at z, and
-    ``ups[i]`` says whether component i obeys the spin-up or the spin-down
-    equation; ``a`` evaluates the vector potential.  ``weight(z)``, when
-    given, returns the factors the residual and the modulus take at z (the
-    sphere's W^{-3/2} and W^{-1/2}).
-
-    Returns the residual rows, shape (len(ups), zs.size), and each
-    component's largest modulus.  :func:`worst_points` walks the points the
-    same way but keeps only each component's worst point.
-    """
-    rows = np.empty((len(ups), zs.size))
-    moduli = np.zeros(len(ups))
-    for i, lo, r, modulus in _residual_chunks(components_at, ups, a, zs, step, weight):
-        rows[i, lo:lo + r.size] = r
-        moduli[i] = np.maximum(moduli[i], modulus)
-    return rows, moduli
-
-
 # a residual and the index of its point
 Worst = Tuple[np.float64, int]
 
@@ -384,11 +355,16 @@ def _worse(p: Worst, q: Worst) -> Worst:
 
 def worst_points(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: float,
                  weight=None) -> Tuple[List[Worst], np.ndarray]:
-    """Each component's largest residual with the first index where it occurs,
-    and its largest modulus, in memory that does not grow with ``zs``.
+    """|D_a u| of each spinor component by fourth-order central differences,
+    reduced to its largest value with the first index where it occurs, and
+    each component's largest modulus, in memory that does not grow with ``zs``.
 
-    The arguments are those of :func:`dirac_residual`.  A NaN residual is
-    the worst, as ``np.argmax`` over the whole row would make it.
+    ``components_at(z)`` gives the values of every component at z, and
+    ``ups[i]`` says whether component i obeys the spin-up or the spin-down
+    equation; ``a`` evaluates the vector potential.  ``weight(z)``, when
+    given, returns the factors the residual and the modulus take at z (the
+    sphere's W^{-3/2} and W^{-1/2}).  A NaN residual is the worst, as
+    ``np.argmax`` over the whole row would make it.
     """
     if not zs.size:
         raise ValueError("no point to check the Dirac residual at: "

@@ -250,6 +250,37 @@ def _with(path, value, config=DISC_3PI):
                    "the designated hole must be an origin-centred circle",
                    id=f"off-centre-sphere-{command}")
       for command in ("count", "index", "verify")],
+    # a sphere reduces to its disc only for q = 0 with the default kernel
+    *[pytest.param(command, _with(["field", key], value, SPHERE_3PI),
+                   "sphere results are stated for q = 0 with the default kernel",
+                   id=f"sphere-{name}-{command}")
+      for name, key, value in (("q", "q", "1/4"), ("alternate", "kernel", "alternate"))
+      for command in ("count", "index", "verify")],
+    # a list was read by index (a traceback, exit 1) or, for the grid, as pairs
+    pytest.param("count", _with(["domain"], []), "domain must be a JSON object, got []",
+                 id="domain-list"),
+    pytest.param("count", _with(["field"], []), "field must be a JSON object, got []",
+                 id="field-list"),
+    pytest.param("count", _with(["domain", "holes", 0], [[1.2, 0.4], 0.35]),
+                 "hole must be a JSON object, got [[1.2, 0.4], 0.35]", id="hole-list"),
+    pytest.param("count", _with(["field", "bumps", 0], []),
+                 "bump must be a JSON object, got []", id="bump-list"),
+    pytest.param("eta", {"eta": []}, "eta must be a JSON object, got []", id="eta-list"),
+    pytest.param("sweep", [], "config must be a JSON object, got []", id="root-list"),
+    pytest.param("sweep", {"sweep": []}, "sweep must be a JSON object, got []",
+                 id="sweep-list"),
+    pytest.param("sweep", {"sweep": {"phi_pi": ["0", "1", "1/2"]}},
+                 "sweep.phi_pi must be a JSON object, got ['0', '1', '1/2']",
+                 id="sweep-phi-pi-list"),
+    pytest.param("bm", {"bm": []}, "bm must be a JSON object, got []", id="bm-list"),
+    pytest.param("bm", {"bm": dict(BM, sweep=[])}, "bm.sweep must be a JSON object, got []",
+                 id="bm-sweep-list"),
+    pytest.param("verify", _with(["grid"], [["radial", 8]]),
+                 "grid must be a JSON object, got [['radial', 8]]", id="grid-pairs"),
+    pytest.param("verify", _with(["grid"], []), "grid must be a JSON object, got []",
+                 id="grid-empty-list"),
+    pytest.param("verify", _with(["tolerances"], []),
+                 "tolerances must be a JSON object, got []", id="tolerances-list"),
     # bool("false") is True: the string ran the unbounded sweep
     pytest.param("bm", {"bm": dict(BM, sweep={"start": "0", "stop": "1", "step": "1/2",
                                               "unbounded": "false"})},

@@ -9,15 +9,18 @@ from zeromodes import (
     Chirality,
     FieldSpec,
     Hole,
+    KernelChoice,
     NorthPole,
     PolePoint,
     RadialBump,
     PotentialField,
     SphereFluxMismatch,
+    boundary_spectra,
     build_basis,
     conformal_factor,
     conformal_ratio,
     count_zero_modes,
+    index_formula,
     mobius_for_point,
     patch_spinor,
     pi_flux,
@@ -142,10 +145,10 @@ def test_sphere_to_disc_reduction_shape():
         bumps=[RadialBump(0.3 - 0.9j, 0.5, pi_flux(2))],
         hole_fluxes=[pi_flux("1/2"), pi_flux("1/2"), pi_flux(-3)],
     )
-    red = sphere_to_disc(dom, fld)
-    assert red.disc_domain.radius_out == 4.0
-    assert len(red.disc_domain.holes) == 2
-    assert [float(p) for p in red.disc_field.hole_fluxes] == \
+    disc, disc_field = sphere_to_disc(dom, fld)
+    assert disc.radius_out == 4.0
+    assert len(disc.holes) == 2
+    assert [float(p) for p in disc_field.hole_fluxes] == \
         pytest.approx([math.pi / 2, math.pi / 2])
 
     bad = FieldSpec(bumps=fld.bumps,
@@ -158,9 +161,9 @@ def test_concentric_caps_reduce_to_annulus():
     # two antipodal polar caps: the projected domain is a concentric annulus
     dom = sphere_with_holes([Hole(0.0, 0.5), Hole(0.0, 4.0)], omitted_hole=1)
     fld = FieldSpec(hole_fluxes=[pi_flux(1), pi_flux(-1)])
-    red = sphere_to_disc(dom, fld)
-    assert red.disc_domain.holes[0].center == 0.0
-    assert red.disc_domain.radius_out == 4.0
+    disc, _ = sphere_to_disc(dom, fld)
+    assert disc.holes[0].center == 0.0
+    assert disc.radius_out == 4.0
 
 
 def test_sphere_count_sweep_quarter_pi_grid():
@@ -179,8 +182,7 @@ def test_sphere_count_sweep_quarter_pi_grid():
         bulk = semi - hole0
         fld = FieldSpec(bumps=[RadialBump(-1.2, 0.5, pi_flux(bulk))],
                         hole_fluxes=[pi_flux(hole0), pi_flux(-bulk - hole0)])
-        red = sphere_to_disc(dom, fld)
-        got = count_zero_modes(red.disc_domain, red.disc_field).count
+        got = count_zero_modes(*sphere_to_disc(dom, fld)).count
         assert got == abs(strict_floor(Fraction(k, 8) + Fraction(1, 2))), k
         assert count_zero_modes(dom, fld).count == got
 
@@ -195,8 +197,8 @@ def test_sphere_count_matches_reduced_disc_and_mode_verifies():
     )
     counted = count_zero_modes(dom, fld)
     assert (counted.count, counted.chirality) == (1, Chirality.UP)
-    red = sphere_to_disc(dom, fld)
-    flat = count_zero_modes(red.disc_domain, red.disc_field)
+    disc, disc_field = sphere_to_disc(dom, fld)
+    flat = count_zero_modes(disc, disc_field)
     assert (flat.count, flat.chirality) == (counted.count, counted.chirality)
 
     pot = PotentialField(fld, dom)
@@ -207,8 +209,25 @@ def test_sphere_count_matches_reduced_disc_and_mode_verifies():
 
     # the dressing really is W^{-1/2} against the flat evaluation
     z = np.array([2.0 + 0.3j, -1.9j])
-    flat_mode = build_basis(red.disc_domain, red.disc_field,
-                            PotentialField(red.disc_field, red.disc_domain)).modes()[0]
+    flat_mode = build_basis(disc, disc_field, PotentialField(disc_field, disc)).modes()[0]
     np.testing.assert_allclose(
         mode.eval(z), flat_mode.eval(z) / np.sqrt(conformal_factor(z)), rtol=1e-12
     )
+
+
+@pytest.mark.parametrize("q,kernel", [
+    pytest.param("1/4", KernelChoice.DEFAULT, id="q-quarter"),
+    pytest.param("0", KernelChoice.ALTERNATE, id="alternate-kernel"),
+])
+def test_sphere_rule_holds_for_every_reader_of_the_reduction(q, kernel):
+    from fractions import Fraction
+
+    dom = sphere_with_holes([Hole(1.0, 0.4), Hole(0.0, 4.0)], omitted_hole=1)
+    fld = FieldSpec(bumps=[RadialBump(-1.0, 0.5, pi_flux(3))],
+                    hole_fluxes=[pi_flux("1/2"), pi_flux("-7/2")],
+                    q_shift=Fraction(q), kernel_choice=kernel)
+    message = "sphere results are stated for q = 0 with the default kernel"
+    for reader in (PotentialField, boundary_spectra, index_formula, count_zero_modes):
+        args = (fld, dom) if reader is PotentialField else (dom, fld)
+        with pytest.raises(ValueError, match=message):
+            reader(*args)

@@ -35,7 +35,6 @@ from zeromodes import (
     verify_modes,
 )
 from zeromodes import zero_modes
-from zeromodes.zero_modes import dirac_residual
 
 PLANE = plane_with_holes([])
 DISC = disc_with_holes(5.0)
@@ -237,6 +236,18 @@ def _zbar(z):
     return np.conj(z)
 
 
+def _residual_rows(components_at, ups, a, zs, step, weight=None):
+    """Every component's residual at every point, shape (len(ups), zs.size),
+    and its largest modulus, collected from the oracle's one chunk walk."""
+    rows = np.empty((len(ups), zs.size))
+    moduli = np.zeros(len(ups))
+    for i, lo, r, modulus in zero_modes._residual_chunks(components_at, ups, a, zs, step,
+                                                         weight):
+        rows[i, lo:lo + r.size] = r
+        moduli[i] = np.maximum(moduli[i], modulus)
+    return rows, moduli
+
+
 def _zbar3(z):
     return np.conj(z) ** 3
 
@@ -257,7 +268,7 @@ def test_dirac_residual_at_zero_potential(up, down, expected):
     # with a = 0 the equations are dbar u+ = 0 and d u- = 0; the fourth-order
     # stencil is exact on these polynomials, so only rounding is left
     spinor = [(fn, is_up) for fn, is_up in ((up, True), (down, False)) if fn is not None]
-    rows, _ = dirac_residual(lambda z: [fn(z) for fn, _ in spinor],
+    rows, _ = _residual_rows(lambda z: [fn(z) for fn, _ in spinor],
                              [is_up for _, is_up in spinor], lambda z: 0.0, ZS, 1e-2)
     res = np.max(rows, axis=0)
     assert res.shape == ZS.shape
@@ -352,10 +363,7 @@ def _reference_report(mode, dom, fld, pot, grid, tol):
     """One mode verified on its own from the public oracle pieces, with the
     spinor evaluated through the mode's own eval and the residual reduced
     over the whole row at once."""
-    red_dom, red_fld = dom, fld
-    if dom.kind is DomainKind.SPHERE:
-        red = sphere_to_disc(dom, fld)
-        red_dom, red_fld = red.disc_domain, red.disc_field
+    red_dom, red_fld = sphere_to_disc(dom, fld) if dom.kind is DomainKind.SPHERE else (dom, fld)
     flat = ZeroMode(mode.chirality, mode.coefficients, PotentialField(red_fld, red_dom)).eval
     ups = (mode.chirality is Chirality.UP,)
     fd = grid.fd_step if grid.fd_step is not None \
@@ -367,7 +375,7 @@ def _reference_report(mode, dom, fld, pot, grid, tol):
         return w ** (-1.5), w ** (-0.5)
 
     def residual_at(sel, step):
-        rows, moduli = dirac_residual(lambda z: (flat(z),), ups, pot.eval_a, zs[sel], step,
+        rows, moduli = _residual_rows(lambda z: (flat(z),), ups, pot.eval_a, zs[sel], step,
                                       weight if mode.w_dressed else None)
         return rows[0], float(moduli[0])
 
@@ -583,7 +591,7 @@ def test_bm_verify_matches_full_row_reference(case, monkeypatch):
     x = float(cfg.phi) / (2 * math.pi)
 
     def residual_at(sel, step):
-        rows, moduli = dirac_residual(lambda z: (mode.eval_up(z), mode.eval_down(z)),
+        rows, moduli = _residual_rows(lambda z: (mode.eval_up(z), mode.eval_down(z)),
                                       (True, False), lambda z: 1j * x * z / np.abs(z) ** 2,
                                       zs[sel], step)
         return np.maximum(*rows), float(np.max(moduli))
@@ -631,8 +639,7 @@ def test_bulk_points_built_by_blocks_equal_the_full_lattice(case, chunk, monkeyp
     if case == "plane":
         dom, fld = _basis_case("plane")[:2]
     elif case == "sphere":  # the projected disc, with a uniform bump's ring
-        red = sphere_to_disc(*_basis_case("sphere")[:2])
-        dom, fld = red.disc_domain, red.disc_field
+        dom, fld = sphere_to_disc(*_basis_case("sphere")[:2])
     elif case == "uniform-ring":
         dom = disc_with_holes(3.0)
         fld = FieldSpec(bumps=[RadialBump(0.5 - 0.2j, 1.1, pi_flux(3), Profile.UNIFORM_DISC)])
@@ -735,6 +742,14 @@ def test_public_names_are_explicit_and_hold_no_submodule():
         assert gone not in zeromodes.__all__ and not hasattr(zeromodes, gone)
         assert not hasattr(zero_modes, gone)
     assert not hasattr(ZeroMode, "eval_g")
+    # a sphere's rules live in projected_disc and sphere_to_disc, and the
+    # residual oracle is reduced to worst points in one walk
+    from zeromodes import conformal
+
+    assert "SphereReduction" not in zeromodes.__all__
+    assert not hasattr(zeromodes, "SphereReduction") and not hasattr(conformal, "SphereReduction")
+    for gone in ("dirac_residual", "_require_sphere_canonical"):
+        assert not hasattr(zeromodes, gone) and not hasattr(zero_modes, gone)
     # the threshold policy is three primitives and nothing built on them
     from zeromodes import numutil
 
