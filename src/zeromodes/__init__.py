@@ -5,14 +5,7 @@ a disc, and a sphere with circular holes, together with the eta invariants
 and the index of the boundary-corrected problem.
 """
 
-from .aps_boundary import (
-    BoundarySpectrum,
-    Spin,
-    TraceFourier,
-    check_norm,
-    leakage,
-    trace_from_samples,
-)
+from .aps_boundary import BoundarySpectrum, Chirality, leakage, trace_from_samples
 from .berry_mondragon import BMConfig, BMMode, bm_flux_sweep, bm_verify, bm_zero_mode
 from .conformal import (
     MobiusCoeffs,
@@ -74,7 +67,6 @@ from .geometry import (
 from .numutil import floor_strict
 from .potential import PotentialField
 from .zero_modes import (
-    Chirality,
     GridSpec,
     VerificationReport,
     ZeroMode,
@@ -90,9 +82,7 @@ from .zero_modes import (
 __all__ = [
     # aps_boundary
     "BoundarySpectrum",
-    "Spin",
-    "TraceFourier",
-    "check_norm",
+    "Chirality",
     "leakage",
     "trace_from_samples",
     # berry_mondragon
@@ -158,7 +148,6 @@ __all__ = [
     # potential
     "PotentialField",
     # zero_modes
-    "Chirality",
     "GridSpec",
     "VerificationReport",
     "ZeroMode",

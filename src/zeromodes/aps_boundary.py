@@ -1,7 +1,7 @@
 """Boundary operator spectra on circles and the spectral boundary condition.
 
 On the circle of hole j (radius R, flux phi through it, shift q) the boundary
-operator acts diagonally on the two spin components in the basis psi_l,
+operator acts diagonally on the two spinor components in the basis psi_l,
 l integer, with eigenvalues
 
     up:   ( phi/2pi - 1/2 - l + q ) / R
@@ -12,7 +12,7 @@ and on the outer circle with the overall sign flipped
     up:   ( l + 1/2 - phi/2pi - q ) / R
     down: ( phi/2pi + 1/2 - l + q ) / R.
 
-The admissible subspace takes, per spin, the eigenvectors with negative
+The admissible subspace takes, per chirality, the eigenvectors with negative
 eigenvalue plus one chosen half of the kernel: the spin-down kernel vector by
 default, the spin-up one for the alternate choice.  Spelled out as index sets
 (default kernel), with x = phi/2pi + q:
@@ -21,8 +21,9 @@ default, the spin-up one for the alternate choice.  Spelled out as index sets
     outer: up allowed iff l < x - 1/2,   down allowed iff l >= x + 1/2.
 
 Kernel vectors exist only when x -+ 1/2 is an integer, as decided by
-:func:`numutil.integer_at`, and each spin's cut is :func:`numutil.floor_strict`
-of its threshold.  Each spectrum decides its two thresholds once.
+:func:`numutil.integer_at`, and each chirality's cut is
+:func:`numutil.floor_strict` of its threshold.  Each spectrum decides its two
+thresholds once.
 
 Trace membership is measured in the weighted norm
 
@@ -30,11 +31,12 @@ Trace membership is measured in the weighted norm
                       + sum_{lambda>=0} |c|^2 (1+lambda^2)^{-1/2},
 
 and the leakage of a trace is that weight restricted to the forbidden index
-set.  Traces are extracted from boundary samples by dividing out the explicit
-winding phase of psi_l and taking a discrete Fourier transform; a trace is
-the two DFT arrays themselves, indexed by l in DFT order, with no separate
-tail.  Admissibility and weights are decided on integer index arrays, so the
-norm and the leakage are one masked sum each.
+set.  Every zero mode has a definite chirality, so its trace is one spinor
+component: the samples of that component with the explicit winding phase of
+psi_l divided out, transformed by one discrete Fourier transform.  The trace
+is that DFT array itself, indexed by l in DFT order, with no separate tail,
+and the leakage is one masked, weighted sum over the chirality's forbidden
+indices.
 """
 
 from __future__ import annotations
@@ -51,9 +53,12 @@ from .geometry import OUTER
 from .numutil import HALF, floor_strict, integer_at, threshold_sum
 
 
-class Spin(Enum):
+class Chirality(Enum):
+    """The nonzero spinor component of a zero mode; NONE when there is no mode."""
+
     UP = "up"
     DOWN = "down"
+    NONE = "none"
 
 
 @dataclass(frozen=True)
@@ -67,19 +72,19 @@ class BoundarySpectrum:
     kernel_choice: KernelChoice = KernelChoice.DEFAULT
 
     def __post_init__(self):
-        # Each spin admits {l <= cut} or {l > cut}, split at its threshold
-        # t = x -+ 1/2.  When t sits on an integer, the kernel vector l = t
-        # is on the admissible side if this spin takes the kernel half and
-        # on the forbidden side otherwise.
+        # Each chirality admits {l <= cut} or {l > cut}, split at its
+        # threshold t = x -+ 1/2.  When t sits on an integer, the kernel
+        # vector l = t is on the admissible side if this chirality takes the
+        # kernel half and on the forbidden side otherwise.
         x = threshold_sum(flux_over_2pi(self.flux_through), self.q)
         alternate = self.kernel_choice is KernelChoice.ALTERNATE
         cuts = {}
-        for spin, t in ((Spin.UP, threshold_sum(x, -HALF)),
-                        (Spin.DOWN, threshold_sum(x, HALF))):
-            below = (spin is Spin.UP) == self.is_outer  # admissible set lies below t
-            kernel_admissible = (spin is Spin.DOWN) != alternate
+        for chirality, t in ((Chirality.UP, threshold_sum(x, -HALF)),
+                             (Chirality.DOWN, threshold_sum(x, HALF))):
+            below = (chirality is Chirality.UP) == self.is_outer  # admissible set lies below t
+            kernel_admissible = (chirality is Chirality.DOWN) != alternate
             kernel_below = integer_at(t) is not None and kernel_admissible == below
-            cuts[spin] = (floor_strict(t) + (1 if kernel_below else 0), below)
+            cuts[chirality] = (floor_strict(t) + (1 if kernel_below else 0), below)
         object.__setattr__(self, "_x", float(x))
         object.__setattr__(self, "_cuts", cuts)
 
@@ -87,23 +92,27 @@ class BoundarySpectrum:
     def is_outer(self) -> bool:
         return self.boundary == OUTER
 
-    def eigenvalue(self, spin: Spin, ell):
-        """Eigenvalue of the (spin, ell) basis vector; elementwise on an int array."""
+    def eigenvalue(self, chirality: Chirality, ell):
+        """Eigenvalue of the (chirality, ell) basis vector; elementwise on an int array.
+
+        ``chirality`` is UP or DOWN.
+        """
         x = self._x
         if self.is_outer:
-            if spin is Spin.UP:
+            if chirality is Chirality.UP:
                 return (ell + 0.5 - x) / self.radius
             return (x + 0.5 - ell) / self.radius
-        if spin is Spin.UP:
+        if chirality is Chirality.UP:
             return (x - 0.5 - ell) / self.radius
         return (ell - 0.5 - x) / self.radius
 
-    def allowed(self, spin: Spin, ell):
-        """Membership of the (spin, ell) basis vector in the admissible subspace.
+    def allowed(self, chirality: Chirality, ell):
+        """Membership of the (chirality, ell) basis vector in the admissible subspace.
 
-        Elementwise on an int array, giving a boolean mask.
+        ``chirality`` is UP or DOWN.  Elementwise on an int array, giving a
+        boolean mask.
         """
-        cut, below = self._cuts[spin]
+        cut, below = self._cuts[chirality]
         return ell <= cut if below else ell > cut
 
 
@@ -111,20 +120,6 @@ def hcheck_weight(eigenvalue):
     """Weight of a coefficient in the trace norm; elementwise on an array."""
     w = np.sqrt(1.0 + eigenvalue * eigenvalue)
     return np.where(eigenvalue < 0, w, 1.0 / w)
-
-
-@dataclass
-class TraceFourier:
-    """Boundary-trace coefficients in the psi_l basis, per spin component.
-
-    Both arrays are in DFT order: ``up[l]`` is the coefficient of psi_l for
-    every resolved l, negative l indexing from the end, up to the Nyquist
-    index.  Every sampled coefficient is kept, so leakage carries the whole
-    resolved trace and no truncation estimate.
-    """
-
-    up: np.ndarray
-    down: np.ndarray
 
 
 def _dft_indices(m: int) -> np.ndarray:
@@ -135,50 +130,33 @@ def _dft_indices(m: int) -> np.ndarray:
 def trace_from_samples(
     spec: BoundarySpectrum,
     phis: np.ndarray,
-    up_samples: np.ndarray,
-    down_samples: np.ndarray,
+    samples: np.ndarray,
     phase_exponent: np.ndarray,
-) -> TraceFourier:
-    """Fourier trace of boundary samples after dividing out the psi_l phase.
+) -> np.ndarray:
+    """Fourier trace of one spinor component's boundary samples.
 
     ``phis`` must be a uniform grid of 2^k angles starting at 0;
     ``phase_exponent`` is int_gamma a.ds from angle 0 to each phi.  psi_l
     equals exp(i l phi) times exp(i(phase_exponent - (phi/2pi)_enclosed phi)),
     so after dividing by that unimodular factor a plain DFT yields the
-    coefficients.
+    coefficients: entry l of the returned array, in DFT order (negative l
+    from the end, up to the Nyquist index), is the coefficient of psi_l.
     """
     m = len(phis)
     if m < 2 or m & (m - 1):
         raise ValueError("trace sampling needs a power-of-two number of angles")
     c_enc = float(flux_over_2pi(spec.flux_through))
     phase = np.exp(1j * (phase_exponent - c_enc * phis))
-    return TraceFourier(
-        up=np.fft.fft(np.asarray(up_samples, dtype=complex) / phase) / m,
-        down=np.fft.fft(np.asarray(down_samples, dtype=complex) / phase) / m,
-    )
+    return np.fft.fft(np.asarray(samples, dtype=complex) / phase) / m
 
 
-def _weighted_sum(coeffs: TraceFourier, spec: BoundarySpectrum, forbidden_only: bool) -> float:
-    """Sum of |c_l|^2 times the norm weight, over all or over forbidden indices."""
-    total = 0.0
-    for spin, c in ((Spin.UP, coeffs.up), (Spin.DOWN, coeffs.down)):
-        ells = _dft_indices(len(c))
-        terms = np.abs(c) ** 2 * hcheck_weight(spec.eigenvalue(spin, ells))
-        if forbidden_only:
-            terms = terms[~spec.allowed(spin, ells)]
-        total += float(np.sum(terms))
-    return total
-
-
-def check_norm(coeffs: TraceFourier, spec: BoundarySpectrum) -> float:
-    """Weighted squared trace norm over every stored coefficient."""
-    return _weighted_sum(coeffs, spec, forbidden_only=False)
-
-
-def leakage(coeffs: TraceFourier, spec: BoundarySpectrum) -> float:
-    """Weighted norm of the trace projected onto the forbidden index sets.
+def leakage(coeffs: np.ndarray, spec: BoundarySpectrum, chirality: Chirality) -> float:
+    """Weighted norm of one chirality's trace projected onto its forbidden indices.
 
     Sums every resolved index up to the Nyquist index, so the value is zero
     (up to rounding) exactly when the trace lies in the admissible subspace.
     """
-    return _weighted_sum(coeffs, spec, forbidden_only=True)
+    ells = _dft_indices(len(coeffs))
+    forbidden = ~spec.allowed(chirality, ells)
+    weights = hcheck_weight(spec.eigenvalue(chirality, ells[forbidden]))
+    return float(np.sum(np.abs(coeffs[forbidden]) ** 2 * weights))

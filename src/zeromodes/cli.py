@@ -16,7 +16,7 @@ Example config::
                  "hole_fluxes_pi": ["1/2"], "q": "0", "kernel": "default"},
       "sweep":  {"phi_pi": {"start": "-6", "stop": "6", "step": "1/8"},
                  "q_values": ["0"]},
-      "eta":    {"c_values": ["1/8", "1/4"], "s_values": [0.2, 0.1, 0.05]},
+      "eta":    {"c_values": ["1/8", "1/4"], "s_values": [0.2, 0.1, 0.05, 0.025]},
       "bm":     {"r_inner": 1.0, "r_outer": 2.0, "s_inner": 1.0,
                  "s_outer": -1.0, "phi_pi": "1"}
     }
@@ -40,8 +40,8 @@ from typing import Any, Dict, List, Optional
 from .berry_mondragon import BMConfig, bm_flux_sweep, bm_verify, bm_zero_mode
 from .conformal import flat_problem
 from .errors import ZeroModesError
-from .eta_index import (check_s_values, eta_closed, eta_series, index_formula, index_vs_count,
-                        richardson_to_zero)
+from .eta_index import (DEFAULT_N_TERMS, DEFAULT_S_VALUES, check_s_values, eta_closed,
+                        eta_series, index_formula, index_vs_count, richardson_to_zero)
 from .field import FieldSpec, KernelChoice, PiFlux, Profile, RadialBump, validate_field
 from .geometry import DomainKind, DomainSpec, Hole, validate_domain
 from .potential import PotentialField
@@ -93,6 +93,13 @@ def _object(node, key: str) -> Dict[str, Any]:
     return node
 
 
+def _required(node: Dict[str, Any], key: str, section: str):
+    """``node[key]``; a missing key names the section that needs it."""
+    if key not in node:
+        raise ConfigError(f"{section} needs {key!r}")
+    return node[key]
+
+
 def _array(node: Dict[str, Any], key: str, default) -> list:
     """The JSON array at ``key``; a string would be split into characters."""
     value = node.get(key, default)
@@ -123,9 +130,11 @@ def _choice(enum, text, key: str):
         raise ConfigError(f"unknown {key} {text!r}; expected one of {names}") from None
 
 
-def _rational_range(node) -> List[PiFlux]:
+def _rational_range(node, section: str) -> List[PiFlux]:
     """Flux values start, start + step, ... up to stop, all multiples of pi."""
-    start, stop, step = (_fraction(node[k]) for k in ("start", "stop", "step"))
+    node = _object(node, section)
+    start, stop, step = (_fraction(_required(node, k, section))
+                         for k in ("start", "stop", "step"))
     if step <= 0:
         raise ConfigError("range step must be positive")
     n = max(0, math.floor((stop - start) / step) + 1)
@@ -138,7 +147,8 @@ def parse_domain(node: Dict[str, Any]) -> DomainSpec:
     node = _object(node, "domain")
     kind = node.get("kind")
     holes = [
-        Hole(_point(h["center"], "hole center"), _real(h["radius"], "hole radius"))
+        Hole(_point(_required(h, "center", "hole"), "hole center"),
+             _real(_required(h, "radius", "hole"), "hole radius"))
         for h in (_object(entry, "hole") for entry in _array(node, "holes", []))
     ]
     if kind == "plane":
@@ -156,13 +166,19 @@ def parse_domain(node: Dict[str, Any]) -> DomainSpec:
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
-def parse_field(node: Dict[str, Any], n_holes: int) -> FieldSpec:
+def parse_field(node: Dict[str, Any], n_holes: Optional[int] = None) -> FieldSpec:
+    """The field section as a FieldSpec.
+
+    ``n_holes`` is not read: one flux per hole is checked where the field
+    meets its domain (``validate_field``, and ``flat_problem`` for library
+    callers).  It stays a parameter so callers that pass it keep working.
+    """
     node = _object(node, "field")
     bumps = []
     for b in (_object(entry, "bump") for entry in _array(node, "bumps", [])):
         bumps.append(RadialBump(
-            center=_point(b["center"], "bump center"),
-            support_radius=_real(b["support_radius"], "support_radius"),
+            center=_point(_required(b, "center", "bump"), "bump center"),
+            support_radius=_real(_required(b, "support_radius", "bump"), "support_radius"),
             flux=_flux(b, "flux_pi", "flux"),
             profile=_choice(Profile, b.get("profile", "smooth"), "profile"),
         ))
@@ -170,10 +186,6 @@ def parse_field(node: Dict[str, Any], n_holes: int) -> FieldSpec:
         hole_fluxes = [PiFlux(_fraction(t)) for t in _array(node, "hole_fluxes_pi", [])]
     else:
         hole_fluxes = [_real(t, "hole flux") for t in _array(node, "hole_fluxes", [])]
-    if len(hole_fluxes) != n_holes:
-        raise ConfigError(
-            f"{len(hole_fluxes)} hole fluxes given for {n_holes} holes"
-        )
     return FieldSpec(
         bumps=bumps,
         hole_fluxes=hole_fluxes,
@@ -191,7 +203,7 @@ def _validated_problem(config):
     if "domain" not in config or "field" not in config:
         raise ConfigError("config needs 'domain' and 'field' sections")
     domain = parse_domain(config["domain"])
-    fld = parse_field(config["field"], domain.n_holes)
+    fld = parse_field(config["field"])
     # field checks index the domain's holes, so they run on a valid domain only
     violations = validate_domain(domain).violations or validate_field(fld, domain)
     if violations:
@@ -284,7 +296,7 @@ def cmd_sweep(config, args) -> Dict[str, Any]:
     node = _object(config.get("sweep", {}), "sweep")
     if not node:
         raise ConfigError("config needs a 'sweep' section")
-    values = _rational_range(_object(node["phi_pi"], "sweep.phi_pi"))
+    values = _rational_range(_required(node, "phi_pi", "sweep"), "sweep.phi_pi")
     # (q, count key, index key, eta key) per column group, built once
     columns = [(q, f"count_disc_q={q}", f"index_q={q}", f"eta_outer_q={q}")
                for q in (_fraction(t) for t in _array(node, "q_values", ["0"]))]
@@ -317,8 +329,9 @@ def cmd_eta(config, args) -> Dict[str, Any]:
     node = _object(config.get("eta", {}), "eta")
     c_values = [_fraction(t)
                 for t in _array(node, "c_values", ["1/8", "1/4", "1/3", "1/2", "3/4"])]
-    s_values = [_number(s, "eta s value") for s in _array(node, "s_values", [0.2, 0.1, 0.05])]
-    n_terms = node.get("n_terms", 4000)
+    s_values = [_number(s, "eta s value")
+                for s in _array(node, "s_values", list(DEFAULT_S_VALUES))]
+    n_terms = node.get("n_terms", DEFAULT_N_TERMS)
     if not isinstance(n_terms, int) or isinstance(n_terms, bool):
         raise ConfigError(f"eta n_terms must be an integer, got {n_terms!r}")
     check_s_values(s_values)
@@ -365,11 +378,11 @@ def cmd_bm(config, args) -> Dict[str, Any]:
     if not node:
         raise ConfigError("config needs a 'bm' section")
     cfg = BMConfig(
-        r_inner=_real(node["r_inner"], "r_inner"),
-        r_outer=_real(node["r_outer"], "r_outer"),
+        r_inner=_real(_required(node, "r_inner", "bm"), "r_inner"),
+        r_outer=_real(_required(node, "r_outer", "bm"), "r_outer"),
         phi=_flux(node, "phi_pi", "phi"),
-        s_inner=_real(node["s_inner"], "s_inner"),
-        s_outer=_real(node["s_outer"], "s_outer"),
+        s_inner=_real(_required(node, "s_inner", "bm"), "s_inner"),
+        s_outer=_real(_required(node, "s_outer", "bm"), "s_outer"),
     )
     rows = []
     if "sweep" in node:
@@ -377,7 +390,7 @@ def cmd_bm(config, args) -> Dict[str, Any]:
         unbounded = sw.get("unbounded", False)
         if not isinstance(unbounded, bool):
             raise ConfigError(f"bm sweep unbounded must be true or false, got {unbounded!r}")
-        rows = bm_flux_sweep(cfg, _rational_range(sw), unbounded=unbounded)
+        rows = bm_flux_sweep(cfg, _rational_range(sw, "bm.sweep"), unbounded=unbounded)
         return {"command": "bm", "rows": rows}
     mode = bm_zero_mode(cfg)
     row: Dict[str, Any] = {

@@ -48,15 +48,21 @@ from typing import Dict, Sequence, Union
 
 import numpy as np
 
+from .aps_boundary import Chirality
 from .errors import DomainError
 from .conformal import flat_problem
 from .field import FieldSpec, KernelChoice, flux_over_2pi
 from .geometry import DomainKind, DomainSpec
 from .numutil import HALF, floor_strict, integer_at, threshold_sum
-from .zero_modes import Chirality, count_zero_modes
+from .zero_modes import count_zero_modes
 
 # terms one eta series may sum, so every config does a bounded amount of work
 MAX_ETA_TERMS = 1_000_000
+# Richardson levels and series terms of the continuation to s = 0: four levels
+# keep the extrapolation error below 1e-3 even for the steep representatives
+# (three levels leave ~(ln 8)^3/6 * s1*s2*s3 = 1.5e-3 at c = 1/8)
+DEFAULT_S_VALUES = (0.2, 0.1, 0.05, 0.025)
+DEFAULT_N_TERMS = 4000
 
 
 def eta_closed(c: Union[float, Fraction]) -> float:
@@ -148,15 +154,12 @@ def check_s_values(s_values: Sequence[float]) -> None:
 
 def eta_richardson_to_zero(
     c: Union[float, Fraction],
-    s_values: Sequence[float] = (0.2, 0.1, 0.05, 0.025),
-    n_terms: int = 4000,
+    s_values: Sequence[float] = DEFAULT_S_VALUES,
+    n_terms: int = DEFAULT_N_TERMS,
 ) -> float:
     """Eta at s = 0 by Richardson extrapolation from small positive s.
 
-    The s_values must pass :func:`check_s_values`, as the defaults do.  Four
-    levels keep the extrapolation error below 1e-3 even for the steep
-    representatives (three levels leave ~(ln 8)^3/6 * s1*s2*s3 = 1.5e-3 at
-    c = 1/8).
+    The s_values must pass :func:`check_s_values`, as the defaults do.
     """
     check_s_values(s_values)
     return richardson_to_zero([eta_series(c, s, n_terms).value for s in s_values])

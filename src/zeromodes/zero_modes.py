@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import conformal
-from .aps_boundary import BoundarySpectrum, leakage, trace_from_samples
+from .aps_boundary import BoundarySpectrum, Chirality, leakage, trace_from_samples
 from .errors import EmptyBasis, GridTooCoarse
 from .field import (
     FieldSpec,
@@ -48,12 +47,6 @@ from .field import (
 from .geometry import OUTER, Annulus, DomainKind, DomainSpec, annulus_probe
 from .numutil import HALF, floor_strict, threshold_sum
 from .potential import PotentialField
-
-
-class Chirality(Enum):
-    UP = "up"
-    DOWN = "down"
-    NONE = "none"
 
 
 @dataclass(frozen=True)
@@ -510,9 +503,8 @@ def verify_modes(
         circle = center + spec.radius * np.exp(1j * phis)
         for out, samples in zip(trace_leakages, basis_at(circle)):
             samples = samples / math.sqrt(float(np.mean(np.abs(samples) ** 2)))
-            zero = np.zeros_like(samples)
-            pair = (samples, zero) if up else (zero, samples)
-            out[label] = leakage(trace_from_samples(spec, phis, *pair, exponent), spec)
+            out[label] = leakage(trace_from_samples(spec, phis, samples, exponent),
+                                 spec, chirality)
 
     # --- square integrability at infinity (plane only): the degree-exponent
     # inequality plus the decay of |u| from the decay radius to twice it

@@ -10,59 +10,59 @@ from hypothesis import given, strategies as st
 from zeromodes import (
     OUTER,
     BoundarySpectrum,
+    Chirality,
     FieldSpec,
     Hole,
     KernelChoice,
     PotentialField,
-    Spin,
-    TraceFourier,
-    check_norm,
     leakage,
     pi_flux,
     plane_with_holes,
     trace_from_samples,
 )
+from zeromodes.aps_boundary import hcheck_weight
 
 TWO_PI = 2 * math.pi
+UP, DOWN = Chirality.UP, Chirality.DOWN
 
 
 def test_eigenvalue_examples():
-    assert BoundarySpectrum(0, 1.0, 0.0).eigenvalue(Spin.UP, 0) == -0.5
-    assert BoundarySpectrum(0, 2.0, math.pi).eigenvalue(Spin.UP, 0) == 0.0
-    assert BoundarySpectrum(OUTER, 1.0, 0.0).eigenvalue(Spin.UP, 0) == 0.5
+    assert BoundarySpectrum(0, 1.0, 0.0).eigenvalue(UP, 0) == -0.5
+    assert BoundarySpectrum(0, 2.0, math.pi).eigenvalue(UP, 0) == 0.0
+    assert BoundarySpectrum(OUTER, 1.0, 0.0).eigenvalue(UP, 0) == 0.5
 
 
 def test_spin_families_anticommute_on_holes():
     spec = BoundarySpectrum(0, 1.7, 0.83, q=Fraction(1, 2))
     for ell in range(-6, 7):
-        assert spec.eigenvalue(Spin.UP, ell) == pytest.approx(
-            -spec.eigenvalue(Spin.DOWN, ell + 1)
+        assert spec.eigenvalue(UP, ell) == pytest.approx(
+            -spec.eigenvalue(DOWN, ell + 1)
         )
 
 
 def test_allowed_examples():
     spec = BoundarySpectrum(0, 1.0, 0.0)
-    assert [spec.allowed(Spin.UP, ell) for ell in (-2, -1, 0, 1, 5)] == \
+    assert [spec.allowed(UP, ell) for ell in (-2, -1, 0, 1, 5)] == \
         [False, False, True, True, True]
 
     spec_pi = BoundarySpectrum(0, 1.0, pi_flux(1))
-    assert [spec_pi.allowed(Spin.DOWN, ell) for ell in (-1, 0, 1, 2)] == \
+    assert [spec_pi.allowed(DOWN, ell) for ell in (-1, 0, 1, 2)] == \
         [True, True, True, False]
     # l = 1 is the kernel vector: eigenvalue zero, kept by the default choice
-    assert spec_pi.eigenvalue(Spin.DOWN, 1) == 0.0
+    assert spec_pi.eigenvalue(DOWN, 1) == 0.0
 
     spec_out = BoundarySpectrum(OUTER, 1.0, pi_flux(4))
-    assert [spec_out.allowed(Spin.UP, ell) for ell in (0, 1, 2)] == [True, True, False]
+    assert [spec_out.allowed(UP, ell) for ell in (0, 1, 2)] == [True, True, False]
 
 
 def test_alternate_kernel_swaps_the_zero_vector():
     spec = BoundarySpectrum(0, 1.0, pi_flux(1), kernel_choice=KernelChoice.ALTERNATE)
     # down loses l = 1, up gains l = 0 (both eigenvalue zero)
-    assert not spec.allowed(Spin.DOWN, 1)
-    assert spec.allowed(Spin.UP, 0)
+    assert not spec.allowed(DOWN, 1)
+    assert spec.allowed(UP, 0)
     default = BoundarySpectrum(0, 1.0, pi_flux(1))
-    assert default.allowed(Spin.DOWN, 1)
-    assert not default.allowed(Spin.UP, 0)
+    assert default.allowed(DOWN, 1)
+    assert not default.allowed(UP, 0)
 
 
 def test_partition_per_spin():
@@ -70,7 +70,7 @@ def test_partition_per_spin():
         for q in (0, Fraction(1, 2), -1):
             spec = BoundarySpectrum(0, 1.3, flux, q=q)
             out = BoundarySpectrum(OUTER, 2.0, flux, q=q)
-            for s in (Spin.UP, Spin.DOWN):
+            for s in (UP, DOWN):
                 for ell in range(-8, 9):
                     assert spec.allowed(s, ell) in (True, False)
                     assert out.allowed(s, ell) in (True, False)
@@ -79,21 +79,21 @@ def test_partition_per_spin():
 @given(
     st.fractions(min_value=-6, max_value=6, max_denominator=16),
     st.integers(min_value=-8, max_value=8),
-    st.sampled_from([Spin.UP, Spin.DOWN]),
+    st.sampled_from([UP, DOWN]),
 )
-def test_gauge_shift_relabels_allowed_sets(mult, ell, spin):
+def test_gauge_shift_relabels_allowed_sets(mult, ell, chirality):
     base = BoundarySpectrum(0, 1.0, pi_flux(mult))
     shifted = BoundarySpectrum(0, 1.0, pi_flux(mult + 2))
-    assert shifted.allowed(spin, ell + 1) == base.allowed(spin, ell)
+    assert shifted.allowed(chirality, ell + 1) == base.allowed(chirality, ell)
 
 
 def test_q_shift_moves_thresholds():
     # with psi_l replaced by psi_{l+q}, membership shifts by integer q
     base = BoundarySpectrum(0, 1.0, pi_flux("1/3"))
     shifted = BoundarySpectrum(0, 1.0, pi_flux("1/3"), q=Fraction(2))
-    for spin in (Spin.UP, Spin.DOWN):
+    for chirality in (UP, DOWN):
         for ell in range(-6, 7):
-            assert shifted.allowed(spin, ell + 2) == base.allowed(spin, ell)
+            assert shifted.allowed(chirality, ell + 2) == base.allowed(chirality, ell)
 
 
 def _coefficients(m, entries):
@@ -104,33 +104,23 @@ def _coefficients(m, entries):
     return out
 
 
-def test_check_norm_examples():
-    spec = BoundarySpectrum(0, 1.0, 0.0)
-    empty = TraceFourier(up=np.zeros(16), down=np.zeros(16))
-    assert check_norm(empty, spec) == 0.0
-
-    # single coefficient at eigenvalue -1/2: weight sqrt(1 + 1/4)
-    tf = TraceFourier(up=_coefficients(16, {0: 1.0}), down=np.zeros(16))
-    assert spec.eigenvalue(Spin.UP, 0) == -0.5
-    assert check_norm(tf, spec) == pytest.approx(math.sqrt(1.25), rel=1e-12)
-
-    # single coefficient at eigenvalue 2: weight 1/sqrt(5)
-    spec2 = BoundarySpectrum(0, 1.0, 5.0 * math.pi)  # up eigenvalue at l=0: 2.0
-    assert spec2.eigenvalue(Spin.UP, 0) == pytest.approx(2.0)
-    assert check_norm(tf, spec2) == pytest.approx(1 / math.sqrt(5.0), rel=1e-12)
-
-
 def test_leakage_single_forbidden_term():
     spec = BoundarySpectrum(0, 1.0, 0.0)
-    allowed_only = TraceFourier(up=_coefficients(16, {0: 1.0, 3: 0.5}),
-                                down=_coefficients(16, {-1: 2.0}))
-    assert leakage(allowed_only, spec) == 0.0
+    assert leakage(np.zeros(16, dtype=complex), spec, UP) == 0.0
+    assert leakage(_coefficients(16, {0: 1.0, 3: 0.5}), spec, UP) == 0.0
+    assert leakage(_coefficients(16, {-1: 2.0}), spec, DOWN) == 0.0
 
-    tf = TraceFourier(up=_coefficients(16, {-1: 1.0}), down=np.zeros(16))
-    lam = spec.eigenvalue(Spin.UP, -1)
-    assert lam == 0.5
-    assert leakage(tf, spec) == pytest.approx(1.0 / math.sqrt(1.25), rel=1e-12)
-    assert leakage(tf, spec) == pytest.approx(check_norm(tf, spec), rel=1e-12)
+    # spin up at l = -1: eigenvalue 1/2, forbidden, weight (1 + 1/4)^{-1/2}
+    assert spec.eigenvalue(UP, -1) == 0.5
+    assert leakage(_coefficients(16, {-1: 1.0}), spec, UP) == \
+        pytest.approx(1.0 / math.sqrt(1.25), rel=1e-12)
+    # spin down at l = 2: eigenvalue 3/2, forbidden, weight (1 + 9/4)^{-1/2}
+    assert spec.eigenvalue(DOWN, 2) == 1.5
+    assert leakage(_coefficients(16, {2: 0.5j}), spec, DOWN) == \
+        pytest.approx(0.25 / math.sqrt(3.25), rel=1e-12)
+    # the norm weights (1 + lam^2)^{1/2} below zero and (1 + lam^2)^{-1/2} from zero
+    assert hcheck_weight(np.array([-0.5, 0.0, 2.0])) == \
+        pytest.approx([math.sqrt(1.25), 1.0, 1 / math.sqrt(5.0)], rel=1e-12)
 
 
 @given(
@@ -147,23 +137,18 @@ def test_array_admissibility_matches_scalar_reference(mult, q, kernel, outer, se
                             kernel_choice=kernel)
     m = 64
     rng = np.random.default_rng(seed)
-    coeffs = {spin: rng.normal(size=m) + 1j * rng.normal(size=m) for spin in Spin}
-    tf = TraceFourier(up=coeffs[Spin.UP], down=coeffs[Spin.DOWN])
-
     ells = np.array([k if k < m // 2 else k - m for k in range(m)])
-    norm = leak = 0.0
-    for spin in Spin:
-        mask = spec.allowed(spin, ells)
-        assert mask.tolist() == [spec.allowed(spin, int(ell)) for ell in ells]
-        for ell, c in zip(ells.tolist(), coeffs[spin].tolist()):
-            lam = spec.eigenvalue(spin, ell)
-            w = math.sqrt(1.0 + lam * lam)
-            term = abs(c) ** 2 * (w if lam < 0 else 1.0 / w)
-            norm += term
-            if not spec.allowed(spin, ell):
-                leak += term
-    assert check_norm(tf, spec) == pytest.approx(norm, rel=1e-12)
-    assert leakage(tf, spec) == pytest.approx(leak, rel=1e-12)
+    for chirality in (UP, DOWN):
+        coeffs = rng.normal(size=m) + 1j * rng.normal(size=m)
+        mask = spec.allowed(chirality, ells)
+        assert mask.tolist() == [spec.allowed(chirality, int(ell)) for ell in ells]
+        leak = 0.0
+        for ell, c in zip(ells.tolist(), coeffs.tolist()):
+            if not spec.allowed(chirality, ell):
+                lam = spec.eigenvalue(chirality, ell)
+                assert lam >= 0  # negative eigenvalues are always admissible
+                leak += abs(c) ** 2 / math.sqrt(1.0 + lam * lam)
+        assert leakage(coeffs, spec, chirality) == pytest.approx(leak, rel=1e-12)
 
 
 def test_psi_basis_orthogonality():
@@ -194,12 +179,12 @@ def test_trace_roundtrip_through_sampling():
     phis = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
     exponent = pot.boundary_phase_exponent(-1.0, 0.8, phis)
     phase = np.exp(1j * (exponent - float(pi_flux("2/3")) / TWO_PI * phis))
-    up = (2.0 * np.exp(1j * 0 * phis) - 0.25j * np.exp(1j * 3 * phis)) * phase
-    down = 0.5 * np.exp(-1j * 2 * phis) * phase
-    tf = trace_from_samples(spec, phis, up, down, exponent)
-    assert len(tf.up) == len(tf.down) == 2048
-    assert tf.up[0] == pytest.approx(2.0, abs=1e-12)
-    assert tf.up[3] == pytest.approx(-0.25j, abs=1e-12)
-    assert tf.down[-2] == pytest.approx(0.5, abs=1e-12)
-    others = np.delete(np.abs(tf.up), [0, 3])
-    assert max(others) < 1e-12
+    up = trace_from_samples(
+        spec, phis, (2.0 - 0.25j * np.exp(1j * 3 * phis)) * phase, exponent)
+    down = trace_from_samples(spec, phis, 0.5 * np.exp(-1j * 2 * phis) * phase, exponent)
+    assert len(up) == len(down) == 2048
+    assert up[0] == pytest.approx(2.0, abs=1e-12)
+    assert up[3] == pytest.approx(-0.25j, abs=1e-12)
+    assert down[-2] == pytest.approx(0.5, abs=1e-12)
+    assert max(np.delete(np.abs(up), [0, 3])) < 1e-12
+    assert max(np.delete(np.abs(down), [-2])) < 1e-12

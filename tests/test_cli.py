@@ -118,6 +118,14 @@ def _with(path, value, config=DISC_3PI):
     return config
 
 
+def _without(node, key):
+    """A copy of a config section with one key left out."""
+    return {k: v for k, v in node.items() if k != key}
+
+
+RANGE = {"start": "0", "stop": "1", "step": "1/2"}
+
+
 @pytest.mark.parametrize("command,config,message", [
     pytest.param("count", _with(["domain", "holes", 0, "radius"], 0.0),
                  "hole radius must be positive", id="hole-radius-zero"),
@@ -281,6 +289,28 @@ def _with(path, value, config=DISC_3PI):
                  id="grid-empty-list"),
     pytest.param("verify", _with(["tolerances"], []),
                  "tolerances must be a JSON object, got []", id="tolerances-list"),
+    # a missing required key names its section, not only the key
+    pytest.param("sweep", {"sweep": {"q_values": ["0"]}}, "sweep needs 'phi_pi'",
+                 id="sweep-no-phi-pi"),
+    *[pytest.param("sweep", {"sweep": {"phi_pi": _without(RANGE, key)}},
+                   f"sweep.phi_pi needs '{key}'", id=f"sweep-phi-pi-no-{key}")
+      for key in RANGE],
+    *[pytest.param("bm", {"bm": _without(BM, key)}, f"bm needs '{key}'", id=f"bm-no-{key}")
+      for key in ("r_inner", "r_outer", "s_inner", "s_outer")],
+    pytest.param("bm", {"bm": {"r_inner": 1.0}}, "bm needs 'r_outer'", id="bm-only-r-inner"),
+    pytest.param("bm", {"bm": dict(BM, sweep=_without(RANGE, "step"))},
+                 "bm.sweep needs 'step'", id="bm-sweep-no-step"),
+    *[pytest.param("count", _with(["domain", "holes", 0],
+                                  _without(DISC_3PI["domain"]["holes"][0], key)),
+                   f"hole needs '{key}'", id=f"hole-no-{key}")
+      for key in ("center", "radius")],
+    *[pytest.param("count", _with(["field", "bumps", 0],
+                                  _without(DISC_3PI["field"]["bumps"][0], key)),
+                   f"bump needs '{key}'", id=f"bump-no-{key}")
+      for key in ("center", "support_radius")],
+    # one flux per hole is checked once, by validate_field
+    pytest.param("count", _with(["field", "hole_fluxes_pi"], ["1/2", "1/2"]),
+                 "field carries 2 hole fluxes for 1 holes", id="hole-flux-count"),
     # bool("false") is True: the string ran the unbounded sweep
     pytest.param("bm", {"bm": dict(BM, sweep={"start": "0", "stop": "1", "step": "1/2",
                                               "unbounded": "false"})},
@@ -417,6 +447,17 @@ def test_eta_command(tmp_path, capsys):
     row = json.loads(out)["rows"][0]
     assert row["eta_closed"] == -0.5
     assert row["eta_richardson"] == pytest.approx(-0.5, abs=1e-3)
+    # the default table: every default c within 1e-3 of the closed form,
+    # c = 1/8 included, and the default s values are the library's
+    from zeromodes.eta_index import DEFAULT_S_VALUES
+
+    code, out, _ = run_cli(capsys, "eta", "--config", write_config(tmp_path, {"eta": {}}))
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["c"] for row in rows] == ["1/8", "1/4", "1/3", "1/2", "3/4"]
+    for row in rows:
+        assert [e["s"] for e in row["eta"]] == list(DEFAULT_S_VALUES)
+        assert abs(row["eta_richardson"] - row["eta_closed"]) < 1e-3, row["c"]
 
 
 def test_index_command(tmp_path, capsys):

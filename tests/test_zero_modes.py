@@ -388,10 +388,9 @@ def _reference_report(mode, dom, fld, pot, grid, tol):
         center = 0.0 if spec.is_outer else red_dom.holes[spec.boundary].center
         samples = flat(center + spec.radius * np.exp(1j * phis))
         samples = samples / math.sqrt(float(np.mean(np.abs(samples) ** 2)))
-        zero = np.zeros_like(samples)
-        up, down = (samples, zero) if mode.chirality is Chirality.UP else (zero, samples)
         exponent = pot.boundary_phase_exponent(center, spec.radius, phis)
-        leakages[label] = leakage(trace_from_samples(spec, phis, up, down, exponent), spec)
+        leakages[label] = leakage(trace_from_samples(spec, phis, samples, exponent),
+                                  spec, mode.chirality)
     return pde, leakages
 
 
@@ -750,6 +749,14 @@ def test_public_names_are_explicit_and_hold_no_submodule():
     assert not hasattr(zeromodes, "SphereReduction") and not hasattr(conformal, "SphereReduction")
     for gone in ("dirac_residual", "_require_sphere_canonical"):
         assert not hasattr(zeromodes, gone) and not hasattr(zero_modes, gone)
+    # a boundary trace is one chirality's DFT array, and Chirality is defined once
+    from zeromodes import aps_boundary, eta_index
+
+    for gone in ("Spin", "TraceFourier", "check_norm", "_weighted_sum"):
+        assert gone not in zeromodes.__all__
+        assert not hasattr(zeromodes, gone) and not hasattr(aps_boundary, gone)
+    assert zeromodes.Chirality is zero_modes.Chirality is eta_index.Chirality
+    assert zeromodes.Chirality.__module__ == aps_boundary.__name__
     # the threshold policy is three primitives and nothing built on them
     from zeromodes import numutil
 
