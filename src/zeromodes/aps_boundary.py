@@ -31,11 +31,12 @@ Trace membership is measured in the weighted norm
                       + sum_{lambda>=0} |c|^2 (1+lambda^2)^{-1/2},
 
 and the leakage of a trace is that weight restricted to the forbidden index
-set.  Every zero mode has a definite chirality, so its trace is one spinor
-component: the samples of that component with the explicit winding phase of
-psi_l divided out, transformed by one discrete Fourier transform.  The trace
-is that DFT array itself, indexed by l in DFT order, with no separate tail,
-and the leakage is one masked, weighted sum over the chirality's forbidden
+set, where lambda >= 0 and the weight is always (1+lambda^2)^{-1/2}.  Every
+zero mode has a definite chirality, so its trace is one spinor component:
+the samples of that component with the explicit winding phase of psi_l
+divided out, transformed by one discrete Fourier transform.  The trace is
+that DFT array itself, indexed by l in DFT order, with no separate tail, and
+the leakage is one masked, weighted sum over the chirality's forbidden
 indices.
 """
 
@@ -116,12 +117,6 @@ class BoundarySpectrum:
         return ell <= cut if below else ell > cut
 
 
-def hcheck_weight(eigenvalue):
-    """Weight of a coefficient in the trace norm; elementwise on an array."""
-    w = np.sqrt(1.0 + eigenvalue * eigenvalue)
-    return np.where(eigenvalue < 0, w, 1.0 / w)
-
-
 def _dft_indices(m: int) -> np.ndarray:
     """The index l of each entry of a length-m array in DFT order."""
     return (np.arange(m) + m // 2) % m - m // 2
@@ -158,5 +153,5 @@ def leakage(coeffs: np.ndarray, spec: BoundarySpectrum, chirality: Chirality) ->
     """
     ells = _dft_indices(len(coeffs))
     forbidden = ~spec.allowed(chirality, ells)
-    weights = hcheck_weight(spec.eigenvalue(chirality, ells[forbidden]))
-    return float(np.sum(np.abs(coeffs[forbidden]) ** 2 * weights))
+    lam = spec.eigenvalue(chirality, ells[forbidden])  # >= 0 on every forbidden index
+    return float(np.sum(np.abs(coeffs[forbidden]) ** 2 * (1.0 / np.sqrt(1.0 + lam * lam))))

@@ -30,8 +30,7 @@ import numpy as np
 from .field import FluxLike, PiFlux, TWO_PI
 from .geometry import Annulus
 from .numutil import integer_at
-from .zero_modes import (GridSpec, VerificationReport, _polar_points, _worse, worst_points,
-                         worst_residual)
+from .zero_modes import GridSpec, VerificationReport, _polar_points, pde_residuals
 
 # points per circle at which the boundary relation is checked
 _BOUNDARY_SAMPLES = 512
@@ -103,18 +102,9 @@ def bm_verify(
     def components_at(z):
         return mode.eval_up(z), mode.eval_down(z)
 
-    def worst_at(points, step):
-        """The worse component's worst point, and the larger modulus."""
-        worst, moduli = worst_points(components_at, (True, False), vec_a, points, step)
-        return _worse(*worst), np.max(moduli)
-
-    def residual_at(idx, step):
-        (residual, _), _ = worst_at(zs[idx:idx + 1], step)
-        return residual
-
     step = grid.fd_step_factor * cfg.r_inner
-    worst, scale = worst_at(zs, step)
-    pde_residual, richardson = worst_residual(worst, scale, residual_at, step, tol_residual)
+    (pde_residual, richardson), = pde_residuals(components_at, (True, False), vec_a, zs,
+                                                step, tol_residual)
 
     phis = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES, endpoint=False)
     boundary: Dict[str, float] = {}

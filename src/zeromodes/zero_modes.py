@@ -316,10 +316,15 @@ def _residual_chunks(components_at, ups: Sequence[bool], a, zs: np.ndarray, step
                      weight=None):
     """The one walk of the residual oracle over the points, in chunks of ``_CHUNK_POINTS``.
 
-    Yields ``(i, lo, residual, modulus)``: component i's residual at each
-    point of the chunk that starts at ``zs[lo]``, and its largest modulus
-    there.  Each chunk takes one ``components_at`` call per stencil shift.
+    ``components_at(z)`` gives the components of one or more spinors at z,
+    spinor after spinor, and component i obeys the spin-up equation iff
+    ``ups[i % len(ups)]``.  Yields ``(s, lo, residual, modulus)``: spinor s's
+    residual at each point of the chunk that starts at ``zs[lo]`` (the
+    ``np.maximum`` over its components, so a NaN wins), and its largest
+    modulus there.  Each chunk takes one ``components_at`` call per stencil
+    shift.
     """
+    width = len(ups)
     for lo in range(0, zs.size, _CHUNK_POINTS):
         z = zs[lo:lo + _CHUNK_POINTS]
         ux, uy = (_central_difference(components_at, z, shift) for shift in (step, 1j * step))
@@ -327,48 +332,23 @@ def _residual_chunks(components_at, ups: Sequence[bool], a, zs: np.ndarray, step
         if weight is not None:
             w_res, w_mod = weight(z)
         for i, (dx, dy, u0) in enumerate(zip(ux, uy, components_at(z))):
-            r = _component_residual(dx, dy, u0, av, ups[i])
-            u_abs = np.abs(u0)
-            if weight is not None:
-                r, u_abs = r * w_res, u_abs * w_mod
-            yield i, lo, r, np.max(u_abs)
+            r_i, u_i = _component_residual(dx, dy, u0, av, ups[i % width]), np.abs(u0)
+            if i % width == 0:
+                r, u_abs = r_i, u_i
+            else:
+                r, u_abs = np.maximum(r, r_i), np.maximum(u_abs, u_i)
+            if i % width == width - 1:
+                if weight is not None:
+                    r, u_abs = r * w_res, u_abs * w_mod
+                yield i // width, lo, r, np.max(u_abs)
         del ux, uy  # before the next chunk's stencil passes, not after them
 
 
-# a residual and the index of its point
-Worst = Tuple[np.float64, int]
-
-
-def _worse(p: Worst, q: Worst) -> Worst:
-    """The point ``np.argmax`` over both would pick: a NaN residual, else the
-    larger residual, else the smaller index."""
+def _worse(p: Tuple[np.float64, int], q: Tuple[np.float64, int]) -> Tuple[np.float64, int]:
+    """Of two (residual, point index) pairs, the point ``np.argmax`` over both
+    would pick: a NaN residual, else the larger residual, else the smaller index."""
     return min(p, q, key=lambda point: (0, 0.0, point[1]) if math.isnan(point[0])
                else (1, -point[0], point[1]))
-
-
-def worst_points(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: float,
-                 weight=None) -> Tuple[List[Worst], np.ndarray]:
-    """|D_a u| of each spinor component by fourth-order central differences,
-    reduced to its largest value with the first index where it occurs, and
-    each component's largest modulus, in memory that does not grow with ``zs``.
-
-    ``components_at(z)`` gives the values of every component at z, and
-    ``ups[i]`` says whether component i obeys the spin-up or the spin-down
-    equation; ``a`` evaluates the vector potential.  ``weight(z)``, when
-    given, returns the factors the residual and the modulus take at z (the
-    sphere's W^{-3/2} and W^{-1/2}).  A NaN residual is the worst, as
-    ``np.argmax`` over the whole row would make it.
-    """
-    if not zs.size:
-        raise ValueError("no point to check the Dirac residual at: "
-                         "the finite-difference step leaves none inside the domain")
-    worst: List[Worst] = [(np.float64(-np.inf), -1)] * len(ups)
-    moduli = np.zeros(len(ups))
-    for i, lo, r, modulus in _residual_chunks(components_at, ups, a, zs, step, weight):
-        k = int(np.argmax(r))
-        worst[i] = _worse(worst[i], (r[k], lo + k))
-        moduli[i] = np.maximum(moduli[i], modulus)
-    return worst, moduli
 
 
 def _conformal_weights(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -378,26 +358,49 @@ def _conformal_weights(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return w ** (-1.5), w ** (-0.5)
 
 
-def worst_residual(worst: Worst, scale: np.float64, residual_at, step: float,
-                   tol_residual: float) -> Tuple[float, float]:
-    """Largest residual relative to the spinor's size, and its step-halving ratio.
+def pde_residuals(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: float,
+                  tol_residual: float, weight=None) -> List[Tuple[float, float]]:
+    """Each spinor's largest |D_a u| relative to its size, and its step-halving ratio.
 
-    ``worst`` is the largest residual at ``step`` and its point's index (from
-    :func:`worst_points`), ``scale`` the spinor's largest modulus and
-    ``residual_at(idx, step)`` the residual at point ``idx``.  Division by
-    ``scale`` is monotone, so the worst scaled residual is the worst residual
-    scaled; both divide in numpy float64.  The step is halved at the worst
-    point only; GridTooCoarse is raised when the two residuals there differ
-    by more than ten tolerances (no convergence).
+    The spinors and their layout are those of :func:`_residual_chunks`; ``a``
+    evaluates the vector potential, and ``weight(z)``, when given, returns
+    the factors the residual and the modulus take at z (the sphere's W^{-3/2}
+    and W^{-1/2}).  One walk at ``step`` keeps each spinor's worst point (the
+    one ``np.argmax`` over its whole row would pick, so a NaN is the worst)
+    and its largest modulus, in memory that does not grow with ``zs``; one
+    more walk evaluates every spinor's worst point at ``step / 2``.  Both
+    residuals are divided by the modulus in numpy float64.  GridTooCoarse is
+    raised for the first spinor, in order, whose two residuals differ by more
+    than ten tolerances (no convergence).
     """
-    value, idx = worst
-    residual = float(value / scale)
-    residual_half = float(residual_at(idx, step / 2) / scale)
-    if abs(residual - residual_half) > 10.0 * tol_residual:
-        raise GridTooCoarse(
-            f"residual {residual:.3e} vs {residual_half:.3e} under step halving"
-        )
-    return residual, residual / residual_half if residual_half > 0 else math.inf
+    if not zs.size:
+        raise ValueError("no point to check the Dirac residual at: "
+                         "the finite-difference step leaves none inside the domain")
+    worst: List[Tuple[np.float64, int]] = []
+    scales: List[np.float64] = []
+    for s, lo, r, modulus in _residual_chunks(components_at, ups, a, zs, step, weight):
+        k = int(np.argmax(r))
+        if lo == 0:
+            worst.append((r[k], k))
+            scales.append(modulus)
+        else:
+            worst[s] = _worse(worst[s], (r[k], lo + k))
+            scales[s] = np.maximum(scales[s], modulus)
+    # point s of the half-step walk is spinor s's worst point
+    halves = [None] * len(worst)
+    points = zs[[idx for _, idx in worst]]
+    for s, lo, r, _ in _residual_chunks(components_at, ups, a, points, step / 2, weight):
+        if lo <= s < lo + r.size:
+            halves[s] = r[s - lo]
+    out = []
+    for (value, _), half, scale in zip(worst, halves, scales):
+        residual, residual_half = float(value / scale), float(half / scale)
+        if abs(residual - residual_half) > 10.0 * tol_residual:
+            raise GridTooCoarse(
+                f"residual {residual:.3e} vs {residual_half:.3e} under step halving"
+            )
+        out.append((residual, residual / residual_half if residual_half > 0 else math.inf))
+    return out
 
 
 def boundary_spectra(domain: DomainSpec, fld: FieldSpec) -> Dict[str, BoundarySpectrum]:
@@ -461,9 +464,9 @@ def verify_modes(
     projection, so the reported leakage is the weighted fraction of the trace
     sitting on forbidden indices and the absolute tolerance is scale-free.
     On a hole circle that leakage is also what checks that the analytic
-    factor g = e^{-+h} u continues into the hole.  Reports follow the order of ``modes``, and GridTooCoarse is
-    raised for the first mode in that order whose worst residual does not
-    converge under step halving.
+    factor g = e^{-+h} u continues into the hole.  Reports follow the order
+    of ``modes``, and GridTooCoarse is raised for the first mode in that
+    order whose worst residual does not converge under step halving.
     """
     check_tolerances(tol_residual, tol_leakage)
     if not modes:
@@ -484,15 +487,7 @@ def verify_modes(
     # flat-metric: the conformal factor enters only as the weights.
     weight = _conformal_weights if dressed else None
     zs = _residual_points(dom, f, grid, fd)
-    worst, scales = worst_points(basis_at, (up,) * len(modes), potential.eval_a, zs, fd, weight)
-    pde = []
-    for m, mode in enumerate(modes):
-        def residual_at(idx, step, mode=mode):
-            (point,), _ = worst_points(_basis_at([mode], chirality, potential), (up,),
-                                       potential.eval_a, zs[idx:idx + 1], step, weight)
-            return point[0]
-
-        pde.append(worst_residual(worst[m], scales[m], residual_at, fd, tol_residual))
+    pde = pde_residuals(basis_at, (up,), potential.eval_a, zs, fd, tol_residual, weight)
 
     # --- boundary trace leakage; e^{+-h} and the phase once per circle
     phis = np.linspace(0.0, 2.0 * math.pi, grid.n_boundary_samples, endpoint=False)

@@ -20,7 +20,6 @@ from zeromodes import (
     plane_with_holes,
     trace_from_samples,
 )
-from zeromodes.aps_boundary import hcheck_weight
 
 TWO_PI = 2 * math.pi
 UP, DOWN = Chirality.UP, Chirality.DOWN
@@ -118,9 +117,6 @@ def test_leakage_single_forbidden_term():
     assert spec.eigenvalue(DOWN, 2) == 1.5
     assert leakage(_coefficients(16, {2: 0.5j}), spec, DOWN) == \
         pytest.approx(0.25 / math.sqrt(3.25), rel=1e-12)
-    # the norm weights (1 + lam^2)^{1/2} below zero and (1 + lam^2)^{-1/2} from zero
-    assert hcheck_weight(np.array([-0.5, 0.0, 2.0])) == \
-        pytest.approx([math.sqrt(1.25), 1.0, 1 / math.sqrt(5.0)], rel=1e-12)
 
 
 @given(

@@ -237,15 +237,17 @@ def _zbar(z):
 
 
 def _residual_rows(components_at, ups, a, zs, step, weight=None):
-    """Every component's residual at every point, shape (len(ups), zs.size),
-    and its largest modulus, collected from the oracle's one chunk walk."""
-    rows = np.empty((len(ups), zs.size))
-    moduli = np.zeros(len(ups))
-    for i, lo, r, modulus in zero_modes._residual_chunks(components_at, ups, a, zs, step,
+    """Every spinor's residual at every point, one row per spinor, and its
+    largest modulus, collected from the oracle's one chunk walk."""
+    rows, moduli = [], []
+    for s, lo, r, modulus in zero_modes._residual_chunks(components_at, ups, a, zs, step,
                                                          weight):
-        rows[i, lo:lo + r.size] = r
-        moduli[i] = np.maximum(moduli[i], modulus)
-    return rows, moduli
+        if lo == 0:
+            rows.append(np.empty(zs.size))
+            moduli.append(modulus)
+        rows[s][lo:lo + r.size] = r
+        moduli[s] = np.maximum(moduli[s], modulus)
+    return np.array(rows), np.array(moduli)
 
 
 def _zbar3(z):
@@ -268,9 +270,8 @@ def test_dirac_residual_at_zero_potential(up, down, expected):
     # with a = 0 the equations are dbar u+ = 0 and d u- = 0; the fourth-order
     # stencil is exact on these polynomials, so only rounding is left
     spinor = [(fn, is_up) for fn, is_up in ((up, True), (down, False)) if fn is not None]
-    rows, _ = _residual_rows(lambda z: [fn(z) for fn, _ in spinor],
-                             [is_up for _, is_up in spinor], lambda z: 0.0, ZS, 1e-2)
-    res = np.max(rows, axis=0)
+    (res,), _ = _residual_rows(lambda z: [fn(z) for fn, _ in spinor],
+                               [is_up for _, is_up in spinor], lambda z: 0.0, ZS, 1e-2)
     assert res.shape == ZS.shape
     assert np.all(np.abs(res - expected) < 1e-12)
 
@@ -531,6 +532,28 @@ def test_verify_modes_memory_does_not_grow_with_modes_times_points():
     assert peaks[1] - peaks[0] < 16 * points * 8 / 4
 
 
+def test_the_half_step_walk_does_not_grow_with_the_mode_count(monkeypatch):
+    # every mode's worst point is re-evaluated at half the step in one shared
+    # walk, so 16 modes take as many e^{h} evaluations as one
+    pot = PotentialField(FLD1, DOM1)
+    grid = GridSpec(radial=16, angular=64, bulk_divisor=8)
+    eval_h = pot.eval_h
+    calls = []
+
+    def counted(z):
+        calls.append(1)
+        return eval_h(z)
+
+    monkeypatch.setattr(pot, "eval_h", counted)
+    counts = []
+    for count in (1, 16):
+        modes = [ZeroMode(Chirality.UP, {n: 1.0 + 0.0j}, pot) for n in range(count)]
+        calls.clear()
+        verify_modes(modes, DOM1, FLD1, pot, grid, tol_residual=1.0, tol_leakage=1.0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_a_nan_residual_in_a_later_chunk_fails_the_mode(monkeypatch):
     # e^{h} is NaN at one stencil point of residual point 2500 (the third
     # chunk), so that point's residual is NaN while every modulus stays
@@ -590,10 +613,13 @@ def test_bm_verify_matches_full_row_reference(case, monkeypatch):
     x = float(cfg.phi) / (2 * math.pi)
 
     def residual_at(sel, step):
-        rows, moduli = _residual_rows(lambda z: (mode.eval_up(z), mode.eval_down(z)),
-                                      (True, False), lambda z: 1j * x * z / np.abs(z) ** 2,
-                                      zs[sel], step)
-        return np.maximum(*rows), float(np.max(moduli))
+        # each component's row on its own, so the reference does not share the
+        # oracle's grouping of the two components into one spinor
+        rows, moduli = zip(*(_residual_rows(lambda z: (fn(z),), (up,),
+                                            lambda z: 1j * x * z / np.abs(z) ** 2,
+                                            zs[sel], step)
+                             for fn, up in ((mode.eval_up, True), (mode.eval_down, False))))
+        return np.maximum(rows[0][0], rows[1][0]), float(np.max(moduli))
 
     step = grid.fd_step_factor * cfg.r_inner
     res, scale = residual_at(slice(None), step)
@@ -747,12 +773,13 @@ def test_public_names_are_explicit_and_hold_no_submodule():
 
     assert "SphereReduction" not in zeromodes.__all__
     assert not hasattr(zeromodes, "SphereReduction") and not hasattr(conformal, "SphereReduction")
-    for gone in ("dirac_residual", "_require_sphere_canonical"):
+    for gone in ("dirac_residual", "_require_sphere_canonical", "worst_points",
+                 "worst_residual", "Worst"):
         assert not hasattr(zeromodes, gone) and not hasattr(zero_modes, gone)
     # a boundary trace is one chirality's DFT array, and Chirality is defined once
     from zeromodes import aps_boundary, eta_index
 
-    for gone in ("Spin", "TraceFourier", "check_norm", "_weighted_sum"):
+    for gone in ("Spin", "TraceFourier", "check_norm", "_weighted_sum", "hcheck_weight"):
         assert gone not in zeromodes.__all__
         assert not hasattr(zeromodes, gone) and not hasattr(aps_boundary, gone)
     assert zeromodes.Chirality is zero_modes.Chirality is eta_index.Chirality
