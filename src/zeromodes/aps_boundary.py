@@ -47,8 +47,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
-
+from ._numpy import np
 from .field import FluxLike, KernelChoice, flux_over_2pi
 from .geometry import OUTER
 from .numutil import HALF, floor_strict, integer_at, threshold_sum

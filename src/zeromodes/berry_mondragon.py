@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .field import FluxLike, PiFlux, TWO_PI
 from .geometry import Annulus
 from .numutil import integer_at

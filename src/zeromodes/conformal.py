@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import NorthPole, PolePoint
 from .field import FieldSpec, KernelChoice, check_sphere_flux_balance
 from .geometry import DomainKind, DomainSpec, projected_disc

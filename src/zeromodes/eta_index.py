@@ -46,8 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence, Union
 
-import numpy as np
-
+from ._numpy import np
 from .aps_boundary import Chirality
 from .errors import DomainError
 from .conformal import flat_problem

@@ -25,8 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-import numpy as np
-
+from ._numpy import np
 from .errors import SphereFluxMismatch
 from .geometry import DomainKind, DomainSpec, _checked_domain
 from .numutil import HALF, floor_strict, threshold_sum
@@ -215,10 +214,14 @@ def smooth_profile_shape(r: np.ndarray, rho: float) -> np.ndarray:
 @functools.cache
 def gauss_nodes() -> Tuple[np.ndarray, np.ndarray]:
     """Order-QUADRATURE_ORDER Gauss-Legendre nodes and weights on [-1, 1]; read only."""
-    return np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
+    x, w = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
+    # cached and shared by every quadrature: an in-place write would corrupt them all
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _smooth_norm_unit() -> float:
     # 2*pi * int_0^1 exp(-1/(1-u^2)) u du, the unit-radius bump's integral,
     # by the Gauss-Legendre rule the potential profiles use (the map from

@@ -32,9 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-from numpy.polynomial import chebyshev as cheb
-
+from ._numpy import np
 from .conformal import flat_problem
 from .errors import SingularPoint
 from .field import (
@@ -93,16 +91,18 @@ class _BumpRadial:
             return amp * smooth_profile_shape(r, rho)
 
         f_vals = TWO_PI * _gl_integrals_from(lambda r: density(r) * r, np.zeros_like(t), t)
-        self._cheb_f = _chopped(cheb.chebfit(2.0 * t / rho - 1.0, f_vals, n_nodes - 1))
+        self._cheb_f = _chopped(
+            np.polynomial.chebyshev.chebfit(2.0 * t / rho - 1.0, f_vals, n_nodes - 1))
 
         # h from the smooth radial relation h'(s) = -F(s)/(2 pi s); the
         # integrand F(s)/s vanishes at 0, so no log singularity enters.
         def h_integrand(s):
-            return cheb.chebval(2.0 * s / rho - 1.0, self._cheb_f) / s
+            return np.polynomial.chebyshev.chebval(2.0 * s / rho - 1.0, self._cheb_f) / s
 
         h_edge = -self.flux / TWO_PI * math.log(rho)
         h_vals = h_edge + _gl_integrals_from(h_integrand, t, np.full_like(t, rho)) / TWO_PI
-        self._cheb_h = _chopped(cheb.chebfit(2.0 * t / rho - 1.0, h_vals, n_nodes - 1))
+        self._cheb_h = _chopped(
+            np.polynomial.chebyshev.chebfit(2.0 * t / rho - 1.0, h_vals, n_nodes - 1))
 
     def flux_within(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -114,7 +114,8 @@ class _BumpRadial:
         tiny = s < 1e-3 * self.rho
         mid = (s < self.rho) & ~tiny
         if np.any(mid):
-            out[mid] = cheb.chebval(2.0 * s[mid] / self.rho - 1.0, self._cheb_f)
+            out[mid] = np.polynomial.chebyshev.chebval(
+                2.0 * s[mid] / self.rho - 1.0, self._cheb_f)
         if np.any(tiny):
             st = s[tiny]
             out[tiny] = math.pi * self._density0 * st ** 2 * \
@@ -136,7 +137,8 @@ class _BumpRadial:
                     math.log(self.rho) - (self.rho ** 2 - si ** 2) / (2.0 * self.rho ** 2)
                 )
             else:
-                out[inside] = cheb.chebval(2.0 * s[inside] / self.rho - 1.0, self._cheb_h)
+                out[inside] = np.polynomial.chebyshev.chebval(
+                    2.0 * s[inside] / self.rho - 1.0, self._cheb_h)
         return out
 
 

@@ -31,8 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from . import conformal
 from .aps_boundary import BoundarySpectrum, Chirality, leakage, trace_from_samples
 from .errors import EmptyBasis, GridTooCoarse

@@ -10,10 +10,14 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import zeromodes
 from zeromodes import cli, zero_modes
 from zeromodes.field import validate_field
 from zeromodes.geometry import validate_domain
@@ -64,6 +68,26 @@ def test_every_traced_name_resolves(module, attr):
         assert callable(owner.__dict__[name])
     else:
         assert callable(getattr(owner, name))
+
+
+def test_cli_import_loads_every_traced_module_but_not_numpy():
+    # the tracer reads sys.modules[module] for each name it wraps, in a
+    # worker that has imported zeromodes.cli and nothing else of the package
+    modules = sorted({module for module, _ in _bindings()})
+    script = (
+        "import json, sys\n"
+        "import zeromodes.cli\n"
+        "import zeromodes\n"
+        f"missing = [m for m in {modules!r} if m not in sys.modules]\n"
+        "unresolved = [n for n in zeromodes.__all__ if not hasattr(zeromodes, n)]\n"
+        "numpy = [n for n in sys.modules if n.startswith('numpy.')]\n"
+        "print(json.dumps([missing, unresolved, numpy[:5]]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zeromodes.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [], []]
 
 
 def test_worker_builds_and_verifies_one_mode(tmp_path):

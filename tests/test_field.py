@@ -28,6 +28,7 @@ from zeromodes import (
     sphere_with_holes,
     validate_field,
 )
+from zeromodes.field import gauss_nodes
 from zeromodes.conformal import flat_problem
 
 TWO_PI = 2 * math.pi
@@ -189,3 +190,14 @@ def test_smooth_bump_field_builds_without_scipy():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_gauss_nodes_are_read_only():
+    # every quadrature shares the cached rule, so a write must not reach it
+    x, w = gauss_nodes()
+    for array in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2.0
+    assert gauss_nodes()[0] is x and float(w.sum()) == pytest.approx(2.0)
