@@ -28,6 +28,8 @@ degree-exponent inequality plus a far-field decay sample.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -89,7 +91,7 @@ class ZeroMode:
 
     def eval(self, z) -> np.ndarray:
         """Value of the nonzero spinor component at z."""
-        scalar = np.isscalar(z)
+        scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.shape == ())
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         out = next(_basis_at([self], self.chirality, self.potential)(z))
         if self.w_dressed:
@@ -312,7 +314,7 @@ def _component_residual(ux, uy, u0, av, up: bool) -> np.ndarray:
 
 
 def _residual_chunks(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: float,
-                     weight=None):
+                     weight=None, starts: Optional[range] = None):
     """The one walk of the residual oracle over the points, in chunks of ``_CHUNK_POINTS``.
 
     ``components_at(z)`` gives the components of one or more spinors at z,
@@ -321,10 +323,10 @@ def _residual_chunks(components_at, ups: Sequence[bool], a, zs: np.ndarray, step
     residual at each point of the chunk that starts at ``zs[lo]`` (the
     ``np.maximum`` over its components, so a NaN wins), and its largest
     modulus there.  Each chunk takes one ``components_at`` call per stencil
-    shift.
+    shift.  ``starts`` walks only the chunks that start there (default: all).
     """
     width = len(ups)
-    for lo in range(0, zs.size, _CHUNK_POINTS):
+    for lo in range(0, zs.size, _CHUNK_POINTS) if starts is None else starts:
         z = zs[lo:lo + _CHUNK_POINTS]
         ux, uy = (_central_difference(components_at, z, shift) for shift in (step, 1j * step))
         av = a(z)
@@ -350,6 +352,95 @@ def _worse(p: Tuple[np.float64, int], q: Tuple[np.float64, int]) -> Tuple[np.flo
                else (1, -point[0], point[1]))
 
 
+def _worker_count(chunks: int) -> int:
+    """Processes that share a walk of ``chunks`` whole chunks: one per CPU
+    this process may run on, at most one per whole chunk (a fork costs about
+    as much as a partial chunk's walk), and this one alone unless a fork is
+    safe.  It is safe on Linux while this process runs a single OS thread; a
+    child forked beside another thread (a BLAS pool, a Python thread) would
+    inherit every lock that thread holds."""
+    if chunks < 2 or sys.platform != "linux" or len(os.listdir("/proc/self/task")) > 1:
+        return 1
+    return min(chunks, len(os.sched_getaffinity(0)))
+
+
+def _send_and_exit(walk, share: range, write: int) -> None:
+    """In a forked child: pickle ``walk(share)``, or the exception it raised,
+    down the pipe ``write`` and end the process with ``os._exit``, so no exit
+    handler, stdio flush or finalizer inherited from the parent runs."""
+    import pickle
+
+    try:
+        try:
+            result = (walk(share), None)
+        except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
+            result = (None, exc)
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+    finally:
+        os._exit(0)
+
+
+def _in_shares(walk, starts: range, workers: int) -> list:
+    """``walk(starts)`` for a ``walk`` that returns one list entry per chunk,
+    computed in ``workers`` contiguous shares of ``starts``.
+
+    This process walks the first share (no share is larger) and forks a
+    child for each other one; a share no child could be forked for is walked
+    here after the children's.  The shares' lists are joined in share order.
+    A child's exception is re-raised here with its type and message, and the
+    first share in order that fails decides it, as the first failing chunk
+    does in one walk.  Every child is reaped before this returns or raises,
+    and killed first when its result is no longer wanted.
+    """
+    if workers == 1:
+        return walk(starts)
+    import pickle  # only a forking walk loads these, not the table commands
+    import signal
+
+    # the first len(starts) % workers shares take one chunk more; a child
+    # pays for its fork before it starts walking
+    edges = [-(-len(starts) * i // workers) for i in range(workers + 1)]
+    shares = [starts[lo:hi] for lo, hi in zip(edges, edges[1:])]
+    children = []  # (pid, read end of its result pipe), in share order
+    received = 0
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: walk the rest here
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                _send_and_exit(walk, share, write)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        out = walk(shares[0])
+        for pid, pipe in children:
+            data = pipe.read()
+            received += 1
+            if not data:
+                raise ChildProcessError(f"residual worker {pid} ended without a result")
+            rows, exc = pickle.loads(data)
+            if exc is not None:
+                raise exc
+            out += rows
+        for share in shares[1 + len(children):]:
+            out += walk(share)
+        return out
+    finally:
+        for pid, _ in children[received:]:
+            os.kill(pid, signal.SIGKILL)
+        for pid, pipe in children:
+            pipe.close()
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped already: SIGCHLD is ignored here
+                pass
+
+
 def _conformal_weights(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """W^{-3/2} on the residual and W^{-1/2} on the modulus of a sphere's
     flat-metric components, at z on the projected disc."""
@@ -367,7 +458,10 @@ def pde_residuals(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: f
     and W^{-1/2}).  One walk at ``step`` keeps each spinor's worst point (the
     one ``np.argmax`` over its whole row would pick, so a NaN is the worst)
     and its largest modulus, in memory that does not grow with ``zs``; one
-    more walk evaluates every spinor's worst point at ``step / 2``.  Both
+    more walk evaluates every spinor's worst point at ``step / 2``.  The first
+    walk is split into shares of chunks (:func:`_in_shares`), each reduced
+    to one worst point and modulus per chunk and spinor, and merged here in
+    chunk order, so the result does not depend on the split.  Both
     residuals are divided by the modulus in numpy float64.  GridTooCoarse is
     raised for the first spinor, in order, whose two residuals differ by more
     than ten tolerances (no convergence).
@@ -375,15 +469,25 @@ def pde_residuals(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: f
     if not zs.size:
         raise ValueError("no point to check the Dirac residual at: "
                          "the finite-difference step leaves none inside the domain")
+
+    def chunk_worst(share: range) -> List[Tuple[int, np.float64, int, np.float64]]:
+        """(spinor, residual, point index, modulus) at each chunk's worst point."""
+        out = []
+        for s, lo, r, modulus in _residual_chunks(components_at, ups, a, zs, step, weight,
+                                                  share):
+            k = int(np.argmax(r))
+            out.append((s, r[k], lo + k, modulus))
+        return out
+
     worst: List[Tuple[np.float64, int]] = []
     scales: List[np.float64] = []
-    for s, lo, r, modulus in _residual_chunks(components_at, ups, a, zs, step, weight):
-        k = int(np.argmax(r))
-        if lo == 0:
-            worst.append((r[k], k))
+    for s, value, idx, modulus in _in_shares(chunk_worst, range(0, zs.size, _CHUNK_POINTS),
+                                             _worker_count(zs.size // _CHUNK_POINTS)):
+        if s == len(worst):  # the first chunk
+            worst.append((value, idx))
             scales.append(modulus)
         else:
-            worst[s] = _worse(worst[s], (r[k], lo + k))
+            worst[s] = _worse(worst[s], (value, idx))
             scales[s] = np.maximum(scales[s], modulus)
     # point s of the half-step walk is spinor s's worst point
     halves = [None] * len(worst)

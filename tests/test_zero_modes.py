@@ -1,8 +1,14 @@
 """Counting theorems, mode construction, and the verification oracles."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +25,7 @@ from zeromodes import (
     PotentialField,
     Profile,
     RadialBump,
+    SingularPoint,
     ZeroMode,
     boundary_spectra,
     build_basis,
@@ -148,6 +155,21 @@ def test_mode_evaluation_matches_envelope():
     mode = build_basis(DISC, fld, pot).modes()[0]
     z = 1.3 - 0.4j
     assert mode.eval(z) == pytest.approx(np.exp(pot.eval_h(z)))
+
+
+@pytest.mark.parametrize("case", ["disc", "sphere"])
+def test_mode_eval_keeps_the_shape_of_its_input(case):
+    # a scalar in (Python, numpy or 0-d array) gives a scalar out, as eval_h
+    # and eval_a do; an array gives an array of its shape
+    dom, fld, pot, modes = _basis_case("disc-up" if case == "disc" else "sphere")
+    mode = modes[-1]
+    expected = mode.eval(np.array([1 + 1j]))
+    assert expected.shape == (1,)
+    for z in (1 + 1j, np.complex128(1 + 1j), np.array(1 + 1j)):
+        for fn in (mode.eval, pot.eval_h, pot.eval_a):
+            assert np.ndim(fn(z)) == 0, (fn, type(z))
+        assert mode.eval(z) == expected[0]
+    assert mode.eval(np.array([1 + 1j, 0.5j])).shape == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +509,11 @@ def test_verify_modes_rejects_modes_of_different_kinds(disc_problem):
             verify_modes([up, other], dom, fld, pot)
 
 
-def test_verify_modes_peak_memory_stays_below_one_parent_mode():
+def test_verify_modes_peak_memory_stays_below_one_parent_mode(monkeypatch):
     # a verify_disc_smooth-sized problem: 5 spin-up modes, 2 holes, 2 smooth
-    # bumps, 278,730 residual points on the default grid
+    # bumps, 278,730 residual points on the default grid; one worker, since
+    # tracemalloc sees only this process
+    _workers(monkeypatch, 1)
     dom = disc_with_holes(3.0, [Hole(1.827 + 0.732j, 0.35), Hole(-1.41 - 1.869j, 0.35)])
     fld = FieldSpec(bumps=[RadialBump(0.489 - 1.008j, 0.6, pi_flux("25/4")),
                            RadialBump(-1.294 + 1.129j, 0.6, pi_flux(5))],
@@ -509,11 +533,12 @@ def test_verify_modes_peak_memory_stays_below_one_parent_mode():
     assert peak <= 49.2e6
 
 
-def test_verify_modes_memory_does_not_grow_with_modes_times_points():
+def test_verify_modes_memory_does_not_grow_with_modes_times_points(monkeypatch):
     # 16 candidate modes on 404,501 points (25 chunks): one residual row per
     # mode would add 15 x points x 8 B = 48.5 MB over a single mode; the
     # streamed worst points add one chunk's working set per mode (measured
-    # 8.3 MB, against 58 MB with whole rows)
+    # 8.3 MB, against 58 MB with whole rows); one worker, as above
+    _workers(monkeypatch, 1)
     dom, fld = disc_with_holes(3.0), FieldSpec()
     pot = PotentialField(fld, dom)
     grid = GridSpec(bulk_divisor=44)
@@ -679,6 +704,326 @@ def test_bulk_points_built_by_blocks_equal_the_full_lattice(case, chunk, monkeyp
     assert np.array_equal(got, expected)
     if case == "doubled":  # the spacing was doubled at least once
         assert 4 * got.size < _full_lattice_bulk(dom, fld, GridSpec(), fd).size
+
+
+# ---------------------------------------------------------------------------
+# the residual walk split over processes
+# ---------------------------------------------------------------------------
+
+
+def _workers(monkeypatch, n):
+    """Split every residual walk into min(n, chunks) shares, whatever the
+    CPUs of this process (conftest.py keeps it single-threaded)."""
+    monkeypatch.setattr(zero_modes, "_worker_count", lambda chunks: min(n, chunks))
+
+
+def _counted_forks(monkeypatch):
+    """A list that gains one entry per os.fork call."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split_case(case):
+    """A verify, as a call of no arguments, for each problem the split walk
+    is compared on."""
+    grid = GridSpec(radial=16, angular=64, bulk_divisor=8)
+    if case == "bm":
+        from zeromodes import BMConfig, bm_verify, bm_zero_mode
+
+        cfg = BMConfig(1.0, 2.0, math.pi, 1.0, -1.0)
+        return lambda: [bm_verify(cfg, bm_zero_mode(cfg))]
+    if case == "sphere-workload":
+        from test_benchmark_bindings import SPHERE
+        from zeromodes import cli
+
+        dom = cli.parse_domain(SPHERE["domain"])
+        fld = cli.parse_field(SPHERE["field"], dom.n_holes)
+        pot = PotentialField(fld, dom)
+        modes = build_basis(dom, fld, pot).modes()
+    else:
+        dom, fld, pot, modes = _basis_case(case)
+    return lambda: verify_modes(modes, dom, fld, pot, grid)
+
+
+@pytest.mark.parametrize("case", ["disc-up", "disc-down", "sphere", "plane", "disc-high",
+                                  "sphere-workload", "bm"])
+def test_split_walk_reports_equal_one_walk(case, monkeypatch):
+    # 1000-point chunks, so share edges fall inside every point set
+    monkeypatch.setattr(zero_modes, "_CHUNK_POINTS", 1000)
+    run = _split_case(case)
+    _workers(monkeypatch, 1)
+    forks = _counted_forks(monkeypatch)
+    expected = run()
+    assert not forks
+    for n in (2, 3):
+        _workers(monkeypatch, n)
+        assert run() == expected, n
+        assert forks, n
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3, 5])
+def test_shares_are_joined_in_chunk_order(workers, monkeypatch):
+    forks = _counted_forks(monkeypatch)
+    starts = range(0, 5000, 1000)
+
+    def walk(share):
+        return [(lo, lo // 1000 % 2) for lo in share]
+
+    assert zero_modes._in_shares(walk, starts, workers) == walk(starts)
+    assert len(forks) == workers - 1
+    _assert_no_child_left()
+
+
+def test_shares_no_child_could_be_forked_for_are_walked_here(monkeypatch):
+    fork, forks = os.fork, []
+
+    def fork_once():  # the second fork finds no process to spare
+        if forks:
+            raise BlockingIOError("fork: resource temporarily unavailable")
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    starts = range(0, 5000, 1000)
+    assert zero_modes._in_shares(lambda share: list(share), starts, 3) == list(starts)
+    assert forks == [1]
+    _assert_no_child_left()
+
+
+def test_bm_verify_annulus_is_one_chunk_and_never_forks(monkeypatch):
+    from zeromodes import BMConfig, bm_verify, bm_zero_mode
+
+    def refuse():
+        raise AssertionError("forked")
+
+    chunks, count = [], zero_modes._worker_count
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(zero_modes, "_worker_count", lambda n: chunks.append(n) or count(n))
+    cfg = BMConfig(1.0, 2.0, math.pi, 1.0, -1.0)
+    assert bm_verify(cfg, bm_zero_mode(cfg)).passed
+    assert chunks == [1]
+
+
+# 5000 points on a line, in five 1000-point chunks: two workers walk chunks
+# [0, 3) and [3, 5), three walk [0, 2), [2, 4) and [4, 5).  The spinor is
+# the constant 1, so its differences are exactly 0 and its residual at z is
+# |a(z)|, set point by point.
+_LINE = np.arange(5000) / 5000 + 0.5j
+
+
+def _line_residuals(monkeypatch, workers, a_at):
+    """pde_residuals of the constant spinor on _LINE with |a| from
+    ``a_at(point index)``, and every point set ``a`` was called at here."""
+    monkeypatch.setattr(zero_modes, "_CHUNK_POINTS", 1000)
+    _workers(monkeypatch, workers)
+    calls = []
+
+    def a(z):
+        calls.append(z)
+        index = np.rint((z.real - _LINE[0].real) * 5000).astype(int)
+        return np.array([a_at(i) for i in index], dtype=complex)
+
+    try:
+        return zero_modes.pde_residuals(lambda z: (np.ones_like(z),), (True,), a, _LINE,
+                                        1e-3, 1.0), calls
+    finally:
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("points, whole", [(999, 0), (1999, 1), (2000, 2), (5000, 5)])
+def test_only_whole_chunks_earn_a_worker(points, whole, monkeypatch):
+    # a fork costs about as much as walking a partial chunk
+    monkeypatch.setattr(zero_modes, "_CHUNK_POINTS", 1000)
+    chunks = []
+    monkeypatch.setattr(zero_modes, "_worker_count", lambda n: chunks.append(n) or 1)
+    zero_modes.pde_residuals(lambda z: (np.ones_like(z),), (True,), np.ones_like,
+                             _LINE[:points], 1e-3, 1.0)
+    assert chunks == [whole]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_walk_tie_goes_to_the_smaller_index(workers, monkeypatch):
+    # equal worst residuals at points 1500 and 3500, in different shares:
+    # the half step is taken at 1500, the point np.argmax picks
+    (pde,), calls = _line_residuals(monkeypatch, workers,
+                                    lambda i: 2.0 if i in (1500, 3500) else 1.0)
+    assert pde == (2.0, 1.0)
+    assert np.array_equal(calls[-1], _LINE[[1500]])
+    # and either way round
+    assert zero_modes._worse((np.float64(2.0), 3500), (np.float64(2.0), 1500)) == (2.0, 1500)
+    assert zero_modes._worse((np.float64(2.0), 1500), (np.float64(2.0), 3500)) == (2.0, 1500)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_walk_a_nan_in_a_child_share_wins(workers, monkeypatch):
+    # a NaN at point 4200, in the last share, beats a larger residual at
+    # point 100, in this process's share
+    (pde,), calls = _line_residuals(
+        monkeypatch, workers, lambda i: math.nan if i == 4200 else 5.0 if i == 100 else 1.0)
+    assert math.isnan(pde[0]) and pde[1] == math.inf
+    assert np.array_equal(calls[-1], _LINE[[4200]])
+
+
+@pytest.mark.parametrize("bad", [(2200, 4700), (300, 4700), (4700,)])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_walk_raises_the_first_failing_share(workers, bad, monkeypatch):
+    # a SingularPoint at each bad point, in this process's share or a
+    # child's; the one walk meets the first of them
+    def a_at(i):
+        if i in bad:
+            raise SingularPoint(f"a evaluated at point {i}")
+        return 1.0
+
+    with pytest.raises(SingularPoint) as one:
+        _line_residuals(monkeypatch, 1, a_at)
+    with pytest.raises(SingularPoint) as split:
+        _line_residuals(monkeypatch, workers, a_at)
+    assert str(split.value) == str(one.value) == f"a evaluated at point {bad[0]}"
+
+
+def test_children_are_killed_when_this_share_fails(monkeypatch):
+    parent = os.getpid()
+
+    def walk(share):
+        if os.getpid() == parent:
+            raise SingularPoint("this share")
+        time.sleep(60)
+        return list(share)
+
+    start = time.monotonic()
+    with pytest.raises(SingularPoint, match="this share"):
+        zero_modes._in_shares(walk, range(0, 5000, 1000), 3)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+def test_split_walk_reports_a_child_that_ends_without_a_result(monkeypatch):
+    parent = os.getpid()
+
+    def a_at(i):
+        if i == 4700 and os.getpid() != parent:
+            os._exit(3)
+        return 1.0
+
+    with pytest.raises(ChildProcessError, match="without a result"):
+        _line_residuals(monkeypatch, 2, a_at)
+
+
+# runs verify_modes in a process with no BLAS thread (OPENBLAS_NUM_THREADS=1)
+# and two CPUs, under -W error::DeprecationWarning: the split must fork there,
+# and must not fork while a Python thread runs or /proc/self/task lists two
+# threads (os.fork raises if called then)
+GUARD_CHILD = """
+import json, os, threading
+from zeromodes import GridSpec, PotentialField, build_basis, verify_modes, zero_modes
+from zeromodes import FieldSpec, Hole, RadialBump, disc_with_holes, pi_flux
+
+threads_at_start = len(os.listdir("/proc/self/task"))
+os.sched_getaffinity = lambda pid: {0, 1}
+zero_modes._CHUNK_POINTS = 1000
+dom = disc_with_holes(3.0, [Hole(1.2 + 0.4j, 0.35)])
+fld = FieldSpec(bumps=[RadialBump(-0.8 + 0.3j, 0.6, pi_flux("5/2"))],
+                hole_fluxes=[pi_flux("1/2")])
+pot = PotentialField(fld, dom)
+modes = build_basis(dom, fld, pot).modes()
+grid = GridSpec(radial=16, angular=64, bulk_divisor=8)
+
+def run():
+    return verify_modes(modes, dom, fld, pot, grid)
+
+count = zero_modes._worker_count
+zero_modes._worker_count = lambda chunks: 1
+expected = run()
+zero_modes._worker_count = count
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+forked = run() == expected and len(forks)
+
+def refuse():
+    raise AssertionError("forked beside another thread")
+
+os.fork = refuse
+stop = threading.Event()
+thread = threading.Thread(target=stop.wait)
+thread.start()
+try:
+    with_thread = run() == expected
+finally:
+    stop.set()
+    thread.join(timeout=60)
+listdir = os.listdir
+os.listdir = lambda path=".": ["1", "2"] if path == "/proc/self/task" else listdir(path)
+with_two_tasks = run() == expected
+print(json.dumps([threads_at_start, forked, with_thread, with_two_tasks, thread.is_alive()]))
+"""
+
+
+def _child_env():
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=str(Path(zero_modes.__file__).resolve().parents[1]))
+
+
+def test_split_walk_forks_only_from_a_single_threaded_process():
+    proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c",
+                           GUARD_CHILD], env=_child_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [1, 1, True, True, False]
+
+
+# the seed-7 verify_disc_smooth problem
+SEED7_DISC = {
+    "domain": {"kind": "disc", "radius_out": 3.0,
+               "holes": [{"center": [1.827, 0.732], "radius": 0.35},
+                         {"center": [-1.41, -1.869], "radius": 0.35}]},
+    "field": {"bumps": [{"center": [0.489, -1.008], "support_radius": 0.6,
+                         "flux_pi": "25/4", "profile": "smooth"},
+                        {"center": [-1.294, 1.129], "support_radius": 0.6,
+                         "flux_pi": "5", "profile": "smooth"}],
+              "hole_fluxes_pi": ["1", "-7/4"]},
+}
+# a CLI process on one CPU ("1") or on every CPU it may use ("all"); it
+# reports on stderr how often it forked and its peak RSS in kB, the larger of
+# its own and that of the workers it reaped
+CLI_CHILD = """
+import os, resource, sys
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+from zeromodes.cli import main
+code = main(sys.argv[2:])
+rss = max(resource.getrusage(who).ru_maxrss
+          for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+print(len(forks), rss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_split_verify_peak_rss_and_output_match_one_cpu(tmp_path):
+    # forked workers share the parent's pages until they write them, so the
+    # split holds about the memory of one walk
+    path = tmp_path / "disc.json"
+    path.write_text(json.dumps(SEED7_DISC), encoding="utf-8")
+    runs = {}
+    for cpus in ("1", "all"):
+        proc = subprocess.run([sys.executable, "-c", CLI_CHILD, cpus, "verify", "--config",
+                               str(path)], env=_child_env(), capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        forks, rss = map(int, proc.stderr.split()[-2:])
+        runs[cpus] = proc.stdout, forks, rss
+    assert runs["all"][0] == runs["1"][0]
+    assert runs["1"][1] == 0
+    if len(os.sched_getaffinity(0)) > 1:
+        assert runs["all"][1] > 0
+    assert abs(runs["all"][2] - runs["1"][2]) <= 0.05 * runs["1"][2]
 
 
 # ---------------------------------------------------------------------------
