@@ -33,6 +33,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
@@ -487,6 +488,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    if argv is None:
+        # run as the program: numpy's OpenBLAS pool would be a second thread,
+        # and verify forks its walk workers only from a single-threaded process
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _parser().parse_args(argv)
 
     try:

@@ -35,7 +35,7 @@ TWO_PI = 2.0 * math.pi
 # Gauss-Legendre nodes per radial integral of a smooth bump profile
 QUADRATURE_ORDER = 96
 
-# largest |bulk + raw hole fluxes| a sphere field may carry
+# largest |bulk + raw hole fluxes| a sphere field of float fluxes may carry
 SPHERE_BALANCE_TOL = 1e-9
 
 
@@ -52,12 +52,6 @@ class PiFlux:
     def over_2pi(self) -> Fraction:
         m = self.multiplier
         return Fraction(m.numerator, 2 * m.denominator)
-
-    def __add__(self, other: "PiFlux") -> "PiFlux":
-        return PiFlux(self.multiplier + other.multiplier)
-
-    def __neg__(self) -> "PiFlux":
-        return PiFlux(-self.multiplier)
 
     def __repr__(self) -> str:
         return f"PiFlux({self.multiplier}*pi)"
@@ -125,7 +119,7 @@ class FieldSpec:
         """
         parts: List[FluxLike] = [b.flux for b in self.bumps]
         parts += [nf.value for nf in self.normalized_hole_fluxes]
-        return _sum_fluxes(parts) if parts else 0.0
+        return _sum_fluxes(parts)
 
 
 @dataclass(frozen=True)
@@ -157,23 +151,21 @@ def normalize_flux(
 
 
 def _sum_fluxes(parts: Sequence[FluxLike]) -> FluxLike:
-    """Sum that stays exact when every part is a PiFlux."""
-    if parts and all(isinstance(p, PiFlux) for p in parts):
+    """Sum that stays exact when every part is a PiFlux (so an empty sum is
+    the exact zero)."""
+    if all(isinstance(p, PiFlux) for p in parts):
         return PiFlux(threshold_sum(*(p.multiplier for p in parts)))
     return float(sum(float(p) for p in parts))
 
 
-def bulk_flux(fld: FieldSpec) -> FluxLike:
-    return _sum_fluxes([b.flux for b in fld.bumps]) if fld.bumps else 0.0
-
-
 def check_sphere_flux_balance(fld: FieldSpec) -> None:
-    """Raise SphereFluxMismatch unless bulk + all raw hole fluxes sum to zero."""
-    total = float(bulk_flux(fld)) + sum(float(p) for p in fld.hole_fluxes)
-    if abs(total) > SPHERE_BALANCE_TOL:
-        raise SphereFluxMismatch(
-            f"total flux on the sphere must vanish, got {total:.3e}"
-        )
+    """Raise SphereFluxMismatch unless bulk + all raw hole fluxes sum to zero:
+    exactly for PiFlux data, within SPHERE_BALANCE_TOL for floats."""
+    total = _sum_fluxes([b.flux for b in fld.bumps] + list(fld.hole_fluxes))
+    unbalanced = (total.multiplier != 0 if isinstance(total, PiFlux)
+                  else abs(total) > SPHERE_BALANCE_TOL)
+    if unbalanced:
+        raise SphereFluxMismatch(f"total flux on the sphere must vanish, got {float(total):.3e}")
 
 
 def validate_field(fld: FieldSpec, domain: DomainSpec) -> List[str]:

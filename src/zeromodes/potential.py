@@ -4,9 +4,10 @@ h solves -laplace(h) = B with the logarithmic Newtonian kernel,
 
     h(z) = -(1/2pi) * integral log|z - z'| B(z') dA',
 
-so each hole delta contributes -(flux'/2pi) log|z - w|, and each radial bump
-reduces by the ring average of the kernel (mean of log|s - r e^{i t}| over t
-is log max(s, r)) to one-dimensional radial integrals:
+so each hole delta, the radial source of radius 0, contributes
+-(flux'/2pi) log|z - w|, and each radial bump reduces by the ring average of
+the kernel (mean of log|s - r e^{i t}| over t is log max(s, r)) to
+one-dimensional radial integrals:
 
     h(s) = -(1/2pi) [ log(s) F(s) + 2pi int_s^rho b(r) r log(r) dr ],
     F(s) = cumulative flux within radius s.
@@ -29,8 +30,7 @@ quadrature reads it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List
+from typing import Optional
 
 from ._numpy import np
 from .conformal import flat_problem
@@ -67,20 +67,24 @@ def _gl_integrals_from(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return (half[:, 0]) * (fn(mid + half * x[None, :]) @ w)
 
 
-class _BumpRadial:
-    """Cached radial profiles F(s) (cumulative flux) and h(s) for one bump."""
+class _RadialSource:
+    """Radial profiles F(s) (cumulative flux) and h(s) of one source of flux.
 
-    def __init__(self, bump: RadialBump):
-        self.bump = bump
-        self.flux = float(bump.flux)
-        self.rho = bump.support_radius
-        self.profile = bump.profile
-        if bump.profile is Profile.SMOOTH_COMPACT:
-            self._build_smooth()
+    A source has a centre, a flux and a support radius.  A bump's profile and
+    radius are its own; a hole's delta is the source of radius 0, so every
+    s > 0 lies outside its support.
+    """
 
-    def _build_smooth(self) -> None:
+    def __init__(self, center: complex, flux: float, bump: Optional[RadialBump] = None):
+        self.center = center
+        self.flux = flux
+        self.rho = 0.0 if bump is None else bump.support_radius
+        self.profile = None if bump is None else bump.profile
+        if self.profile is Profile.SMOOTH_COMPACT:
+            self._build_smooth(smooth_profile_amplitude(bump))
+
+    def _build_smooth(self, amp: float) -> None:
         rho = self.rho
-        amp = smooth_profile_amplitude(self.bump)
         self._density0 = amp * math.exp(-1.0)
         n_nodes = 160
         # interior Chebyshev points of the first kind on [0, rho]
@@ -106,6 +110,10 @@ class _BumpRadial:
 
     def flux_within(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
+        if not self.rho:  # a delta's a = i F d / (2 pi s^2) is singular where s^2 is 0
+            if np.any(s ** 2 == 0.0):
+                raise SingularPoint(f"a evaluated at delta centre {self.center}")
+            return np.full(s.shape, self.flux)
         if self.profile is Profile.UNIFORM_DISC:
             return self.flux * np.minimum(1.0, (s / self.rho) ** 2)
         out = np.full(s.shape, self.flux)
@@ -125,6 +133,10 @@ class _BumpRadial:
     def h_radial(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         coef = -self.flux / TWO_PI
+        if not self.rho:
+            if np.any(s == 0.0):
+                raise SingularPoint(f"h evaluated at delta centre {self.center}")
+            return coef * np.log(s)
         out = np.empty(s.shape)
         outside = s >= self.rho
         with np.errstate(divide="ignore"):
@@ -142,39 +154,21 @@ class _BumpRadial:
         return out
 
 
-@dataclass(frozen=True)
-class PointSource:
-    center: complex
-    flux: float
-
-
 class PotentialField:
     """Evaluator for h and a of a validated (field, domain) pair.
 
-    Hole fields enter through their normalized fluxes (the gauge-reduced delta
-    model), so h is the sum of a smooth bump part and
-    -(flux'_k/2pi) log|z - w_k| singular parts; a sphere's holes are those of
-    its projected disc (``conformal.flat_problem``).  Immutable after
-    construction.
+    h and a are sums over radial sources: first each hole's delta of its
+    normalized flux at the hole centre (the gauge-reduced delta model), then
+    each bump.  A sphere's holes are those of its projected disc
+    (``conformal.flat_problem``).  Immutable after construction.
     """
 
     def __init__(self, fld: FieldSpec, domain: DomainSpec):
-        self.field = fld
         self.domain = domain
         flat_domain, flat_field = flat_problem(domain, fld)
-        self.hole_sources: List[PointSource] = [
-            PointSource(h.center, float(nf.value))
-            for h, nf in zip(flat_domain.holes, flat_field.normalized_hole_fluxes)
-        ]
-        self._bumps = [_BumpRadial(b) for b in fld.bumps]
-
-    # -- sources ---------------------------------------------------------
-
-    def point_sources(self) -> List[PointSource]:
-        """Delta sources plus bumps collapsed to points (valid off supports)."""
-        return self.hole_sources + [
-            PointSource(b.bump.center, b.flux) for b in self._bumps
-        ]
+        holes = zip(flat_domain.holes, flat_field.normalized_hole_fluxes)
+        self._sources = [_RadialSource(h.center, float(nf.value)) for h, nf in holes]
+        self._sources += [_RadialSource(b.center, float(b.flux), b) for b in fld.bumps]
 
     # -- scalar potential --------------------------------------------------
 
@@ -182,13 +176,8 @@ class PotentialField:
         scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.shape == ())
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         out = np.zeros(z.shape)
-        for src in self.hole_sources:
-            r = np.abs(z - src.center)
-            if np.any(r == 0.0):
-                raise SingularPoint(f"h evaluated at delta centre {src.center}")
-            out += -(src.flux / TWO_PI) * np.log(r)
-        for b in self._bumps:
-            out += b.h_radial(np.abs(z - b.bump.center))
+        for src in self._sources:
+            out += src.h_radial(np.abs(z - src.center))
         return float(out[0]) if scalar else out
 
     def eval_a(self, z) -> np.ndarray:
@@ -196,20 +185,12 @@ class PotentialField:
         scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.shape == ())
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         out = np.zeros(z.shape, dtype=complex)
-        for src in self.hole_sources:
+        for src in self._sources:
             d = z - src.center
-            r2 = np.abs(d) ** 2
-            if np.any(r2 == 0.0):
-                raise SingularPoint(f"a evaluated at delta centre {src.center}")
-            out += 1j * (src.flux / TWO_PI) * d / r2
-        for b in self._bumps:
-            d = z - b.bump.center
             r = np.abs(d)
-            safe = r > 0
-            f = b.flux_within(r)
-            contrib = np.zeros(z.shape, dtype=complex)
-            contrib[safe] = 1j * (f[safe] / TWO_PI) * d[safe] / (r[safe] ** 2)
-            out += contrib
+            safe = r > 0  # a bump's a vanishes at its centre; a delta raises there
+            f = src.flux_within(r)
+            out[safe] += 1j * (f[safe] / TWO_PI) * d[safe] / (r[safe] ** 2)
         return complex(out[0]) if scalar else out
 
     # -- boundary line integrals -------------------------------------------
@@ -219,7 +200,7 @@ class PotentialField:
     ) -> np.ndarray:
         """int_gamma a.ds from angle 0 to each phi along the circle.
 
-        Exact winding form: each point source of flux f contributes
+        Exact winding form: each source of flux f contributes
         (f/2pi) * (continuous change of arg(z - source)).  Valid when the
         circle is clear of bump supports.  ``phis`` must be dense enough that
         consecutive argument steps stay below pi.
@@ -227,7 +208,7 @@ class PotentialField:
         phis = np.asarray(phis, dtype=float)
         pts = center + radius * np.exp(1j * phis)
         out = np.zeros(phis.shape)
-        for src in self.point_sources():
+        for src in self._sources:
             ang = np.unwrap(np.angle(pts - src.center))
             out += (src.flux / TWO_PI) * (ang - ang[0])
         return out

@@ -365,18 +365,22 @@ def _worker_count(chunks: int) -> int:
 
 
 def _send_and_exit(walk, share: range, write: int) -> None:
-    """In a forked child: pickle ``walk(share)``, or the exception it raised,
-    down the pipe ``write`` and end the process with ``os._exit``, so no exit
-    handler, stdio flush or finalizer inherited from the parent runs."""
+    """In a forked child: pickle ``walk(share)`` or the exception it raised,
+    with the warnings it issued under the inherited filters, down the pipe
+    ``write``, and end the process with ``os._exit``, so no exit handler,
+    stdio flush or finalizer inherited from the parent runs."""
     import pickle
+    import warnings
 
     try:
-        try:
-            result = (walk(share), None)
-        except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
-            result = (None, exc)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                result = (walk(share), None)
+            except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
+                result = (None, exc)
+        issued = [(w.message, w.category, w.filename, w.lineno) for w in caught]
         with open(write, "wb") as pipe:
-            pipe.write(pickle.dumps(result))
+            pipe.write(pickle.dumps(result + (issued,)))
     finally:
         os._exit(0)
 
@@ -388,15 +392,19 @@ def _in_shares(walk, starts: range, workers: int) -> list:
     This process walks the first share (no share is larger) and forks a
     child for each other one; a share no child could be forked for is walked
     here after the children's.  The shares' lists are joined in share order.
-    A child's exception is re-raised here with its type and message, and the
-    first share in order that fails decides it, as the first failing chunk
-    does in one walk.  Every child is reaped before this returns or raises,
-    and killed first when its result is no longer wanted.
+    A child's warnings are issued again here, in share order, before its list
+    is joined or its exception re-raised, under the name and registry of the
+    module that issued them, so module filters and the "default" action act
+    as in one walk.  A child's exception is re-raised here with its type and
+    message, and the first share in order that fails decides it, as the
+    first failing chunk does in one walk.  Every child is reaped before this
+    returns or raises, and killed first when its result is no longer wanted.
     """
     if workers == 1:
         return walk(starts)
     import pickle  # only a forking walk loads these, not the table commands
     import signal
+    import warnings
 
     # the first len(starts) % workers shares take one chunk more; a child
     # pays for its fork before it starts walking
@@ -423,7 +431,12 @@ def _in_shares(walk, starts: range, workers: int) -> list:
             received += 1
             if not data:
                 raise ChildProcessError(f"residual worker {pid} ended without a result")
-            rows, exc = pickle.loads(data)
+            rows, exc, issued = pickle.loads(data)
+            for message, category, filename, lineno in issued:
+                module = next((vars(m) for m in list(sys.modules.values())
+                               if getattr(m, "__file__", None) == filename), {})
+                warnings.warn_explicit(message, category, filename, lineno, module.get("__name__"),
+                                       module.setdefault("__warningregistry__", {}))
             if exc is not None:
                 raise exc
             out += rows

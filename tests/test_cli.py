@@ -311,6 +311,22 @@ RANGE = {"start": "0", "stop": "1", "step": "1/2"}
     # one flux per hole is checked once, by validate_field
     pytest.param("count", _with(["field", "hole_fluxes_pi"], ["1/2", "1/2"]),
                  "field carries 2 hole fluxes for 1 holes", id="hole-flux-count"),
+    # a required value or section that is missing or of no known kind
+    pytest.param("count", _with(["field", "bumps", 0],
+                                _without(DISC_3PI["field"]["bumps"][0], "flux_pi")),
+                 "flux needs either 'flux_pi' or 'flux'", id="bump-no-flux"),
+    pytest.param("sweep", {"sweep": {"phi_pi": dict(RANGE, step="0")}},
+                 "range step must be positive", id="sweep-step-zero"),
+    pytest.param("count", _with(["domain"], _without(DISC_3PI["domain"], "radius_out")),
+                 "disc domains need radius_out", id="disc-no-radius-out"),
+    pytest.param("count", _with(["domain", "kind"], "torus"),
+                 "unknown domain kind 'torus'", id="domain-kind-unknown"),
+    pytest.param("count", _without(DISC_3PI, "domain"),
+                 "config needs 'domain' and 'field' sections", id="no-domain"),
+    pytest.param("sweep", {}, "config needs a 'sweep' section", id="no-sweep"),
+    pytest.param("index", {"domain": {"kind": "plane", "holes": []}, "field": {}},
+                 "the index table applies to disc and sphere domains", id="index-plane"),
+    pytest.param("bm", {}, "config needs a 'bm' section", id="no-bm"),
     # bool("false") is True: the string ran the unbounded sweep
     pytest.param("bm", {"bm": dict(BM, sweep={"start": "0", "stop": "1", "step": "1/2",
                                               "unbounded": "false"})},
@@ -371,6 +387,17 @@ def test_verify_all_pass(tmp_path, capsys):
     assert all(entry["value"] < 1e-6 for entry in row["residuals"]["leakage"])
 
 
+def test_verify_with_a_failing_mode_exits_1(tmp_path, capsys):
+    # no trace leaks less than 1e-300, so every mode of the seed-7 disc fails
+    from test_zero_modes import SEED7_DISC
+
+    cfg = write_config(tmp_path, dict(SEED7_DISC, tolerances={"leakage": 1e-300}))
+    code, out, _ = run_cli(capsys, "verify", "--config", cfg)
+    doc = json.loads(out)
+    assert code == 1 and doc["all_passed"] is False
+    assert len(doc["rows"]) == 5 and not any(row["passed"] for row in doc["rows"])
+
+
 def test_verify_grid_too_coarse_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, DISC_3PI)
     code, _, err = run_cli(capsys, "verify", "--config", cfg,
@@ -399,6 +426,31 @@ def test_sphere_flux_mismatch_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "count", "--config", cfg)
     assert code == 3
     assert "SphereFluxMismatch" in err
+
+
+@pytest.mark.parametrize("fluxes, code", [
+    ({"hole_fluxes_pi": ["1/1000000000000", "0"]}, 3),  # exact: unbalanced by 1e-12 pi
+    ({"hole_fluxes": [1e-12 * math.pi, 0.0]}, 0),  # float: within SPHERE_BALANCE_TOL
+])
+def test_sphere_balance_is_exact_for_exact_fluxes(tmp_path, capsys, fluxes, code):
+    cfg = write_config(tmp_path, {
+        "domain": {"kind": "sphere", "omitted_hole": 1,
+                   "holes": [{"center": [1.0, 0.0], "radius": 0.3},
+                             {"center": [0, 0], "radius": 3.0}]},
+        "field": fluxes,
+    })
+    got, _, err = run_cli(capsys, "count", "--config", cfg)
+    assert got == code and ("SphereFluxMismatch" in err) == (code == 3)
+
+
+def test_a_field_without_flux_takes_the_exact_path(tmp_path, capsys):
+    # the empty flux sum is the exact zero, so the outer eta of q = 1/3 is 2/3
+    cfg = write_config(tmp_path, {"domain": {"kind": "disc", "radius_out": 2.0, "holes": []},
+                                  "field": {"q": "1/3"}})
+    code, out, _ = run_cli(capsys, "index", "--config", cfg)
+    row = json.loads(out)["rows"][0]
+    assert code == 0 and row["index"] == 0 and row["index_raw"] == 0.0
+    assert row["eta"] == [{"boundary": "outer", "value": 2 / 3}]
 
 
 def test_sweep_staircase_jumps(tmp_path, capsys):
@@ -438,6 +490,23 @@ def test_bm_sweep_modes_at_odd_pi(tmp_path, capsys):
     rows = json.loads(out)["rows"]
     hits = [r["phi"] / math.pi for r in rows if r["has_mode"]]
     assert hits == pytest.approx([1.0, 3.0])
+
+
+@pytest.mark.parametrize("s_outer, n", [(-1.0, 1), (1.0, None)])
+def test_bm_single_configuration(tmp_path, capsys, s_outer, n):
+    # opposite signs admit the mode at phi = pi, equal signs none
+    cfg = write_config(tmp_path, {"bm": dict(BM, s_outer=s_outer)})
+    code, out, _ = run_cli(capsys, "bm", "--config", cfg)
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["phi"] == math.pi and row["has_mode"] is (n is not None) and row["n"] == n
+    if n is None:
+        assert sorted(row) == ["has_mode", "n", "phi"]
+    else:
+        assert row["passed"] and row["residuals"]["pde"] < 1e-6
+        leakage = row["residuals"]["boundary"]
+        assert [entry["boundary"] for entry in leakage] == ["inner", "outer"]
+        assert all(entry["value"] < 1e-6 for entry in leakage)
 
 
 def test_eta_command(tmp_path, capsys):
@@ -511,3 +580,42 @@ def test_one_process_matches_fresh_processes(tmp_path, capsys):
                                capture_output=True, env=env, check=False)
         assert (code, out.encode()) == (fresh.returncode, fresh.stdout), argv[0]
     assert in_process[0][1].startswith("domain,") and in_process[1][1].startswith("{")
+
+
+# a CLI process run as the program (cli.main with no argv): it reports on
+# stderr the OPENBLAS_NUM_THREADS it ran with, how often it forked and the
+# most workers a residual walk was given
+PROGRAM_CHILD = """
+import os, sys
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+from zeromodes import cli, zero_modes
+workers, count = [], zero_modes._worker_count
+zero_modes._worker_count = lambda chunks: workers.append(count(chunks)) or workers[-1]
+sys.argv[1:] = ["verify", "--config", sys.argv[1]]
+code = cli.main()
+print(os.environ.get("OPENBLAS_NUM_THREADS"), len(forks), max(workers), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+                    reason="the walk splits over two or more CPUs on Linux")
+@pytest.mark.parametrize("preset, split", [(None, True), ("2", False)])
+def test_program_runs_blas_on_one_thread_unless_told(tmp_path, capsys, preset, split):
+    # without the variable the program sets one BLAS thread and forks; a
+    # preset two-thread pool is kept, and the walk then runs in one process
+    cfg = write_config(tmp_path, DISC_3PI)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = os.path.dirname(os.path.dirname(zeromodes.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", PROGRAM_CHILD, cfg], env=env,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    threads, forks, workers = proc.stderr.split()[-3:]
+    assert threads.decode() == (preset or "1")
+    assert (int(forks) > 0, int(workers) > 1) == (split, split)
+    # the same output as this process, whose conftest set one BLAS thread
+    assert proc.stdout.decode() == run_cli(capsys, "verify", "--config", cfg)[1]

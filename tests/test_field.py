@@ -117,6 +117,12 @@ def test_total_flux_examples():
     assert float(empty.total_flux) == 0.0
 
 
+def test_a_field_without_flux_has_the_exact_zero_total():
+    # the empty sum is exact, so a field with no flux takes the exact threshold path
+    assert FieldSpec().total_flux == pi_flux(0)
+    assert FieldSpec(q_shift=Fraction(1, 3)).total_flux == pi_flux(0)
+
+
 def test_total_flux_gauge_invariance():
     fld = FieldSpec(hole_fluxes=[pi_flux("1/2"), pi_flux("-1/4")])
     shifted = FieldSpec(hole_fluxes=[pi_flux("5/2"), pi_flux("-1/4")])

@@ -78,6 +78,17 @@ def test_h_delta_contribution_and_singularity():
         pot.eval_a(1.0 + 0.0j)
 
 
+def test_a_delta_is_singular_where_its_squared_distance_underflows():
+    # |z - w| = 1e-200 gives h, but |z - w|^2 is 0, so a delta's a refuses
+    # the point; a bump's a stays finite at its own centre
+    pot = PotentialField(FieldSpec(bumps=[RadialBump(1.0, 0.5, 2.0)], hole_fluxes=[1.0]),
+                         plane_with_holes([Hole(0.0, 0.3)]))
+    assert math.isfinite(pot.eval_h(1e-200))
+    with pytest.raises(SingularPoint, match="a evaluated at delta centre 0"):
+        pot.eval_a(1e-200 + 0j)
+    assert np.isfinite(pot.eval_a(1.0 + 0j))
+
+
 def test_a_tangential_outside_support():
     # a_phi = flux/(2 pi r), a_r = 0, checked against a 1000-point loop oracle
     flux = 3.1
@@ -208,7 +219,7 @@ def test_chopped_profiles_follow_the_full_fit():
 
     bump = RadialBump(0.3 - 0.2j, 0.6, pi_flux("25/4"))
     pot = PotentialField(FieldSpec(bumps=[bump]), disc_with_holes(3.0))
-    radial = pot._bumps[0]
+    radial = pot._sources[0]
     rho, n_nodes = bump.support_radius, 160
     k = np.arange(n_nodes)
     t = 0.5 * rho * (1.0 + np.cos(math.pi * (2 * k + 1) / (2 * n_nodes)))

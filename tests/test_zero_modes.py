@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -914,6 +915,34 @@ def test_split_walk_reports_a_child_that_ends_without_a_result(monkeypatch):
 
     with pytest.raises(ChildProcessError, match="without a result"):
         _line_residuals(monkeypatch, 2, a_at)
+
+
+@pytest.mark.parametrize("action", ["always", "default"])
+def test_split_walk_issues_every_share_warning_in_share_order(action, monkeypatch):
+    # numpy warns in chunk 0 (sqrt), chunk 2 (arccosh) and chunk 4 (log) of
+    # five: this process's share and each child's, for two and three workers;
+    # the half-step walk at the first NaN warns in sqrt again, which the
+    # "default" action shows once per location
+    monkeypatch.setattr(zero_modes, "_CHUNK_POINTS", 1000)
+    zs = np.linspace(0.1, 1.0, 5000) + 0j
+
+    def a(z):
+        x = z.real
+        return (np.sqrt(x - 0.2) + np.arccosh(0.95 + np.abs(x - 0.55))
+                + np.log(0.9 - x)) * 0j
+
+    issued = {}
+    for n in (1, 2, 3):
+        _workers(monkeypatch, n)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(invalid="warn"):
+            warnings.simplefilter(action)
+            zero_modes.pde_residuals(lambda z: (np.ones_like(z),), (True,), a, zs, 1e-3, 1.0)
+        _assert_no_child_left()
+        issued[n] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    expected = [f"invalid value encountered in {f}" for f in ("sqrt", "arccosh", "log", "sqrt")]
+    assert [m for _, m, _, _ in issued[1]] == expected[:4 if action == "always" else 3]
+    assert {(c, f) for c, _, f, _ in issued[1]} == {(RuntimeWarning, __file__)}
+    assert issued[2] == issued[1] and issued[3] == issued[1]
 
 
 # runs verify_modes in a process with no BLAS thread (OPENBLAS_NUM_THREADS=1)
