@@ -9,8 +9,10 @@ from .aps_boundary import BoundarySpectrum, Chirality, leakage, trace_from_sampl
 from .berry_mondragon import BMConfig, BMMode, bm_flux_sweep, bm_verify, bm_zero_mode
 from .conformal import (
     MobiusCoeffs,
+    Problem,
     conformal_factor,
     conformal_ratio,
+    flat_problem,
     mobius_for_point,
     patch_spinor,
     sphere_to_disc,
@@ -93,8 +95,10 @@ __all__ = [
     "bm_zero_mode",
     # conformal
     "MobiusCoeffs",
+    "Problem",
     "conformal_factor",
     "conformal_ratio",
+    "flat_problem",
     "mobius_for_point",
     "patch_spinor",
     "sphere_to_disc",

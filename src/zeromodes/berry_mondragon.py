@@ -48,6 +48,11 @@ class BMConfig:
             raise ValueError("need 0 < r_inner < r_outer")
         if self.s_inner == 0 or self.s_outer == 0:
             raise ValueError("S must be nonzero on both boundary circles")
+        # opposite signs make K = -S_in/S_out positive; K must be a float > 0
+        ratio = -self.s_inner / self.s_outer
+        if (self.s_inner > 0) != (self.s_outer > 0) and not 0 < ratio < math.inf:
+            raise ValueError(f"S_in/S_out = {self.s_inner!r}/{self.s_outer!r} leaves the "
+                             "float range; rescale S on both circles")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ Example config::
     }
 
 Exit codes: 0 success (and, for ``verify``, all modes passing), 1 verify ran
-with failing modes, 2 configuration/validation errors, 3 numerical failures.
+with failing modes, 2 configuration/validation errors (an ``--out`` path that
+cannot be written too), 3 numerical failures.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
 from .berry_mondragon import BMConfig, bm_flux_sweep, bm_verify, bm_zero_mode
-from .conformal import flat_problem
+from .conformal import Problem, flat_problem
 from .errors import ZeroModesError
 from .eta_index import (DEFAULT_N_TERMS, DEFAULT_S_VALUES, check_s_values, eta_closed,
                         eta_series, index_formula, index_vs_count, richardson_to_zero)
@@ -201,6 +202,7 @@ def load_config(path: str) -> Dict[str, Any]:
 
 
 def _validated_problem(config):
+    """The config's domain and field, and their flat problem (reduced once)."""
     if "domain" not in config or "field" not in config:
         raise ConfigError("config needs 'domain' and 'field' sections")
     domain = parse_domain(config["domain"])
@@ -209,7 +211,7 @@ def _validated_problem(config):
     violations = validate_domain(domain).violations or validate_field(fld, domain)
     if violations:
         raise ConfigError("; ".join(violations))
-    return domain, fld
+    return domain, fld, flat_problem(domain, fld)
 
 
 def _grid_from(config, args) -> GridSpec:
@@ -228,11 +230,11 @@ def _grid_from(config, args) -> GridSpec:
     return GridSpec(**node)
 
 
-def _flux_payload(domain: DomainSpec, fld: FieldSpec) -> Dict[str, Any]:
+def _flux_payload(domain: DomainSpec, fld: FieldSpec, problem: Problem) -> Dict[str, Any]:
     normalized = [float(nf.value) for nf in fld.normalized_hole_fluxes]
     return {
         "domain": domain.kind.value,
-        "phi_total": float(flat_problem(domain, fld)[1].total_flux),
+        "phi_total": float(problem.field.total_flux),
         "phi_normalized": normalized,
         "q": float(fld.q_shift),
         "kernel_choice": fld.kernel_choice.value,
@@ -240,15 +242,15 @@ def _flux_payload(domain: DomainSpec, fld: FieldSpec) -> Dict[str, Any]:
 
 
 def cmd_count(config, args) -> Dict[str, Any]:
-    domain, fld = _validated_problem(config)
-    counted = count_zero_modes(domain, fld)
-    payload = _flux_payload(domain, fld)
+    domain, fld, problem = _validated_problem(config)
+    counted = count_zero_modes(problem)
+    payload = _flux_payload(domain, fld, problem)
     payload.update({"count": counted.count, "chirality": counted.chirality.value})
     return {"command": "count", "rows": [payload]}
 
 
 def cmd_verify(config, args) -> Dict[str, Any]:
-    domain, fld = _validated_problem(config)
+    domain, fld, problem = _validated_problem(config)
     grid = _grid_from(config, args)
     tolerances = _object(config.get("tolerances", {}), "tolerances")
     unknown = sorted(set(tolerances) - {"residual", "leakage"})
@@ -258,17 +260,15 @@ def cmd_verify(config, args) -> Dict[str, Any]:
         _number(tolerances.get("residual", 1e-6), "residual tolerance")
     tol_leak = _number(tolerances.get("leakage", tol), "leakage tolerance")
     check_tolerances(tol, tol_leak)  # also when there is no mode to verify
-    counted = count_zero_modes(domain, fld)
+    counted = count_zero_modes(problem)
     if counted.count > MAX_VERIFY_MODES:
         raise ConfigError(f"verify would check {counted.count} modes; "
                           f"at most {MAX_VERIFY_MODES} are allowed")
-    base = _flux_payload(domain, fld)
+    base = _flux_payload(domain, fld, problem)
     rows: List[Dict[str, Any]] = []
     if counted.count > 0:
-        potential = PotentialField(fld, domain)
-        modes = build_basis(domain, fld, potential).modes()
-        reports = verify_modes(modes, domain, fld, potential, grid,
-                               tol_residual=tol, tol_leakage=tol_leak)
+        modes = build_basis(domain, fld, PotentialField(fld, domain)).modes()
+        reports = verify_modes(modes, grid, tol_residual=tol, tol_leakage=tol_leak)
         for mode, report in zip(modes, reports):
             row = dict(base)
             row.update({
@@ -288,7 +288,7 @@ def cmd_verify(config, args) -> Dict[str, Any]:
             })
             rows.append(row)
     note = "sphere modes carry the W^(-1/2) conformal dressing" \
-        if domain.kind is DomainKind.SPHERE else ""
+        if problem.dressed else ""
     return {"command": "verify", "note": note, "rows": rows,
             "all_passed": all(r["passed"] for r in rows)}
 
@@ -310,12 +310,12 @@ def cmd_sweep(config, args) -> Dict[str, Any]:
         row: Dict[str, Any] = {"phi_pi": str(phi.multiplier), "phi": float(phi)}
         jumped: List[str] = []
         bumps = [RadialBump(0.0, 1.0, phi)]
-        row["count_plane"] = count_zero_modes(plane, FieldSpec(bumps=bumps)).count
+        row["count_plane"] = count_zero_modes(Problem(plane, FieldSpec(bumps=bumps))).count
         for q, key, index_key, eta_key in columns:
-            fldq = FieldSpec(bumps=bumps, q_shift=q)
-            counted = count_zero_modes(disc, fldq)
+            problem = Problem(disc, FieldSpec(bumps=bumps, q_shift=q))
+            counted = count_zero_modes(problem)
             row[key] = counted.count
-            assembly = index_formula(disc, fldq)
+            assembly = index_formula(problem)
             row[index_key] = assembly.index
             row[eta_key] = assembly.boundary_eta["outer"]
             if key in prev and prev[key] != counted.count:
@@ -349,12 +349,12 @@ def cmd_eta(config, args) -> Dict[str, Any]:
 
 
 def cmd_index(config, args) -> Dict[str, Any]:
-    domain, fld = _validated_problem(config)
+    domain, fld, problem = _validated_problem(config)
     if domain.kind is DomainKind.PLANE:
         raise ConfigError("the index table applies to disc and sphere domains")
-    report = index_vs_count(domain, fld)
+    report = index_vs_count(problem)
     assembly = report.assembly
-    payload = _flux_payload(domain, fld)
+    payload = _flux_payload(domain, fld, problem)
     payload.update({
         "index": report.index,
         "index_raw": assembly.raw,
@@ -506,8 +506,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     text = render(document, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"config error: cannot write --out {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(text)
     if args.command == "verify" and not document.get("all_passed", True):

@@ -132,7 +132,20 @@ def sphere_to_disc(domain: DomainSpec, fld: FieldSpec) -> Tuple[DomainSpec, Fiel
                            q_shift=fld.q_shift, kernel_choice=fld.kernel_choice)
 
 
-def flat_problem(domain: DomainSpec, fld: FieldSpec) -> Tuple[DomainSpec, FieldSpec]:
+@dataclass(frozen=True)
+class Problem:
+    """A flat (plane or disc) problem, as :func:`flat_problem` returns it."""
+
+    domain: DomainSpec
+    field: FieldSpec
+    dressed: bool = False  # a sphere's projected disc: modes carry W^{-1/2}
+
+    def __post_init__(self):
+        if self.domain.kind is DomainKind.SPHERE:
+            raise ValueError("a Problem is flat: reduce a sphere with flat_problem")
+
+
+def flat_problem(domain: DomainSpec, fld: FieldSpec) -> Problem:
     """The flat (plane or disc) problem whose modes, counts and fluxes stand
     for those of (domain, fld): a sphere's projected disc, or the problem itself.
 
@@ -144,5 +157,5 @@ def flat_problem(domain: DomainSpec, fld: FieldSpec) -> Tuple[DomainSpec, FieldS
             f"field carries {len(fld.hole_fluxes)} hole fluxes for {domain.n_holes} holes"
         )
     if domain.kind is not DomainKind.SPHERE:
-        return domain, fld
-    return sphere_to_disc(domain, fld)
+        return Problem(domain, fld)
+    return Problem(*sphere_to_disc(domain, fld), dressed=True)

@@ -49,9 +49,9 @@ from typing import Dict, Sequence, Union
 from ._numpy import np
 from .aps_boundary import Chirality
 from .errors import DomainError
-from .conformal import flat_problem
-from .field import FieldSpec, KernelChoice, flux_over_2pi
-from .geometry import DomainKind, DomainSpec
+from .conformal import Problem
+from .field import KernelChoice, flux_over_2pi
+from .geometry import DomainKind
 from .numutil import HALF, floor_strict, integer_at, threshold_sum
 from .zero_modes import count_zero_modes
 
@@ -189,16 +189,16 @@ class IndexResult:
     kernel_dims: Dict[str, int]
 
 
-def index_formula(domain: DomainSpec, fld: FieldSpec) -> IndexResult:
+def index_formula(problem: Problem) -> IndexResult:
     """Assemble the boundary-corrected index; ``index`` is the rounded raw sum.
 
     Disc domains, and spheres on their projected disc, with the default
     kernel only; hole fluxes enter through their q-normalized values and
     kernel dimensions follow the threshold policy of :mod:`numutil`.
     """
+    domain, fld = problem.domain, problem.field
     if domain.kind is DomainKind.PLANE:
         raise ValueError("the index assembly is stated for disc domains")
-    domain, fld = flat_problem(domain, fld)
     if fld.kernel_choice is not KernelChoice.DEFAULT:
         raise ValueError("the index assembly uses the default kernel choice")
     q = fld.q_shift
@@ -230,14 +230,14 @@ class IndexCountReport:
     assembly: IndexResult
 
 
-def index_vs_count(domain: DomainSpec, fld: FieldSpec) -> IndexCountReport:
+def index_vs_count(problem: Problem) -> IndexCountReport:
     """Compare the index assembly against the signed zero-mode count.
 
     Consistent means the raw assembly is an integer equal to the signed
     count.
     """
-    idx = index_formula(domain, fld)
-    counted = count_zero_modes(domain, fld)
+    idx = index_formula(problem)
+    counted = count_zero_modes(problem)
     signed = {
         Chirality.UP: counted.count,
         Chirality.DOWN: -counted.count,

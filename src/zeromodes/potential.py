@@ -159,16 +159,15 @@ class PotentialField:
 
     h and a are sums over radial sources: first each hole's delta of its
     normalized flux at the hole centre (the gauge-reduced delta model), then
-    each bump.  A sphere's holes are those of its projected disc
+    each bump, of ``problem``, the flat problem of (domain, field)
     (``conformal.flat_problem``).  Immutable after construction.
     """
 
     def __init__(self, fld: FieldSpec, domain: DomainSpec):
-        self.domain = domain
-        flat_domain, flat_field = flat_problem(domain, fld)
-        holes = zip(flat_domain.holes, flat_field.normalized_hole_fluxes)
+        self.problem = problem = flat_problem(domain, fld)
+        holes = zip(problem.domain.holes, problem.field.normalized_hole_fluxes)
         self._sources = [_RadialSource(h.center, float(nf.value)) for h, nf in holes]
-        self._sources += [_RadialSource(b.center, float(b.flux), b) for b in fld.bumps]
+        self._sources += [_RadialSource(b.center, float(b.flux), b) for b in problem.field.bumps]
 
     # -- scalar potential --------------------------------------------------
 

@@ -56,17 +56,17 @@ class ZeroModeCount:
     chirality: Chirality
 
 
-def count_zero_modes(domain: DomainSpec, fld: FieldSpec) -> ZeroModeCount:
+def count_zero_modes(problem: conformal.Problem) -> ZeroModeCount:
     """Number of zero modes and their common chirality."""
-    x = flux_over_2pi(conformal.flat_problem(domain, fld)[1].total_flux)
-    if domain.kind is DomainKind.PLANE:
+    x = flux_over_2pi(problem.field.total_flux)
+    if problem.domain.kind is DomainKind.PLANE:
         n = max(0, floor_strict(abs(x)))
         signed = n if x > 0 else -n
-    elif fld.kernel_choice is KernelChoice.ALTERNATE:
+    elif problem.field.kernel_choice is KernelChoice.ALTERNATE:
         signed = -floor_strict(threshold_sum(-x, HALF))
     else:
         # disc with shift q, and the sphere via its semi-total flux (q = 0 there)
-        signed = floor_strict(threshold_sum(x, fld.q_shift, HALF))
+        signed = floor_strict(threshold_sum(x, problem.field.q_shift, HALF))
     if signed == 0:
         return ZeroModeCount(0, Chirality.NONE)
     return ZeroModeCount(abs(signed), Chirality.UP if signed > 0 else Chirality.DOWN)
@@ -87,7 +87,7 @@ class ZeroMode:
     @property
     def w_dressed(self) -> bool:
         """Whether the mode carries the sphere's W^{-1/2} conformal dressing."""
-        return self.potential.domain.kind is DomainKind.SPHERE
+        return self.potential.problem.dressed
 
     def eval(self, z) -> np.ndarray:
         """Value of the nonzero spinor component at z."""
@@ -113,8 +113,9 @@ class ZeroModeBasis:
 def build_basis(
     domain: DomainSpec, fld: FieldSpec, potential: PotentialField
 ) -> ZeroModeBasis:
-    """Monomial basis of the zero-mode space; raises EmptyBasis when count is 0."""
-    counted = count_zero_modes(domain, fld)
+    """Monomial basis of ``potential.problem``'s zero modes (EmptyBasis if none); ``domain``
+    and ``fld`` are not read, and stay so callers that pass them keep working."""
+    counted = count_zero_modes(potential.problem)
     if counted.count == 0:
         raise EmptyBasis("the configuration has no zero modes")
     return ZeroModeBasis(
@@ -174,9 +175,9 @@ def _basis_at(modes: Sequence["ZeroMode"], chirality, potential):
 # ----------------------------------------------------------------------------
 
 
-# points per annulus (radial * angular) and samples per circle, so every grid
-# does a bounded amount of work
-MAX_ANNULUS_POINTS, MAX_BOUNDARY_SAMPLES = 2 ** 22, 2 ** 20
+# points per annulus (radial * angular), in the bulk lattice and per circle,
+# so every grid does a bounded amount of work
+MAX_ANNULUS_POINTS, MAX_BULK_POINTS, MAX_BOUNDARY_SAMPLES = 2 ** 22, 2 ** 22, 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -205,6 +206,9 @@ class GridSpec:
         if self.radial * self.angular > MAX_ANNULUS_POINTS:
             raise ValueError(f"grid radial * angular is {self.radial * self.angular} points "
                              f"per annulus; at most {MAX_ANNULUS_POINTS} are allowed")
+        if self.max_bulk_points > MAX_BULK_POINTS:
+            raise ValueError(f"grid max_bulk_points is {self.max_bulk_points} points; "
+                             f"at most {MAX_BULK_POINTS} are allowed")
         m = self.n_boundary_samples
         if not isinstance(m, int) or not 2 <= m <= MAX_BOUNDARY_SAMPLES or m & (m - 1):
             raise ValueError(f"grid n_boundary_samples must be a power of two from 2 to "
@@ -519,9 +523,9 @@ def pde_residuals(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: f
     return out
 
 
-def boundary_spectra(domain: DomainSpec, fld: FieldSpec) -> Dict[str, BoundarySpectrum]:
+def boundary_spectra(problem: conformal.Problem) -> Dict[str, BoundarySpectrum]:
     """Boundary spectra keyed by 'hole<j>' and (bounded domains) 'outer'."""
-    dom, f = conformal.flat_problem(domain, fld)
+    dom, f = problem.domain, problem.field
     out: Dict[str, BoundarySpectrum] = {}
     for j, hole in enumerate(dom.holes):
         out[f"hole{j}"] = BoundarySpectrum(
@@ -562,20 +566,17 @@ def check_tolerances(tol_residual: float, tol_leakage: float) -> None:
 
 def verify_modes(
     modes: Sequence[ZeroMode],
-    domain: DomainSpec,
-    fld: FieldSpec,
-    potential: PotentialField,
     grid: GridSpec = GridSpec(),
     tol_residual: float = 1e-6,
     tol_leakage: float = 1e-6,
 ) -> List[VerificationReport]:
-    """Independent check of candidate modes against (domain, field), in one pass.
+    """Independent check of candidate modes against their potential's problem, in one pass.
 
     The modes must share chirality and potential, as the modes of one basis
     do: e^{+-h}, the vector potential and the boundary data are evaluated
     once for all of them, and each mode applies only its own polynomial.
-    The modes are evaluated with the *passed* potential, so a candidate can
-    be re-verified against a perturbed field.  Boundary samples are
+    A candidate built on a perturbed field's potential is re-verified
+    against that field.  Boundary samples are
     normalized to unit root-mean-square on each circle before the Fourier
     projection, so the reported leakage is the weighted fraction of the trace
     sitting on forbidden indices and the absolute tolerance is scale-free.
@@ -591,8 +592,8 @@ def verify_modes(
     if any(m.chirality is not first.chirality or m.potential is not first.potential
            for m in modes):
         raise ValueError("verified modes must share chirality and potential")
-    chirality, dressed = first.chirality, first.w_dressed
-    dom, f = conformal.flat_problem(domain, fld)
+    chirality, potential, problem = first.chirality, first.potential, first.potential.problem
+    dom, f = problem.domain, problem.field
 
     fd = grid.fd_step if grid.fd_step is not None \
         else _fd_scale(dom, f) * grid.fd_step_factor
@@ -601,14 +602,14 @@ def verify_modes(
 
     # --- PDE residual over polar annuli plus the bulk grid.  Components are
     # flat-metric: the conformal factor enters only as the weights.
-    weight = _conformal_weights if dressed else None
+    weight = _conformal_weights if problem.dressed else None
     zs = _residual_points(dom, f, grid, fd)
     pde = pde_residuals(basis_at, (up,), potential.eval_a, zs, fd, tol_residual, weight)
 
     # --- boundary trace leakage; e^{+-h} and the phase once per circle
     phis = np.linspace(0.0, 2.0 * math.pi, grid.n_boundary_samples, endpoint=False)
     trace_leakages: List[Dict[str, float]] = [{} for _ in modes]
-    for label, spec in boundary_spectra(dom, f).items():
+    for label, spec in boundary_spectra(problem).items():
         center = 0.0 if spec.is_outer else dom.holes[spec.boundary].center
         exponent = potential.boundary_phase_exponent(center, spec.radius, phis)
         circle = center + spec.radius * np.exp(1j * phis)
@@ -655,5 +656,8 @@ def verify_mode(
     tol_residual: float = 1e-6,
     tol_leakage: float = 1e-6,
 ) -> VerificationReport:
-    """Independent check of one candidate mode; see :func:`verify_modes`."""
-    return verify_modes([mode], domain, fld, potential, grid, tol_residual, tol_leakage)[0]
+    """Independent check of one candidate mode, rebuilt on ``potential``; see
+    :func:`verify_modes`.  ``domain`` and ``fld`` are not read; they stay so
+    callers that pass them keep working."""
+    mode = ZeroMode(mode.chirality, mode.coefficients, potential)
+    return verify_modes([mode], grid, tol_residual, tol_leakage)[0]

@@ -31,6 +31,7 @@ from zeromodes import (
     disc_with_holes,
     eta_closed,
     eta_richardson_to_zero,
+    flat_problem,
     index_formula,
     index_vs_count,
     mobius_for_point,
@@ -75,11 +76,11 @@ def test_criterion_1_counting_staircases():
         mult = Fraction(k, 8)
         x = mult / 2  # flux / 2 pi
         expected_plane = 0 if x == 0 else max(0, strict_floor(abs(x)))
-        got = count_zero_modes(plane, bulk_field(mult))
+        got = count_zero_modes(flat_problem(plane, bulk_field(mult)))
         ok &= got.count == expected_plane
         for q in QS:
             expected_disc = abs(strict_floor(x + q + Fraction(1, 2)))
-            got_d = count_zero_modes(disc, bulk_field(mult, q))
+            got_d = count_zero_modes(flat_problem(disc, bulk_field(mult, q)))
             ok &= got_d.count == expected_disc
     _report(1, "plane and disc counting staircases, exact over k pi/8", ok)
     assert ok
@@ -109,8 +110,8 @@ def test_criterion_2_extra_mode_window():
     for k in range(-48, 49):
         mult = Fraction(k, 8)
         x = mult / 2
-        plane_count = count_zero_modes(plane, bulk_field(mult)).count
-        disc_count = count_zero_modes(disc, bulk_field(mult)).count
+        plane_count = count_zero_modes(flat_problem(plane, bulk_field(mult))).count
+        disc_count = count_zero_modes(flat_problem(disc, bulk_field(mult))).count
         expected_gap = 1 if in_extra_window(x) else 0
         ok &= (disc_count - plane_count) == expected_gap
     _report(2, "disc equals plane plus one exactly on the window", ok)
@@ -170,7 +171,7 @@ def test_criterion_3_randomized_mode_verification():
     for i in range(20):
         dom, fld = _random_admissible_config(rng, want_disc=(i % 2 == 0))
         pot = PotentialField(fld, dom)
-        counted = count_zero_modes(dom, fld)
+        counted = count_zero_modes(flat_problem(dom, fld))
         if counted.count:
             modes = build_basis(dom, fld, pot).modes()
             chirality = counted.chirality
@@ -179,7 +180,7 @@ def test_criterion_3_randomized_mode_verification():
             x = float(fld.total_flux) / (2 * math.pi)
             chirality = Chirality.UP if x > 0 else Chirality.DOWN
         candidate = ZeroMode(chirality, {counted.count: 1.0 + 0.0j}, pot)
-        *reports, report = verify_modes(modes + [candidate], dom, fld, pot, grid)
+        *reports, report = verify_modes(modes + [candidate], grid)
         for mode_report in reports:
             ok &= mode_report.pde_residual < 1e-6
             ok &= all(v < 1e-6 for v in mode_report.trace_leakage.values())
@@ -206,7 +207,7 @@ def test_criterion_4_gauge_invariance():
     base = FieldSpec(bumps=[RadialBump(0.3 - 1.1j, 0.45, pi_flux(2))],
                      hole_fluxes=[pi_flux(m) for m in base_fluxes])
     pot = PotentialField(base, dom)
-    counted = count_zero_modes(dom, base)
+    counted = count_zero_modes(flat_problem(dom, base))
     modes = build_basis(dom, base, pot).modes()
     rng = np.random.default_rng(17)
     pts = rng.uniform(-2.0, 2.0, 200) + 1j * rng.uniform(-2.0, 2.0, 200)
@@ -218,7 +219,7 @@ def test_criterion_4_gauge_invariance():
             fluxes[j] += shift
             shifted = FieldSpec(bumps=base.bumps,
                                 hole_fluxes=[pi_flux(m) for m in fluxes])
-            got = count_zero_modes(dom, shifted)
+            got = count_zero_modes(flat_problem(dom, shifted))
             ok &= (got.count, got.chirality) == (counted.count, counted.chirality)
             pot_s = PotentialField(shifted, dom)
             for mode, mode_s in zip(modes, build_basis(dom, shifted, pot_s).modes()):
@@ -263,11 +264,11 @@ def test_criterion_6_index_consistency():
             fld = FieldSpec(bumps=[RadialBump(0.0, 0.5, pi_flux(bulk))],
                             hole_fluxes=[pi_flux(m) for m in hole_fluxes],
                             q_shift=q)
-            res = index_formula(dom, fld)
+            res = index_formula(flat_problem(dom, fld))
             expected = strict_floor(Fraction(k, 2) + q + Fraction(1, 2))
             ok &= res.index == expected
             ok &= abs(res.raw - expected) < 1e-9
-            rep = index_vs_count(dom, fld)
+            rep = index_vs_count(flat_problem(dom, fld))
             ok &= rep.consistent and rep.index == expected
     _report(6, "raw assembly equals the strict floor and the signed count "
                "on the 9x5 grid", ok)
@@ -309,12 +310,12 @@ def test_criterion_7_sphere_reduction():
 
         semi = _semi_total_over_2pi(fld, n_inner)
         expected = abs(strict_floor(semi + Fraction(1, 2)))
-        counted = count_zero_modes(dom, fld)
+        counted = count_zero_modes(flat_problem(dom, fld))
         ok &= counted.count == expected
 
         disc, disc_field = sphere_to_disc(dom, fld)
         ok &= disc_field.total_flux.multiplier / 2 == semi
-        ok &= count_zero_modes(disc, disc_field).count == expected
+        ok &= count_zero_modes(flat_problem(disc, disc_field)).count == expected
 
         # designation independence is pure flux arithmetic
         counts = set()

@@ -177,3 +177,16 @@ def test_bm_verify_fails_a_nan_residual_in_a_later_chunk(monkeypatch):
     report = bm_verify(OPP, Spoiled(mode.n, mode.exponent, mode.config))
     assert math.isnan(report.pde_residual)
     assert not report.passed
+
+
+@pytest.mark.parametrize("s_inner,s_outer", [(1e300, 1e-300), (1e-300, 1e300),
+                                             (-1e300, -1e-300)])
+def test_same_signs_past_the_float_range_give_no_mode(s_inner, s_outer):
+    # K = -S_in/S_out is negative (or -0.0, or -inf): no matching exponent
+    assert bm_zero_mode(BMConfig(0.001, 1.0, pi_flux(1), s_inner, s_outer)) is None
+
+
+@pytest.mark.parametrize("s_inner,s_outer", [(1e300, -1e-300), (1e-300, -1e300)])
+def test_opposite_signs_past_the_float_range_are_refused(s_inner, s_outer):
+    with pytest.raises(ValueError, match="rescale S"):
+        BMConfig(0.001, 1.0, pi_flux(1), s_inner, s_outer)

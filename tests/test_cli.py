@@ -21,6 +21,17 @@ DISC_3PI = {
                          "flux_pi": "5/2", "profile": "smooth"}],
               "hole_fluxes_pi": ["1/2"], "q": "0", "kernel": "default"},
 }
+# the seed-7 verify_disc_smooth benchmark problem: five spin-up modes
+DISC_SEED7 = {
+    "domain": {"kind": "disc", "radius_out": 3.0,
+               "holes": [{"center": [1.827, 0.732], "radius": 0.35},
+                         {"center": [-1.41, -1.869], "radius": 0.35}]},
+    "field": {"bumps": [{"center": [0.489, -1.008], "support_radius": 0.6,
+                         "flux_pi": "25/4", "profile": "smooth"},
+                        {"center": [-1.294, 1.129], "support_radius": 0.6,
+                         "flux_pi": "5", "profile": "smooth"}],
+              "hole_fluxes_pi": ["1", "-7/4"]},
+}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -332,6 +343,20 @@ RANGE = {"start": "0", "stop": "1", "step": "1/2"}
                                               "unbounded": "false"})},
                  "bm sweep unbounded must be true or false, got 'false'",
                  id="bm-unbounded-string"),
+    # a bulk lattice 2,142,858 points wide (4.6e12 points) was accepted
+    pytest.param("verify", _with(["grid"], {"max_bulk_points": 10_000_000_000_000,
+                                            "bulk_divisor": 1_000_000}, DISC_SEED7),
+                 "grid max_bulk_points is 10000000000000 points; at most 4194304 are allowed",
+                 id="grid-bulk-points-past-the-cap"),
+    # K = -S_in/S_out overflowed to inf (a crash) or underflowed to 0.0 (no mode)
+    pytest.param("bm", {"bm": dict(BM, r_inner=0.001, r_outer=1.0, s_inner=1e300,
+                                   s_outer=-1e-300)},
+                 "S_in/S_out = 1e+300/-1e-300 leaves the float range; rescale S",
+                 id="bm-s-ratio-overflows"),
+    pytest.param("bm", {"bm": dict(BM, r_inner=0.001, r_outer=1.0, s_inner=1e-300,
+                                   s_outer=-1e300)},
+                 "S_in/S_out = 1e-300/-1e+300 leaves the float range; rescale S",
+                 id="bm-s-ratio-underflows"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, config, message):
     code, out, err = run_cli(capsys, *command.split(), "--config",
@@ -560,6 +585,51 @@ def test_out_file_written(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "count", "--config", cfg, "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["rows"][0]["count"] == 1
+
+
+def test_out_to_a_path_that_cannot_be_written_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "count", "--config", write_config(tmp_path, DISC_3PI),
+                             "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and str(target) in err
+    assert not target.exists()
+
+
+def _count_calls(monkeypatch, module, names):
+    """Calls of each named function of ``module``, wrapped at every binding
+    in the package that holds it (the benchmark's tracer wraps the same way)."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def wrapped(*args, _fn=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for key, mod in list(sys.modules.items()):
+            if key == "zeromodes" or key.startswith("zeromodes."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, wrapped)
+    return calls
+
+
+def test_each_command_reduces_its_problem_once(tmp_path, capsys, monkeypatch):
+    from test_benchmark_bindings import SPHERE
+    from zeromodes import conformal
+
+    calls = _count_calls(monkeypatch, conformal, ("flat_problem", "sphere_to_disc"))
+    # verify's second reduction is the one PotentialField(fld, domain) makes
+    expected = {"count": 1, "index": 1, "verify": 2}
+    for name, config, spheres in (("disc", DISC_SEED7, 0), ("sphere", SPHERE, 1)):
+        path = write_config(tmp_path, config, f"{name}.json")
+        for command, reductions in expected.items():
+            calls.update(dict.fromkeys(calls, 0))
+            code, _, _ = run_cli(capsys, command, "--config", path)
+            assert code == 0, (name, command)
+            assert calls == {"flat_problem": reductions,
+                             "sphere_to_disc": spheres * reductions}, (name, command)
 
 
 def test_one_process_matches_fresh_processes(tmp_path, capsys):

@@ -12,15 +12,15 @@ from zeromodes import (
     KernelChoice,
     NorthPole,
     PolePoint,
+    Problem,
     RadialBump,
     PotentialField,
     SphereFluxMismatch,
-    boundary_spectra,
     build_basis,
     conformal_factor,
     conformal_ratio,
     count_zero_modes,
-    index_formula,
+    flat_problem,
     mobius_for_point,
     patch_spinor,
     pi_flux,
@@ -182,9 +182,9 @@ def test_sphere_count_sweep_quarter_pi_grid():
         bulk = semi - hole0
         fld = FieldSpec(bumps=[RadialBump(-1.2, 0.5, pi_flux(bulk))],
                         hole_fluxes=[pi_flux(hole0), pi_flux(-bulk - hole0)])
-        got = count_zero_modes(*sphere_to_disc(dom, fld)).count
+        got = count_zero_modes(Problem(*sphere_to_disc(dom, fld))).count
         assert got == abs(strict_floor(Fraction(k, 8) + Fraction(1, 2))), k
-        assert count_zero_modes(dom, fld).count == got
+        assert count_zero_modes(flat_problem(dom, fld)).count == got
 
 
 def test_sphere_count_matches_reduced_disc_and_mode_verifies():
@@ -195,10 +195,10 @@ def test_sphere_count_matches_reduced_disc_and_mode_verifies():
         bumps=[RadialBump(0.3 - 0.9j, 0.5, pi_flux(2))],
         hole_fluxes=[pi_flux("1/2"), pi_flux("1/2"), pi_flux(-3)],
     )
-    counted = count_zero_modes(dom, fld)
+    counted = count_zero_modes(flat_problem(dom, fld))
     assert (counted.count, counted.chirality) == (1, Chirality.UP)
     disc, disc_field = sphere_to_disc(dom, fld)
-    flat = count_zero_modes(disc, disc_field)
+    flat = count_zero_modes(flat_problem(disc, disc_field))
     assert (flat.count, flat.chirality) == (counted.count, counted.chirality)
 
     pot = PotentialField(fld, dom)
@@ -227,7 +227,7 @@ def test_sphere_rule_holds_for_every_reader_of_the_reduction(q, kernel):
                     hole_fluxes=[pi_flux("1/2"), pi_flux("-7/2")],
                     q_shift=Fraction(q), kernel_choice=kernel)
     message = "sphere results are stated for q = 0 with the default kernel"
-    for reader in (PotentialField, boundary_spectra, index_formula, count_zero_modes):
+    for reader in (PotentialField, flat_problem):
         args = (fld, dom) if reader is PotentialField else (dom, fld)
         with pytest.raises(ValueError, match=message):
             reader(*args)

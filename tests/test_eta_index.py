@@ -18,6 +18,7 @@ from zeromodes import (
     eta_closed,
     eta_richardson_to_zero,
     eta_series,
+    flat_problem,
     index_formula,
     index_vs_count,
     pi_flux,
@@ -151,17 +152,17 @@ def bulk_only(phi_pi, q=0):
 
 
 def test_index_examples():
-    res = index_formula(DISC, bulk_only(3))
+    res = index_formula(flat_problem(DISC, bulk_only(3)))
     assert res.index == 1
     assert res.raw == pytest.approx(1.0, abs=1e-12)
     assert res.kernel_dims["outer"] == 1  # 3/2 - 1/2 = 1 is an integer
 
-    assert index_formula(DISC, bulk_only(0)).index == 0
+    assert index_formula(flat_problem(DISC, bulk_only(0))).index == 0
 
     dom = disc_with_holes(6.0, [Hole(3.0, 0.5), Hole(-3.0, 0.5)])
     fld = FieldSpec(bumps=[RadialBump(0.0, 0.5, pi_flux(6))],
                     hole_fluxes=[pi_flux(-2), pi_flux(-2)], q_shift=Fraction(1))
-    res = index_formula(dom, fld)
+    res = index_formula(flat_problem(dom, fld))
     assert res.index == 2  # floor_strict(1 + 1 + 1/2)
     assert res.raw == pytest.approx(res.index, abs=1e-12)
 
@@ -169,7 +170,7 @@ def test_index_examples():
 def test_index_eta_is_eta_closed():
     # c = 5/6 - 1/2 = 1/3 on the outer circle: the index table's eta is the
     # eta table's, to the last digit
-    res = index_formula(DISC, bulk_only("5/3"))
+    res = index_formula(flat_problem(DISC, bulk_only("5/3")))
     assert res.boundary_eta["outer"] == eta_closed(Fraction(1, 3))
 
 
@@ -187,7 +188,7 @@ def test_index_raw_equals_simplified_over_grid():
             bulk = Fraction(k) - normalized
             fld = FieldSpec(bumps=[RadialBump(0.0, 0.5, pi_flux(bulk))],
                             hole_fluxes=hole_fluxes, q_shift=q)
-            res = index_formula(dom, fld)
+            res = index_formula(flat_problem(dom, fld))
             assert res.raw == pytest.approx(res.index, abs=1e-9), (k, q)
 
 
@@ -202,21 +203,21 @@ def test_index_vs_count_normalises_each_hole_flux_once(monkeypatch):
     fld = FieldSpec(bumps=[RadialBump(0.0, 0.5, pi_flux("5/2"))],
                     hole_fluxes=[pi_flux("9/4"), pi_flux("-5/2")],
                     q_shift=Fraction(1, 4))
-    rep = index_vs_count(dom, fld)
+    rep = index_vs_count(flat_problem(dom, fld))
     assert rep.consistent
     assert [args[0] for args in calls] == fld.hole_fluxes
 
 
 def test_index_vs_count_examples():
-    rep = index_vs_count(DISC, bulk_only(3))
+    rep = index_vs_count(flat_problem(DISC, bulk_only(3)))
     assert (rep.index, rep.signed_count, rep.consistent) == (1, 1, True)
 
-    rep = index_vs_count(DISC, bulk_only(-3))
+    rep = index_vs_count(flat_problem(DISC, bulk_only(-3)))
     assert rep.index == -2
     assert rep.count == 2 and rep.chirality is Chirality.DOWN
     assert rep.consistent
 
-    rep = index_vs_count(DISC, bulk_only("1/2"))
+    rep = index_vs_count(flat_problem(DISC, bulk_only("1/2")))
     assert (rep.index, rep.signed_count) == (0, 0)
     assert rep.consistent
 
@@ -225,6 +226,6 @@ def test_index_vs_count_on_sphere():
     dom = sphere_with_holes([Hole(1.0, 0.3), Hole(0.0, 3.0)], omitted_hole=1)
     fld = FieldSpec(bumps=[RadialBump(-0.8, 0.4, pi_flux(3))],
                     hole_fluxes=[pi_flux("1/2"), pi_flux("-7/2")])
-    rep = index_vs_count(dom, fld)
+    rep = index_vs_count(flat_problem(dom, fld))
     assert rep.consistent
     assert rep.index == 2  # semi-total 3.5 pi: floor_strict(1.75 + 0.5) = 2

@@ -29,7 +29,7 @@ from zeromodes import (
     validate_field,
 )
 from zeromodes.field import gauss_nodes
-from zeromodes.conformal import flat_problem
+from zeromodes.conformal import Problem, flat_problem
 
 TWO_PI = 2 * math.pi
 
@@ -108,7 +108,7 @@ def test_total_flux_examples():
         hole_fluxes=[5 * math.pi],
     )
     dom = plane_with_holes([Hole(4.0, 0.5)])
-    assert flat_problem(dom, fld) == (dom, fld)
+    assert flat_problem(dom, fld) == Problem(dom, fld)
     assert float(fld.total_flux) == pytest.approx(math.pi)
     with pytest.raises(ValueError, match="field carries 1 hole fluxes for 0 holes"):
         flat_problem(plane_with_holes([]), fld)
@@ -133,7 +133,7 @@ def test_sphere_total_is_semi_total_and_balance_checked():
     dom = sphere_with_holes([Hole(1.0, 0.3), Hole(-1.0, 0.3), Hole(0.0, 3.0)],
                             omitted_hole=2)
     fld = FieldSpec(hole_fluxes=[pi_flux("1/2"), pi_flux("-1/2"), pi_flux(0)])
-    flat = flat_problem(dom, fld)[1]
+    flat = flat_problem(dom, fld).field
     assert flat.total_flux.multiplier == Fraction(0)
     # zero-sum verified by summation of the raw fluxes
     assert float(pi_flux("1/2")) + float(pi_flux("-1/2")) + 0.0 == 0.0
@@ -149,7 +149,7 @@ def test_sphere_total_is_semi_total_and_balance_checked():
 def test_semi_total_example_half_pi():
     dom = sphere_with_holes([Hole(1.0, 0.3), Hole(0.0, 3.0)], omitted_hole=1)
     fld = FieldSpec(hole_fluxes=[pi_flux("1/2"), pi_flux("-1/2")])
-    assert float(flat_problem(dom, fld)[1].total_flux) == pytest.approx(math.pi / 2)
+    assert float(flat_problem(dom, fld).field.total_flux) == pytest.approx(math.pi / 2)
 
 
 def test_eval_B_uniform_disc():

@@ -33,6 +33,7 @@ from zeromodes import (
     conformal_factor,
     count_zero_modes,
     disc_with_holes,
+    flat_problem,
     leakage,
     pi_flux,
     plane_with_holes,
@@ -66,7 +67,7 @@ def bulk_only(phi_pi, q=0, kernel=KernelChoice.DEFAULT):
     ("1/2", 0, Chirality.NONE),
 ])
 def test_plane_counts(phi_pi, count, chi):
-    got = count_zero_modes(PLANE, bulk_only(phi_pi))
+    got = count_zero_modes(flat_problem(PLANE, bulk_only(phi_pi)))
     assert (got.count, got.chirality) == (count, chi)
 
 
@@ -79,23 +80,23 @@ def test_plane_counts(phi_pi, count, chi):
     (2, 0, 1, Chirality.UP),
 ])
 def test_disc_counts(phi_pi, q, count, chi):
-    got = count_zero_modes(DISC, bulk_only(phi_pi, q=Fraction(q)))
+    got = count_zero_modes(flat_problem(DISC, bulk_only(phi_pi, q=Fraction(q))))
     assert (got.count, got.chirality) == (count, chi)
 
 
 def test_disc_alternate_kernel_count():
-    got = count_zero_modes(DISC, bulk_only(3, kernel=KernelChoice.ALTERNATE))
+    got = count_zero_modes(flat_problem(DISC, bulk_only(3, kernel=KernelChoice.ALTERNATE)))
     assert (got.count, got.chirality) == (2, Chirality.UP)
-    got = count_zero_modes(DISC, bulk_only(-1, kernel=KernelChoice.ALTERNATE))
+    got = count_zero_modes(flat_problem(DISC, bulk_only(-1, kernel=KernelChoice.ALTERNATE)))
     assert got.count == 0
-    got = count_zero_modes(DISC, bulk_only(1, kernel=KernelChoice.ALTERNATE))
+    got = count_zero_modes(flat_problem(DISC, bulk_only(1, kernel=KernelChoice.ALTERNATE)))
     assert (got.count, got.chirality) == (1, Chirality.UP)
 
 
 def test_plane_charge_conjugation_symmetry():
     for k in range(-48, 49):
-        plus = count_zero_modes(PLANE, bulk_only(Fraction(k, 8)))
-        minus = count_zero_modes(PLANE, bulk_only(Fraction(-k, 8)))
+        plus = count_zero_modes(flat_problem(PLANE, bulk_only(Fraction(k, 8))))
+        minus = count_zero_modes(flat_problem(PLANE, bulk_only(Fraction(-k, 8))))
         assert plus.count == minus.count
         if plus.count:
             assert {plus.chirality, minus.chirality} == {Chirality.UP, Chirality.DOWN}
@@ -105,8 +106,8 @@ def test_disc_q_flux_tradeoff():
     # count(Phi, q) == count(Phi + 2 pi k, q - k)
     for k in (-2, -1, 1, 3):
         for mult in (Fraction(1, 3), Fraction(-5, 2), Fraction(7, 8)):
-            a = count_zero_modes(DISC, bulk_only(mult, q=Fraction(1, 2)))
-            b = count_zero_modes(DISC, bulk_only(mult + 2 * k, q=Fraction(1, 2) - k))
+            a = count_zero_modes(flat_problem(DISC, bulk_only(mult, q=Fraction(1, 2))))
+            b = count_zero_modes(flat_problem(DISC, bulk_only(mult + 2 * k, q=Fraction(1, 2) - k)))
             assert (a.count, a.chirality) == (b.count, b.chirality)
 
 
@@ -116,7 +117,7 @@ def test_disc_staircase_jumps_only_at_half_integer_thresholds():
         mult = Fraction(-6)
         while mult <= 6:
             fld = bulk_only(mult, q=q)
-            cnt = count_zero_modes(DISC, fld).count
+            cnt = count_zero_modes(flat_problem(DISC, fld)).count
             if prev is not None:
                 jumped = cnt != prev
                 # the strict floor increments when an integer lies in
@@ -315,7 +316,7 @@ def test_plane_modes_pass_and_candidate_violates_exponent():
     basis = build_basis(dom, fld, pot)
     assert basis.degrees == [0, 1]
     candidate = ZeroMode(Chirality.UP, {2: 1.0 + 0.0j}, pot)
-    *reports, report = verify_modes(basis.modes() + [candidate], dom, fld, pot)
+    *reports, report = verify_modes(basis.modes() + [candidate])
     for mode_report in reports:
         assert mode_report.passed and mode_report.integrability_exponent_ok
     assert report.integrability_exponent_ok is False
@@ -328,8 +329,8 @@ def test_gauge_invariance_of_counts_and_amplitudes():
                      hole_fluxes=[pi_flux("1/2"), pi_flux("-2/3")])
     shifted = FieldSpec(bumps=base.bumps,
                         hole_fluxes=[pi_flux("5/2"), pi_flux("-2/3")])
-    a = count_zero_modes(dom, base)
-    b = count_zero_modes(dom, shifted)
+    a = count_zero_modes(flat_problem(dom, base))
+    b = count_zero_modes(flat_problem(dom, shifted))
     assert (a.count, a.chirality) == (b.count, b.chirality)
 
     pot_a = PotentialField(base, dom)
@@ -408,7 +409,7 @@ def _reference_report(mode, dom, fld, pot, grid, tol):
 
     phis = np.linspace(0.0, 2.0 * math.pi, grid.n_boundary_samples, endpoint=False)
     leakages = {}
-    for label, spec in boundary_spectra(dom, fld).items():
+    for label, spec in boundary_spectra(flat_problem(dom, fld)).items():
         center = 0.0 if spec.is_outer else red_dom.holes[spec.boundary].center
         samples = flat(center + spec.radius * np.exp(1j * phis))
         samples = samples / math.sqrt(float(np.mean(np.abs(samples) ** 2)))
@@ -465,7 +466,7 @@ def test_verify_modes_matches_per_mode_reference(case, monkeypatch):
     monkeypatch.setattr(zero_modes, "_CHUNK_POINTS", 1000)
     dom, fld, pot, modes = _basis_case(case)
     grid = GridSpec(radial=16, angular=64, bulk_divisor=8)
-    reports = verify_modes(modes, dom, fld, pot, grid)
+    reports = verify_modes(modes, grid)
     assert len(reports) == len(modes) >= 2
     for mode, report in zip(modes, reports):
         (pde, ratio), leakages = _reference_report(mode, dom, fld, pot, grid, 1e-6)
@@ -497,7 +498,7 @@ def test_verify_modes_raises_for_the_first_coarse_mode():
             break
     assert n == 1 and expected is not None
     with pytest.raises(GridTooCoarse) as info:
-        verify_modes(modes, dom, fld, pot, coarse, tol_residual=tol)
+        verify_modes(modes, coarse, tol_residual=tol)
     assert str(info.value) == expected
 
 
@@ -507,7 +508,7 @@ def test_verify_modes_rejects_modes_of_different_kinds(disc_problem):
     for other in (ZeroMode(Chirality.DOWN, {0: 1.0 + 0.0j}, pot),
                   ZeroMode(Chirality.UP, {0: 1.0 + 0.0j}, PotentialField(fld, dom))):
         with pytest.raises(ValueError, match="must share"):
-            verify_modes([up, other], dom, fld, pot)
+            verify_modes([up, other])
 
 
 def test_verify_modes_peak_memory_stays_below_one_parent_mode(monkeypatch):
@@ -524,7 +525,7 @@ def test_verify_modes_peak_memory_stays_below_one_parent_mode(monkeypatch):
     assert len(modes) == 5
     tracemalloc.start()
     try:
-        reports = verify_modes(modes, dom, fld, pot)
+        reports = verify_modes(modes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -551,7 +552,7 @@ def test_verify_modes_memory_does_not_grow_with_modes_times_points(monkeypatch):
         modes = [ZeroMode(Chirality.UP, {n: 1.0 + 0.0j}, pot) for n in range(count)]
         tracemalloc.start()
         try:
-            verify_modes(modes, dom, fld, pot, grid)
+            verify_modes(modes, grid)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -575,7 +576,7 @@ def test_the_half_step_walk_does_not_grow_with_the_mode_count(monkeypatch):
     for count in (1, 16):
         modes = [ZeroMode(Chirality.UP, {n: 1.0 + 0.0j}, pot) for n in range(count)]
         calls.clear()
-        verify_modes(modes, DOM1, FLD1, pot, grid, tol_residual=1.0, tol_leakage=1.0)
+        verify_modes(modes, grid, tol_residual=1.0, tol_leakage=1.0)
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
@@ -749,7 +750,7 @@ def _split_case(case):
         modes = build_basis(dom, fld, pot).modes()
     else:
         dom, fld, pot, modes = _basis_case(case)
-    return lambda: verify_modes(modes, dom, fld, pot, grid)
+    return lambda: verify_modes(modes, grid)
 
 
 @pytest.mark.parametrize("case", ["disc-up", "disc-down", "sphere", "plane", "disc-high",
@@ -965,7 +966,7 @@ modes = build_basis(dom, fld, pot).modes()
 grid = GridSpec(radial=16, angular=64, bulk_divisor=8)
 
 def run():
-    return verify_modes(modes, dom, fld, pot, grid)
+    return verify_modes(modes, grid)
 
 count = zero_modes._worker_count
 zero_modes._worker_count = lambda chunks: 1
@@ -1073,7 +1074,7 @@ def test_analytic_extension_rejects_pole_at_hole_centre():
         pot = PotentialField(fld, dom)
         good = build_basis(dom, fld, pot).modes()[0]
         poisoned = ZeroMode(Chirality.UP, {-1: 1.0 + 0.0j}, pot)
-        good_report, report = verify_modes([good, poisoned], dom, fld, pot)
+        good_report, report = verify_modes([good, poisoned])
         assert good_report.passed, (bump_pi, hole_pi)
         assert report.pde_residual < 1e-6, (bump_pi, hole_pi)
         assert report.trace_leakage["outer"] < 1e-6, (bump_pi, hole_pi)
@@ -1092,14 +1093,14 @@ def test_kernel_choice_splits_threshold_modes():
         kernel_choice=kernel,
     )
     fld_d, fld_a = make(KernelChoice.DEFAULT), make(KernelChoice.ALTERNATE)
-    assert count_zero_modes(dom, fld_d).count == 1
-    assert count_zero_modes(dom, fld_a).count == 2
+    assert count_zero_modes(flat_problem(dom, fld_d)).count == 1
+    assert count_zero_modes(flat_problem(dom, fld_a)).count == 2
 
     pot_d = PotentialField(fld_d, dom)
     pot_a = PotentialField(fld_a, dom)
     alt_basis = build_basis(dom, fld_a, pot_a)
     assert alt_basis.degrees == [0, 1]
-    assert all(r.passed for r in verify_modes(alt_basis.modes(), dom, fld_a, pot_a))
+    assert all(r.passed for r in verify_modes(alt_basis.modes()))
 
     threshold_mode = ZeroMode(Chirality.UP, {1: 1.0 + 0.0j}, pot_d)
     report = verify_mode(threshold_mode, dom, fld_d, pot_d)
@@ -1112,10 +1113,10 @@ def test_down_mode_verifies():
     fld = FieldSpec(bumps=[RadialBump(0.9, 0.6, pi_flux("-5/2"))],
                     hole_fluxes=[pi_flux("-1/2")])
     pot = PotentialField(fld, dom)
-    counted = count_zero_modes(dom, fld)
+    counted = count_zero_modes(flat_problem(dom, fld))
     assert (counted.count, counted.chirality) == (2, Chirality.DOWN)
     modes = build_basis(dom, fld, pot).modes()
-    for mode, report in zip(modes, verify_modes(modes, dom, fld, pot)):
+    for mode, report in zip(modes, verify_modes(modes)):
         assert report.passed, report
 
 
