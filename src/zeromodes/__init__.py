@@ -38,7 +38,6 @@ from .eta_index import (
     eta_series,
     index_formula,
     index_vs_count,
-    rho_term,
 )
 from .field import (
     FieldSpec,
@@ -122,7 +121,6 @@ __all__ = [
     "eta_series",
     "index_formula",
     "index_vs_count",
-    "rho_term",
     # field
     "FieldSpec",
     "KernelChoice",

@@ -1,9 +1,10 @@
 """The package's one numpy binding, which loads numpy on first use.
 
 Counting, the sweeps, the index and the Berry-Mondragon sweep are rational
-arithmetic, yet importing numpy was about half of ``import zeromodes.cli``.
-Every module that needs numpy imports ``np`` from here, so ``count``,
-``sweep``, ``index`` and ``bm`` sweep processes never load numpy.
+arithmetic, and the eta series is a short float sum, yet importing numpy was
+about half of ``import zeromodes.cli``. Every module that needs numpy imports
+``np`` from here, so ``count``, ``sweep``, ``eta``, ``index`` and ``bm``
+sweep processes never load numpy.
 
 ``np`` is numpy itself if numpy was already imported, else a module
 registered as ``sys.modules["numpy"]`` that runs numpy's import when an
@@ -17,10 +18,8 @@ and there is no module ``__getattr__``. The benchmark's tracer
 ``sys.modules[module]``, so every module must be loaded once ``zeromodes.cli``
 is.
 
-``verify`` and ``bm`` verify load numpy for the finite-difference oracle.
-``eta`` loads it too, because ``eta_series`` sums thousands of terms as an
-array. That ends once the series has a short exact tail (ROADMAP, the eta
-series item).
+Only ``verify`` and ``bm`` verify load numpy, for the finite-difference
+oracle.
 """
 
 from __future__ import annotations

@@ -500,7 +500,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ConfigError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ZeroModesError as exc:
+    except (ZeroModesError, OverflowError) as exc:  # a value past the float range
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

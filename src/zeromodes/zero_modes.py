@@ -242,8 +242,8 @@ def _grid_reference(domain: DomainSpec, fld: FieldSpec) -> float:
 
 
 def _polar_points(center: complex, annulus: Annulus, radial: int, angular: int):
-    radii = annulus.inner + (annulus.outer - annulus.inner) * \
-        (np.arange(radial) + 0.5) / radial
+    # the fractions first, so the radii stay in the float range with the annulus
+    radii = annulus.inner + (annulus.outer - annulus.inner) * ((np.arange(radial) + 0.5) / radial)
     angles = np.linspace(0.0, 2.0 * math.pi, angular, endpoint=False)
     return (center + radii[:, None] * np.exp(1j * angles[None, :])).ravel()
 

@@ -365,6 +365,18 @@ def test_bad_config_exits_2(tmp_path, capsys, command, config, message):
     assert err.startswith("config error:") and message in err
 
 
+# a lattice spacing or a disc past the float range made int(inf) in the bulk
+# lattice, which ended in a traceback and exit 1
+@pytest.mark.parametrize("config", [
+    pytest.param(_with(["grid"], {"bulk_divisor": 1e308}), id="grid-bulk-divisor-1e308"),
+    pytest.param(_with(["domain", "radius_out"], 1e308), id="disc-radius-1e308"),
+])
+def test_float_range_overflow_exits_3(tmp_path, capsys, config):
+    code, out, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, config))
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: OverflowError:")
+
+
 def test_eta_table_sums_each_series_once(tmp_path, capsys, monkeypatch):
     from zeromodes import cli, eta_index
 

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -22,10 +23,9 @@ from zeromodes import (
     index_formula,
     index_vs_count,
     pi_flux,
-    rho_term,
     sphere_with_holes,
 )
-from zeromodes.eta_index import MAX_ETA_TERMS
+from zeromodes.eta_index import DEFAULT_N_TERMS, MAX_ETA_TERMS
 
 
 def slow_eta_partial_sum(c: float, s: float, n_terms: int) -> float:
@@ -72,6 +72,33 @@ def test_eta_series_against_slow_sum():
     assert abs(accel.value - slow7) < 1e-4
 
 
+ORACLE_C = [Fraction(1, 8), Fraction(3, 10), Fraction(1, 3), Fraction(1, 2),
+            Fraction(3, 4), Fraction(9, 10)]
+ORACLE_S = [-0.9, -0.5, 0.025, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0]
+
+
+def hurwitz_eta(c: Fraction, s: float) -> float:
+    """zeta(s, 1 - c) - zeta(s, c) (DLMF 25.11), and its limit psi(c) - psi(1 - c) at s = 1."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(c.numerator) / c.denominator
+        if s == 1.0:
+            return float(mpmath.digamma(a) - mpmath.digamma(1 - a))
+        return float(mpmath.zeta(s, 1 - a) - mpmath.zeta(s, a))
+
+
+@pytest.mark.parametrize("c", ORACLE_C, ids=str)
+def test_eta_series_within_its_bound_of_hurwitz(c):
+    # at the fewest terms the tail's B_10 term still exceeds the rounding, so
+    # the bound is tested there too; the float c carries its rounding
+    for s in ORACLE_S:
+        ref = hurwitz_eta(c, s)
+        for n_terms in (8, DEFAULT_N_TERMS):
+            for given in (c, float(c)):
+                r = eta_series(given, s, n_terms)
+                assert abs(r.value - ref) <= r.tail_bound, (given, s, n_terms, r.value - ref)
+                assert n_terms != DEFAULT_N_TERMS or r.tail_bound <= 1e-12, (given, s)
+
+
 def test_eta_series_richardson_reaches_closed_form():
     assert eta_richardson_to_zero(0.25) == pytest.approx(-0.5, abs=1e-3)
 
@@ -109,18 +136,6 @@ def test_eta_rejects_s_values_it_cannot_continue():
     assert eta == pytest.approx(eta_closed(Fraction(1, 3)), abs=1e-3)
     assert eta_richardson_to_zero(Fraction(1, 3), [0.2], 100) \
         == eta_series(Fraction(1, 3), 0.2, 100).value
-
-
-def test_rho_decay_rate():
-    # log|rho| over n in [1e3, 1e4] has slope -(s+2) within 2 percent
-    for s, c in ((0.3, 0.25), (0.5, 0.4), (1.2, 0.125)):
-        n = np.geomspace(1e3, 1e4, 25)
-        rho = np.abs(rho_term(s, c, n))
-        slope = np.polyfit(np.log(n), np.log(rho), 1)[0]
-        assert slope == pytest.approx(-(s + 2.0), rel=0.02)
-        # and the coefficient is s(s+1)c
-        coeff = rho[-1] * n[-1] ** (s + 2.0)
-        assert coeff == pytest.approx(s * (s + 1) * c, rel=0.02)
 
 
 def test_eta_scaling_relation():

@@ -1,9 +1,9 @@
 """numpy loads on first numeric use, and a process holds one numpy.
 
-The table commands are rational arithmetic: a ``count``, ``sweep``,
-``index`` or ``bm`` sweep process never loads numpy. ``verify``, ``bm``
-verify and ``eta`` do. Each case runs in a fresh interpreter, since this
-process has numpy loaded already.
+The table commands are rational or short float arithmetic: a ``count``,
+``sweep``, ``eta``, ``index`` or ``bm`` sweep process never loads numpy.
+``verify`` and ``bm`` verify do. Each case runs in a fresh interpreter,
+since this process has numpy loaded already.
 """
 
 import json
@@ -62,7 +62,7 @@ def run_child(script, *args):
     ("bm", BM_SWEEP, False),
     ("verify", DISC, True),
     ("bm", BM, True),
-    ("eta", ETA, True),
+    ("eta", ETA, False),
 ], ids=["count", "sweep", "index-exact", "index-float", "bm-sweep",
         "verify", "bm-verify", "eta"])
 def test_only_numeric_commands_load_numpy(tmp_path, command, config, loads_numpy):

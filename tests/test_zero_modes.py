@@ -1134,7 +1134,7 @@ def test_public_names_are_explicit_and_hold_no_submodule():
     assert len(set(zeromodes.__all__)) == len(zeromodes.__all__)
     for name in zeromodes.__all__:
         assert not isinstance(getattr(zeromodes, name), types.ModuleType), name
-    for gone in ("eta_of_scaled", "zero_modes", "potential"):
+    for gone in ("eta_of_scaled", "rho_term", "zero_modes", "potential"):
         assert gone not in zeromodes.__all__
     assert not hasattr(PotentialField, "h_asymptotics")
     # hole-circle leakage checks continuation into the holes; no Laurent probe
