@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Optional
 
 from .berry_mondragon import BMConfig, bm_flux_sweep, bm_verify, bm_zero_mode
 from .conformal import Problem, flat_problem
-from .errors import ZeroModesError
+from .errors import GridTooCoarse, ZeroModesError
 from .eta_index import (DEFAULT_N_TERMS, DEFAULT_S_VALUES, check_s_values, eta_closed,
                         eta_series, index_formula, index_vs_count, richardson_to_zero)
 from .field import FieldSpec, KernelChoice, PiFlux, Profile, RadialBump, validate_field
@@ -268,7 +268,11 @@ def cmd_verify(config, args) -> Dict[str, Any]:
     rows: List[Dict[str, Any]] = []
     if counted.count > 0:
         modes = build_basis(domain, fld, PotentialField(fld, domain)).modes()
-        reports = verify_modes(modes, grid, tol_residual=tol, tol_leakage=tol_leak)
+        try:
+            reports = verify_modes(modes, grid, tol_residual=tol, tol_leakage=tol_leak)
+        except GridTooCoarse as exc:
+            raise GridTooCoarse(f"{exc}; for a finer step lower grid.fd_step or raise "
+                                f"--grid, or loosen the residual tolerance (--tol)") from exc
         for mode, report in zip(modes, reports):
             row = dict(base)
             row.update({

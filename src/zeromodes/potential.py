@@ -14,23 +14,40 @@ one-dimensional radial integrals:
 
 Outside every support this collapses to -(flux/2pi) log|z - center| exactly.
 The vector potential a = a_x + i a_y follows from dh via a_x = dh/dy,
-a_y = -dh/dx; for radial pieces it is purely tangential with magnitude
-F(s)/(2pi s), which is exact on supports as well, so no numerical
-differentiation is needed anywhere.
+a_y = -dh/dx; for radial pieces it is purely tangential,
+a = i F(s) d / (2pi s^2) with d = z - center, which is exact on supports as
+well, so no numerical differentiation is needed anywhere.
 
-Smooth-compact bumps have no closed forms; their radial F and h profiles are
-evaluated once per bump at Chebyshev nodes with fixed-order Gauss-Legendre
-quadrature (:func:`field.gauss_nodes`) and then read back through the
-interpolants.  Both profiles are smooth on [0, rho], so the interpolation
-error sits far below the 1e-8 quadrature budget; the interpolants keep only
-the coefficients down to 1e-14 of their largest (F is chopped before the h
-quadrature reads it).
+Every source is evaluated in float arithmetic on the squared distance
+s^2 = dx^2 + dy^2, built from the real and imaginary parts of d.  Outside a
+support h is -(flux/4pi) log max(s^2, rho^2), and a is accumulated as
+a_x -= k dy, a_y += k dx with k = F(s)/(2pi s^2).  Only the points inside a
+support are gathered for its profile.  There k has a closed form: flux/(2pi
+rho^2) on a uniform disc, and b(0)/2 (1 - s^2/2rho^2), from the leading law
+of F, within 1e-3 rho of a smooth bump's centre.  So a bump's a never
+divides by a vanishing s^2; at its centre it is 0.  If some s^2 of a call
+underflows to 0 or overflows to inf, the call's h is evaluated again with
+the logs taken of ``np.hypot(dx, dy)``: h stays finite wherever |z - center|
+is positive and finite, and a delta's h raises SingularPoint only at its
+centre.  A delta's a raises wherever s^2 is 0.
+
+Smooth-compact bumps have no closed forms.  Once per bump, F is evaluated at
+the 160 first-kind Chebyshev nodes of [0, rho] by fixed-order Gauss-Legendre
+quadrature (:func:`field.gauss_nodes`) and interpolated there exactly, its
+coefficients being a cosine sum over the nodes.  h is the indefinite
+integral (``chebint``) of the interpolant of F(s)/s through the same nodes,
+since h'(s) = -F(s)/(2pi s), with its constant fixed so that h meets the
+outside law at s = rho (Trefethen, Approximation Theory and Approximation
+Practice, SIAM 2013, ch. 3 and 19).  Both profiles are smooth on [0, rho],
+so the interpolation error sits far below the 1e-8 quadrature budget; the
+interpolants keep only the coefficients down to 1e-14 of their largest.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 from ._numpy import np
 from .conformal import flat_problem
@@ -47,9 +64,16 @@ from .field import (
 from .geometry import DomainSpec
 
 
+# Chebyshev nodes (and interpolant terms) per smooth bump profile
+_CHEB_NODES = 160
+
 # trailing Chebyshev coefficients of a bump profile below this fraction of
 # the largest are fitting noise and are dropped
 _CHEB_CHOP = 1e-14
+
+# inside this fraction of a smooth bump's radius its a takes the leading
+# s^2 law of F: the interpolant's absolute error would be amplified by 1/s^2
+_CENTRE_FRACTION = 1e-3
 
 
 def _chopped(coef: np.ndarray) -> np.ndarray:
@@ -65,6 +89,33 @@ def _gl_integrals_from(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     mid = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]
     return (half[:, 0]) * (fn(mid + half * x[None, :]) @ w)
+
+
+@functools.cache
+def _cosines() -> np.ndarray:
+    """cos(j theta_k) for j, k < _CHEB_NODES at the first-kind angles
+    theta_k = pi (2k + 1) / (2 _CHEB_NODES); row 1 holds the nodes.  Read only."""
+    n = _CHEB_NODES
+    theta = math.pi * (2 * np.arange(n) + 1) / (2 * n)
+    out = np.cos(np.arange(n)[:, None] * theta[None, :])
+    # cached and shared by every bump: an in-place write would corrupt them all
+    out.setflags(write=False)
+    return out
+
+
+def _interpolant(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the polynomial through ``values`` at the
+    first-kind nodes: the discrete cosine sum (2/n) sum_k v_k cos(j theta_k),
+    with the constant term halved."""
+    coef = (2.0 / _CHEB_NODES) * (_cosines() @ values)
+    coef[0] *= 0.5
+    return coef
+
+
+def _flat_parts(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of z, flattened, as contiguous arrays."""
+    flat = z.ravel()
+    return np.ascontiguousarray(flat.real), np.ascontiguousarray(flat.imag)
 
 
 class _RadialSource:
@@ -86,72 +137,90 @@ class _RadialSource:
     def _build_smooth(self, amp: float) -> None:
         rho = self.rho
         self._density0 = amp * math.exp(-1.0)
-        n_nodes = 160
-        # interior Chebyshev points of the first kind on [0, rho]
-        k = np.arange(n_nodes)
-        t = 0.5 * rho * (1.0 + np.cos(math.pi * (2 * k + 1) / (2 * n_nodes)))
+        # the first-kind Chebyshev nodes mapped to [0, rho], all interior
+        t = 0.5 * rho * (1.0 + _cosines()[1])
 
         def density(r):
             return amp * smooth_profile_shape(r, rho)
 
         f_vals = TWO_PI * _gl_integrals_from(lambda r: density(r) * r, np.zeros_like(t), t)
-        self._cheb_f = _chopped(
-            np.polynomial.chebyshev.chebfit(2.0 * t / rho - 1.0, f_vals, n_nodes - 1))
-
-        # h from the smooth radial relation h'(s) = -F(s)/(2 pi s); the
-        # integrand F(s)/s vanishes at 0, so no log singularity enters.
-        def h_integrand(s):
-            return np.polynomial.chebyshev.chebval(2.0 * s / rho - 1.0, self._cheb_f) / s
-
+        self._cheb_f = _chopped(_interpolant(f_vals))
+        # h from the smooth radial relation h'(s) = -F(s)/(2 pi s) with
+        # ds = rho/2 dx on [-1, 1]; F(s)/s vanishes at 0, so no log
+        # singularity enters, and h meets the outside law at s = rho
         h_edge = -self.flux / TWO_PI * math.log(rho)
-        h_vals = h_edge + _gl_integrals_from(h_integrand, t, np.full_like(t, rho)) / TWO_PI
-        self._cheb_h = _chopped(
-            np.polynomial.chebyshev.chebfit(2.0 * t / rho - 1.0, h_vals, n_nodes - 1))
+        self._cheb_h = _chopped(np.polynomial.chebyshev.chebint(
+            _interpolant(f_vals / t), lbnd=1.0, k=h_edge, scl=-rho / (2.0 * TWO_PI)))
 
-    def flux_within(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        if not self.rho:  # a delta's a = i F d / (2 pi s^2) is singular where s^2 is 0
-            if np.any(s ** 2 == 0.0):
-                raise SingularPoint(f"a evaluated at delta centre {self.center}")
-            return np.full(s.shape, self.flux)
-        if self.profile is Profile.UNIFORM_DISC:
-            return self.flux * np.minimum(1.0, (s / self.rho) ** 2)
-        out = np.full(s.shape, self.flux)
-        # near the centre the interpolant's absolute error would be amplified
-        # by 1/s^2 in the vector potential; switch to the exact s^2 leading law
-        tiny = s < 1e-3 * self.rho
-        mid = (s < self.rho) & ~tiny
-        if np.any(mid):
-            out[mid] = np.polynomial.chebyshev.chebval(
-                2.0 * s[mid] / self.rho - 1.0, self._cheb_f)
-        if np.any(tiny):
-            st = s[tiny]
-            out[tiny] = math.pi * self._density0 * st ** 2 * \
-                (1.0 - st ** 2 / (2.0 * self.rho ** 2))
-        return out
+    def _squared_distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """s^2 = dx^2 + dy^2 of the flat points x + i y from the centre (a new array)."""
+        s2 = x - self.center.real
+        s2 *= s2
+        dy2 = y - self.center.imag
+        dy2 *= dy2
+        s2 += dy2
+        return s2
 
-    def h_radial(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        coef = -self.flux / TWO_PI
-        if not self.rho:
-            if np.any(s == 0.0):
+    def add_h(self, x: np.ndarray, y: np.ndarray, out: np.ndarray, hypot: bool = False) -> None:
+        """out += this source's h at the flat points x + i y.
+
+        Its log is taken of s^2, or with ``hypot`` of |z - center| from
+        ``np.hypot``, which stays in the float range where s^2 leaves it.
+        """
+        s2 = self._squared_distance(x, y)
+        rho, rho2, coef = self.rho, self.rho ** 2, -self.flux / TWO_PI
+        if rho:
+            inside = np.flatnonzero(s2 < rho2)
+            s2_in = s2[inside]
+        if hypot:
+            h = np.hypot(x - self.center.real, y - self.center.imag)
+            if not rho and np.any(h == 0.0):
                 raise SingularPoint(f"h evaluated at delta centre {self.center}")
-            return coef * np.log(s)
-        out = np.empty(s.shape)
-        outside = s >= self.rho
-        with np.errstate(divide="ignore"):
-            out[outside] = coef * np.log(s[outside])
-        inside = ~outside
-        if np.any(inside):
+            np.log(np.maximum(h, rho, out=h), out=h)
+            h *= coef
+        else:
+            h = np.maximum(s2, rho2, out=s2) if rho else s2
+            np.log(h, out=h)
+            h *= 0.5 * coef
+        if rho and inside.size:
             if self.profile is Profile.UNIFORM_DISC:
-                si = s[inside]
-                out[inside] = coef * (
-                    math.log(self.rho) - (self.rho ** 2 - si ** 2) / (2.0 * self.rho ** 2)
-                )
+                h[inside] = coef * (math.log(rho) - (rho2 - s2_in) / (2.0 * rho2))
             else:
-                out[inside] = np.polynomial.chebyshev.chebval(
-                    2.0 * s[inside] / self.rho - 1.0, self._cheb_h)
-        return out
+                h[inside] = np.polynomial.chebyshev.chebval(
+                    2.0 * np.sqrt(s2_in) / rho - 1.0, self._cheb_h)
+        out += h
+
+    def add_a(self, x: np.ndarray, y: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> None:
+        """ax + i ay += this source's a = i F(s) d / (2 pi s^2) at the flat points
+        x + i y, with d = dx + i dy their offset from the centre."""
+        dx, dy = x - self.center.real, y - self.center.imag
+        s2 = dx * dx
+        s2 += dy * dy
+        rho, rho2 = self.rho, self.rho ** 2
+        if not rho and np.any(s2 == 0.0):
+            raise SingularPoint(f"a evaluated at delta centre {self.center}")
+        inside = np.flatnonzero(s2 < rho2)
+        s2_in = s2[inside]
+        k = np.maximum(s2, rho2, out=s2)
+        np.divide(self.flux / TWO_PI, k, out=k)
+        if inside.size:
+            if self.profile is Profile.UNIFORM_DISC:
+                k[inside] = self.flux / (TWO_PI * rho2)
+            else:
+                # F/s^2 from the interpolant, but from the leading law
+                # F = pi b(0) s^2 (1 - s^2 / 2 rho^2) near the centre
+                centre2 = (_CENTRE_FRACTION * rho) ** 2
+                s2_mid = np.maximum(s2_in, centre2)
+                k_in = np.polynomial.chebyshev.chebval(
+                    2.0 * np.sqrt(s2_mid) / rho - 1.0, self._cheb_f) / (TWO_PI * s2_mid)
+                near = s2_in < centre2
+                if np.any(near):
+                    k_in[near] = 0.5 * self._density0 * (1.0 - s2_in[near] / (2.0 * rho2))
+                k[inside] = k_in
+        np.multiply(k, dy, out=dy)
+        ax -= dy
+        np.multiply(k, dx, out=dx)
+        ay += dx
 
 
 class PotentialField:
@@ -173,24 +242,29 @@ class PotentialField:
 
     def eval_h(self, z) -> np.ndarray:
         scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.shape == ())
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.zeros(z.shape)
-        for src in self._sources:
-            out += src.h_radial(np.abs(z - src.center))
-        return float(out[0]) if scalar else out
+        z = np.asarray(z, dtype=complex)
+        x, y = _flat_parts(z)
+        out = np.zeros(x.shape)
+        with np.errstate(divide="ignore", over="ignore"):
+            for src in self._sources:
+                src.add_h(x, y, out)
+            if not np.isfinite(out).all():  # some s^2 under- or overflowed
+                out = np.zeros(x.shape)
+                for src in self._sources:
+                    src.add_h(x, y, out, hypot=True)
+        return float(out[0]) if scalar else out.reshape(z.shape)
 
     def eval_a(self, z) -> np.ndarray:
         """a = a_x + i a_y; tangential around each radial source."""
         scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.shape == ())
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.zeros(z.shape, dtype=complex)
+        z = np.asarray(z, dtype=complex)
+        x, y = _flat_parts(z)
+        ax, ay = np.zeros(x.shape), np.zeros(x.shape)
         for src in self._sources:
-            d = z - src.center
-            r = np.abs(d)
-            safe = r > 0  # a bump's a vanishes at its centre; a delta raises there
-            f = src.flux_within(r)
-            out[safe] += 1j * (f[safe] / TWO_PI) * d[safe] / (r[safe] ** 2)
-        return complex(out[0]) if scalar else out
+            src.add_a(x, y, ax, ay)
+        out = np.empty(x.shape, dtype=complex)
+        out.real, out.imag = ax, ay
+        return complex(out[0]) if scalar else out.reshape(z.shape)
 
     # -- boundary line integrals -------------------------------------------
 

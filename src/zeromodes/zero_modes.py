@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -125,47 +126,56 @@ def build_basis(
     )
 
 
-def _powers(var: np.ndarray, lo: int, hi: int) -> Dict[int, np.ndarray]:
-    """var^n for lo <= n <= hi (and n = 0, 1), one multiply per degree.
+def _powers(var: np.ndarray, lo: int, hi: int, first: np.ndarray) -> Dict[int, np.ndarray]:
+    """first * var^n for lo <= n <= hi (and n = 0, 1), one multiply per degree.
 
-    Negative degrees are powers of 1/var, built the same way.
+    Negative degrees are built the same way from 1/var.
     """
-    powers = {0: np.ones_like(var), 1: var}
+    powers = {0: first, 1: first * var}
     for n in range(2, hi + 1):
         powers[n] = powers[n - 1] * var
     if lo < 0:
-        powers[-1] = 1 / var
-        for n in range(-2, lo - 1, -1):
-            powers[n] = powers[n + 1] * powers[-1]
+        inverse = 1 / var
+        for n in range(-1, lo - 1, -1):
+            powers[n] = powers[n + 1] * inverse
     return powers
 
 
 def _combine(coefficients: Dict[int, complex], powers: Dict[int, np.ndarray]) -> np.ndarray:
-    """sum_n c_n var^n from the powers of var, in ascending degree (a new array)."""
+    """sum_n c_n powers[n] in ascending degree, as a new array; a unit
+    coefficient takes no multiply."""
     first, *rest = sorted(coefficients)
-    out = coefficients[first] * powers[first]
+    c = coefficients[first]
+    out = powers[first].copy() if c == 1 else c * powers[first]
     for n in rest:
-        out += coefficients[n] * powers[n]
+        out += powers[n] if coefficients[n] == 1 else coefficients[n] * powers[n]
     return out
 
 
 def _basis_at(modes: Sequence["ZeroMode"], chirality, potential):
-    """The function z -> the flat (undressed) value of every mode at z, in order.
+    """The function z -> the flat (undressed) value of every mode at z, in
+    order, each a new array.
 
-    One e^{+-h} and one walk up the powers of z (or conj z) serve all the modes.
+    One e^{+-h} and one walk up its products with the powers of z (or
+    conj z) serve all the modes.
     """
     lo = min(min(mode.coefficients) for mode in modes)
     top = max(mode.degree for mode in modes)
+    # a power that one mode alone reads, with coefficient 1 and nothing
+    # else, is that mode's value as it stands (a basis's modes all are)
+    readers = Counter(n for mode in modes for n in mode.coefficients)
+    alone = [mode.degree if mode.coefficients == {mode.degree: 1}
+             and readers[mode.degree] == 1 else None for mode in modes]
 
     def at(z):
         if chirality is Chirality.UP:
-            factor, var = np.exp(potential.eval_h(z)), z
+            h, var = potential.eval_h(z), z
         else:
-            factor, var = np.exp(-potential.eval_h(z)), np.conj(z)
-        powers = _powers(var, lo, top)
-        for mode in modes:
-            poly = _combine(mode.coefficients, powers)
-            yield np.multiply(factor, poly, out=poly)
+            h, var = -potential.eval_h(z), np.conj(z)
+        # e^{+-h} made complex once, so no product with it casts
+        powers = _powers(var, lo, top, np.exp(h).astype(complex))
+        for mode, n in zip(modes, alone):
+            yield powers[n] if n is not None else _combine(mode.coefficients, powers)
 
     return at
 
@@ -291,30 +301,42 @@ def _bulk_points(domain: DomainSpec, fld: FieldSpec, grid: GridSpec,
     return np.concatenate(kept)
 
 
-# the fourth-order central difference along a step s is
-# (-u(2s) + 8u(s) - 8u(-s) + u(-2s)) / 12|s|: (multiple of s, weight) per term
-_STENCIL = ((2, -1), (1, 8), (-1, -8), (-2, 1))
-
-
 def _central_difference(components_at, z: np.ndarray, shift: complex) -> List[np.ndarray]:
-    """Every component's fourth-order central difference along the complex step ``shift``."""
-    partial = None
-    for multiple, weight in _STENCIL:
-        values = components_at(z + multiple * shift)
-        if partial is None:
-            partial = [weight * u for u in values]
-        else:
-            for i, u in enumerate(values):
-                partial[i] += weight * u
-    return [p / (12 * abs(shift)) for p in partial]
+    """Every component's fourth-order central difference along the complex step ``shift``,
+
+        (-u(2s) + 8 u(s) - 8 u(-s) + u(-2s)) / 12|s|,
+
+    summed term by term in that order, in place in the arrays
+    ``components_at`` returns at z + 2s; the unit weights take no multiply."""
+    partial = list(components_at(z + 2 * shift))
+    for p in partial:
+        p *= -1.0
+    for p, u in zip(partial, components_at(z + shift)):
+        u *= 8.0
+        p += u
+    for p, u in zip(partial, components_at(z - shift)):
+        u *= 8.0
+        p -= u
+    for p, u in zip(partial, components_at(z - 2 * shift)):
+        p += u
+    scale = 1.0 / (12 * abs(shift))  # the factor numpy's complex-by-real division applies
+    for p in partial:
+        p *= scale
+    return partial
 
 
 def _component_residual(ux, uy, u0, av, up: bool) -> np.ndarray:
-    """|-2i dbar u+ - a u+| (up) or |-2i d u- - conj(a) u-| (down) from the
-    component's x and y derivatives ``ux``, ``uy`` and its value ``u0``."""
+    """|-2i dbar u+ - a u+| (up) or |-2i d u- - conj(a) u-| (down), that is
+    |-i u_x + u_y - a u+| or |-i u_x - u_y - conj(a) u-|, from the component's
+    x and y derivatives ``ux``, ``uy`` and its value ``u0``; the sum is formed
+    in ``ux``.  ``av`` is a, or conj(a) for a spin-down component."""
+    ux *= -1j
     if up:
-        return np.abs(-2j * 0.5 * (ux + 1j * uy) - av * u0)
-    return np.abs(-2j * 0.5 * (ux - 1j * uy) - np.conj(av) * u0)
+        ux += uy
+    else:
+        ux -= uy
+    ux -= np.multiply(av, u0, out=uy)
+    return np.abs(ux)
 
 
 def _residual_chunks(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: float,
@@ -328,23 +350,30 @@ def _residual_chunks(components_at, ups: Sequence[bool], a, zs: np.ndarray, step
     ``np.maximum`` over its components, so a NaN wins), and its largest
     modulus there.  Each chunk takes one ``components_at`` call per stencil
     shift.  ``starts`` walks only the chunks that start there (default: all).
+
+    Every call of ``components_at`` must return new arrays, which nothing
+    else holds: the stencil sums and the residuals are formed in them.
     """
     width = len(ups)
     for lo in range(0, zs.size, _CHUNK_POINTS) if starts is None else starts:
         z = zs[lo:lo + _CHUNK_POINTS]
         ux, uy = (_central_difference(components_at, z, shift) for shift in (step, 1j * step))
         av = a(z)
+        av_down = np.conj(av) if not all(ups) else None
         if weight is not None:
             w_res, w_mod = weight(z)
         for i, (dx, dy, u0) in enumerate(zip(ux, uy, components_at(z))):
-            r_i, u_i = _component_residual(dx, dy, u0, av, ups[i % width]), np.abs(u0)
+            up = ups[i % width]
+            r_i = _component_residual(dx, dy, u0, av if up else av_down, up)
+            u_i = np.abs(u0)
             if i % width == 0:
                 r, u_abs = r_i, u_i
             else:
-                r, u_abs = np.maximum(r, r_i), np.maximum(u_abs, u_i)
+                r, u_abs = np.maximum(r, r_i, out=r), np.maximum(u_abs, u_i, out=u_abs)
             if i % width == width - 1:
                 if weight is not None:
-                    r, u_abs = r * w_res, u_abs * w_mod
+                    r *= w_res
+                    u_abs *= w_mod
                 yield i // width, lo, r, np.max(u_abs)
         del ux, uy  # before the next chunk's stencil passes, not after them
 
@@ -516,9 +545,8 @@ def pde_residuals(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: f
     for (value, _), half, scale in zip(worst, halves, scales):
         residual, residual_half = float(value / scale), float(half / scale)
         if abs(residual - residual_half) > 10.0 * tol_residual:
-            raise GridTooCoarse(
-                f"residual {residual:.3e} vs {residual_half:.3e} under step halving"
-            )
+            raise GridTooCoarse(f"residual {residual:.3e} vs {residual_half:.3e} "
+                                f"under step halving from step {step:.3e}")
         out.append((residual, residual / residual_half if residual_half > 0 else math.inf))
     return out
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -440,7 +441,10 @@ def test_verify_grid_too_coarse_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--config", cfg,
                            "--tol", "1e-12", "--grid", "8")
     assert code == 3
-    assert "GridTooCoarse" in err
+    # the message gives the step it halved and the keys that change it
+    assert re.fullmatch(r"numerical failure: GridTooCoarse: residual \S+ vs \S+ under step "
+                        r"halving from step 8\.750e-02; for a finer step lower grid\.fd_step "
+                        r"or raise --grid, or loosen the residual tolerance \(--tol\)\n", err)
 
 
 def test_verify_sphere_notes_dressing(tmp_path, capsys):

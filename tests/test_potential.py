@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -87,6 +88,108 @@ def test_a_delta_is_singular_where_its_squared_distance_underflows():
     with pytest.raises(SingularPoint, match="a evaluated at delta centre 0"):
         pot.eval_a(1e-200 + 0j)
     assert np.isfinite(pot.eval_a(1.0 + 0j))
+
+
+@pytest.mark.parametrize("profile", list(Profile), ids=lambda p: p.value)
+def test_a_vanishes_where_a_bumps_squared_distance_underflows(profile):
+    # |z - c|^2 = 1e-340 is 0 in floats, where F/s^2 would be 0/0; inside a
+    # support a takes the finite F/s^2 of its inside law, so a is d times it,
+    # 0 to 1e-169, with no warning (the suite turns warnings into errors)
+    pot = PotentialField(FieldSpec(bumps=[RadialBump(1.0, 0.5, 2.0, profile)]),
+                         plane_with_holes([]))
+    assert abs(pot.eval_a(1.0 + 1e-170j)) < 1e-169
+    assert pot.eval_a(1.0 + 0j) == 0
+    assert math.isfinite(pot.eval_h(1.0 + 1e-170j))
+
+
+def test_h_past_the_squared_range_is_the_log_law():
+    # |z - w|^2 overflows past 1e308 and underflows below 1e-308; h is then
+    # taken from the hypot, so it keeps the exact log law, with no warning
+    pot = PotentialField(FieldSpec(bumps=[RadialBump(1.0, 0.5, 2.0)], hole_fluxes=[1.0]),
+                         plane_with_holes([Hole(0.0, 0.3)]))
+    for z in (1e200 + 1e200j, -3e250j):
+        log_r = math.log(abs(z / 1e200)) + 200 * math.log(10.0)
+        assert pot.eval_h(z) == pytest.approx(-3.0 / TWO_PI * log_r, rel=1e-14)
+    z = np.array([1e-200, 2.0])
+    expected = -np.array([math.log(1e-200), math.log(2.0)]) / TWO_PI \
+        - 2.0 / TWO_PI * np.log(np.abs(z - 1.0))
+    np.testing.assert_allclose(pot.eval_h(z), expected, rtol=1e-14)
+
+
+def _plain_h_and_a(pot, z):
+    """h and a summed over ``pot``'s sources from |z - center| by np.abs, as
+    the radial laws read, with the library's interpolants on smooth supports."""
+    cheb = np.polynomial.chebyshev
+    h = np.zeros(z.shape)
+    a = np.zeros(z.shape, dtype=complex)
+    for src in pot._sources:
+        d = z - src.center
+        s, rho = np.abs(d), src.rho
+        coef = -src.flux / TWO_PI
+        outside = coef * np.log(np.maximum(s, rho))
+        if not rho:
+            h_s, f_s = outside, np.full(s.shape, src.flux)
+        elif src.profile is Profile.UNIFORM_DISC:
+            h_s = np.where(s < rho, coef * (math.log(rho) - (rho ** 2 - s ** 2) / (2 * rho ** 2)),
+                           outside)
+            f_s = src.flux * np.minimum(1.0, (s / rho) ** 2)
+        else:
+            x = 2.0 * np.minimum(s, rho) / rho - 1.0
+            h_s = np.where(s < rho, cheb.chebval(x, src._cheb_h), outside)
+            f_s = np.where(s < rho, cheb.chebval(x, src._cheb_f), src.flux)
+            # the exact s^2 law of F near the centre
+            f_s = np.where(s < 1e-3 * rho,
+                           math.pi * src._density0 * s ** 2 * (1 - s ** 2 / (2 * rho ** 2)), f_s)
+        h += h_s
+        safe = s > 0
+        a[safe] += 1j * f_s[safe] * d[safe] / (TWO_PI * s[safe] ** 2)
+    return h, a
+
+
+def test_kernels_follow_the_plain_radial_laws():
+    # eval_h and eval_a, built from squared distances, against the radial laws
+    # from |z - center|: at random points, inside both profiles, on both
+    # support circles and within 1e-3 rho of both bump centres
+    smooth, uniform = RadialBump(-1.0 + 0.5j, 0.7, 2.3), \
+        RadialBump(1.2 - 0.4j, 0.5, -1.6, Profile.UNIFORM_DISC)
+    pot = PotentialField(FieldSpec(bumps=[smooth, uniform], hole_fluxes=[pi_flux("1/3"), -0.9]),
+                         plane_with_holes([Hole(2.5, 0.4), Hole(-2.0j, 0.3)]))
+    rng = np.random.default_rng(5)
+    angles = np.exp(2j * math.pi * rng.random(64))
+    parts = [rng.uniform(-4, 4, 2000) + 1j * rng.uniform(-4, 4, 2000)]
+    for bump in (smooth, uniform):
+        c, rho = bump.center, bump.support_radius
+        parts += [c + rho * np.sqrt(rng.random(500)) * angles[rng.integers(0, 64, 500)],
+                  c + rho * angles,
+                  c + rho * np.array([0.0, 1e-12, 1e-6, 5e-4, 9.9e-4])[:, None] * angles[:8],
+                  np.array([c])]
+    z = np.concatenate([np.ravel(p) for p in parts])
+    h, a = _plain_h_and_a(pot, z)
+    np.testing.assert_allclose(pot.eval_h(z), h, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(pot.eval_a(z), a, rtol=1e-13, atol=1e-13)
+
+
+def test_smooth_profiles_against_mpmath_radial_integrals():
+    # the cosine-sum F and the chebint h of a smooth bump against 30-digit
+    # quadrature of F(s) = 2 pi int_0^s b(r) r dr and
+    # h(s) = -(1/2pi) [log(s) F(s) + 2 pi int_s^rho b(r) r log(r) dr],
+    # with b normalised to the flux by quadrature as well; F is read off a
+    # as 2 pi s |a|
+    bump = RadialBump(0.3 - 0.2j, 0.6, pi_flux("25/4"))
+    pot = PotentialField(FieldSpec(bumps=[bump]), disc_with_holes(3.0))
+    rho, flux = bump.support_radius, float(bump.flux)
+    with mpmath.workdps(30):
+        shape = [lambda r: mpmath.exp(-1 / (1 - (r / rho) ** 2)) * r,
+                 lambda r: mpmath.exp(-1 / (1 - (r / rho) ** 2)) * r * mpmath.log(r)]
+        amp = flux / (2 * mpmath.pi * mpmath.quad(shape[0], [0, rho]))
+        for frac in (1e-4, 0.01, 0.1, 0.37, 0.5, 0.8, 0.95, 0.999, 1.0):
+            s = frac * rho
+            f_ref = 2 * mpmath.pi * amp * mpmath.quad(shape[0], [0, s])
+            h_ref = -(mpmath.log(s) * f_ref
+                      + 2 * mpmath.pi * amp * mpmath.quad(shape[1], [s, rho])) / (2 * mpmath.pi)
+            z = bump.center + s
+            assert TWO_PI * s * abs(pot.eval_a(z)) == pytest.approx(float(f_ref), abs=1e-12)
+            assert pot.eval_h(z) == pytest.approx(float(h_ref), abs=1e-12)
 
 
 def test_a_tangential_outside_support():

@@ -363,7 +363,7 @@ def test_polyval_powers_against_mpmath():
     zs = np.concatenate([zs, [3.0, -3.0j, 1.0, 0.5 + 0.5j, -2.9999 + 0.001j]])
     eps = np.finfo(float).eps
     with mpmath.workdps(50):
-        powers = zero_modes._powers(zs, 0, 200)
+        powers = zero_modes._powers(zs, 0, 200, np.ones_like(zs))
         for n in range(201):
             for z, value in zip(zs, powers[n]):
                 exact = mpmath.mpc(z.real, z.imag) ** n
@@ -380,7 +380,8 @@ def _full_row_worst(res, scale, residual_at, step, tol):
     residual = float(res[idx])
     residual_half = float(residual_at(slice(idx, idx + 1), step / 2)[0]) / scale
     if abs(residual - residual_half) > 10.0 * tol:
-        raise GridTooCoarse(f"residual {residual:.3e} vs {residual_half:.3e} under step halving")
+        raise GridTooCoarse(f"residual {residual:.3e} vs {residual_half:.3e} "
+                            f"under step halving from step {step:.3e}")
     return residual, residual / residual_half if residual_half > 0 else math.inf
 
 
