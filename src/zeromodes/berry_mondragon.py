@@ -14,15 +14,12 @@ opposite signs of S", one mode per 2pi of flux, and the mode is
 
     u- = |z|^{Phi/2pi} conj(z)^{-n},
     u+ = i |z|^{-Phi/2pi} z^{n-1} R1^{E} / S_in.
-
-The unbounded single-hole analogue never hosts a mode: square integrability
-at infinity empties both coefficient families.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from ._numpy import np
@@ -137,34 +134,15 @@ def bm_verify(
     )
 
 
-def bm_flux_sweep(
-    cfg: BMConfig,
-    phi_values: Sequence[FluxLike],
-    unbounded: bool = False,
-) -> List[dict]:
-    """Mode-existence table over a flux sweep.
-
-    With ``unbounded=True`` the outer boundary is sent to infinity, where
-    square integrability removes every candidate; the table is then
-    constant-false with the reason recorded.
-    """
+def bm_flux_sweep(cfg: BMConfig, phi_values: Sequence[FluxLike]) -> List[dict]:
+    """Mode-existence table over a flux sweep: one ``{phi, has_mode, n}`` row
+    per flux, each for ``cfg`` with that flux."""
     rows: List[dict] = []
     for phi in phi_values:
-        if unbounded:
-            rows.append({
-                "phi": float(phi),
-                "has_mode": False,
-                "n": None,
-                "reason": "unbounded region: square integrability at infinity "
-                          "forces all coefficients to vanish",
-            })
-            continue
-        probe = BMConfig(cfg.r_inner, cfg.r_outer, phi, cfg.s_inner, cfg.s_outer)
-        mode = bm_zero_mode(probe)
+        mode = bm_zero_mode(replace(cfg, phi=phi))
         rows.append({
             "phi": float(phi),
             "has_mode": mode is not None,
             "n": mode.n if mode is not None else None,
-            "reason": "",
         })
     return rows

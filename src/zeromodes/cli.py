@@ -21,6 +21,13 @@ Example config::
                  "s_outer": -1.0, "phi_pi": "1"}
     }
 
+A key that nothing reads is a configuration error, as is a value given both
+ways (``flux`` and ``flux_pi``, ``hole_fluxes`` and ``hole_fluxes_pi``,
+``phi`` and ``phi_pi``).  ``--tol`` and ``--grid`` apply to ``verify`` only;
+any other command refuses them.  A ``bm`` section with a ``sweep`` range
+prints one ``{phi, has_mode, n}`` row per flux; without one, ``bm`` reports
+the single configuration's mode and its verification.
+
 Exit codes: 0 success (and, for ``verify``, all modes passing), 1 verify ran
 with failing modes, 2 configuration/validation errors (an ``--out`` path that
 cannot be written too), 3 numerical failures.
@@ -95,6 +102,18 @@ def _object(node, key: str) -> Dict[str, Any]:
     return node
 
 
+def _known(node: Dict[str, Any], section: str, keys) -> None:
+    """Refuse a key of ``node`` that is not among ``keys``: nothing would read it."""
+    unknown = sorted(set(node) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {section} keys {unknown}")
+
+
+def _not_both(node: Dict[str, Any], key_pi: str, key_raw: str) -> None:
+    if key_pi in node and key_raw in node:
+        raise ConfigError(f"give either {key_pi!r} or {key_raw!r}, not both")
+
+
 def _required(node: Dict[str, Any], key: str, section: str):
     """``node[key]``; a missing key names the section that needs it."""
     if key not in node:
@@ -117,6 +136,7 @@ def _point(pair, key: str) -> complex:
 
 
 def _flux(node: Dict[str, Any], key_pi: str, key_raw: str):
+    _not_both(node, key_pi, key_raw)
     if key_pi in node:
         return PiFlux(_fraction(node[key_pi]))
     if key_raw in node:
@@ -135,6 +155,7 @@ def _choice(enum, text, key: str):
 def _rational_range(node, section: str) -> List[PiFlux]:
     """Flux values start, start + step, ... up to stop, all multiples of pi."""
     node = _object(node, section)
+    _known(node, section, ("start", "stop", "step"))
     start, stop, step = (_fraction(_required(node, k, section))
                          for k in ("start", "stop", "step"))
     if step <= 0:
@@ -145,27 +166,34 @@ def _rational_range(node, section: str) -> List[PiFlux]:
     return [PiFlux(start + i * step) for i in range(n)]
 
 
+# the keys a domain of each kind reads
+_DOMAIN_KEYS = {DomainKind.PLANE: ("kind", "holes"),
+                DomainKind.DISC: ("kind", "holes", "radius_out"),
+                DomainKind.SPHERE: ("kind", "holes", "omitted_hole")}
+
+
+def _hole(node) -> Hole:
+    node = _object(node, "hole")
+    _known(node, "hole", ("center", "radius"))
+    return Hole(_point(_required(node, "center", "hole"), "hole center"),
+                _real(_required(node, "radius", "hole"), "hole radius"))
+
+
 def parse_domain(node: Dict[str, Any]) -> DomainSpec:
     node = _object(node, "domain")
-    kind = node.get("kind")
-    holes = [
-        Hole(_point(_required(h, "center", "hole"), "hole center"),
-             _real(_required(h, "radius", "hole"), "hole radius"))
-        for h in (_object(entry, "hole") for entry in _array(node, "holes", []))
-    ]
-    if kind == "plane":
-        return DomainSpec(DomainKind.PLANE, holes)
-    if kind == "disc":
+    kind = _choice(DomainKind, node.get("kind"), "domain kind")
+    _known(node, f"{kind.value} domain", _DOMAIN_KEYS[kind])
+    holes = [_hole(entry) for entry in _array(node, "holes", [])]
+    if kind is DomainKind.DISC:
         if "radius_out" not in node:
             raise ConfigError("disc domains need radius_out")
-        radius_out = _real(node["radius_out"], "radius_out")
-        return DomainSpec(DomainKind.DISC, holes, radius_out=radius_out)
-    if kind == "sphere":
+        return DomainSpec(kind, holes, radius_out=_real(node["radius_out"], "radius_out"))
+    if kind is DomainKind.SPHERE:
         omitted = node.get("omitted_hole")
         if omitted is not None and (not isinstance(omitted, int) or isinstance(omitted, bool)):
             raise ConfigError(f"omitted_hole must be a hole index, got {omitted!r}")
-        return DomainSpec(DomainKind.SPHERE, holes, omitted_hole=omitted)
-    raise ConfigError(f"unknown domain kind {kind!r}")
+        return DomainSpec(kind, holes, omitted_hole=omitted)
+    return DomainSpec(kind, holes)
 
 
 def parse_field(node: Dict[str, Any], n_holes: Optional[int] = None) -> FieldSpec:
@@ -176,14 +204,17 @@ def parse_field(node: Dict[str, Any], n_holes: Optional[int] = None) -> FieldSpe
     callers).  It stays a parameter so callers that pass it keep working.
     """
     node = _object(node, "field")
+    _known(node, "field", ("bumps", "hole_fluxes_pi", "hole_fluxes", "q", "kernel"))
     bumps = []
     for b in (_object(entry, "bump") for entry in _array(node, "bumps", [])):
+        _known(b, "bump", ("center", "support_radius", "flux_pi", "flux", "profile"))
         bumps.append(RadialBump(
             center=_point(_required(b, "center", "bump"), "bump center"),
             support_radius=_real(_required(b, "support_radius", "bump"), "support_radius"),
             flux=_flux(b, "flux_pi", "flux"),
             profile=_choice(Profile, b.get("profile", "smooth"), "profile"),
         ))
+    _not_both(node, "hole_fluxes_pi", "hole_fluxes")
     if "hole_fluxes_pi" in node:
         hole_fluxes = [PiFlux(_fraction(t)) for t in _array(node, "hole_fluxes_pi", [])]
     else:
@@ -198,7 +229,9 @@ def parse_field(node: Dict[str, Any], n_holes: Optional[int] = None) -> FieldSpe
 
 def load_config(path: str) -> Dict[str, Any]:
     with open(path, "r", encoding="utf-8") as fh:
-        return _object(json.load(fh), "config")
+        config = _object(json.load(fh), "config")
+    _known(config, "config", ("domain", "field", "grid", "tolerances", "sweep", "eta", "bm"))
+    return config
 
 
 def _validated_problem(config):
@@ -216,6 +249,7 @@ def _validated_problem(config):
 
 def _grid_from(config, args) -> GridSpec:
     node = dict(_object(config.get("grid", {}), "grid"))
+    _known(node, "grid", GridSpec.__dataclass_fields__)
     if args.grid is not None:
         n = int(args.grid)
         if n < 1:
@@ -224,9 +258,6 @@ def _grid_from(config, args) -> GridSpec:
         node.setdefault("angular", 4 * n)
         node.setdefault("bulk_divisor", max(2, n // 2))
         node.setdefault("fd_step_factor", 2.0 / n)
-    unknown = sorted(set(node) - set(GridSpec.__dataclass_fields__))
-    if unknown:
-        raise ConfigError(f"unknown grid keys {unknown}")
     return GridSpec(**node)
 
 
@@ -253,9 +284,7 @@ def cmd_verify(config, args) -> Dict[str, Any]:
     domain, fld, problem = _validated_problem(config)
     grid = _grid_from(config, args)
     tolerances = _object(config.get("tolerances", {}), "tolerances")
-    unknown = sorted(set(tolerances) - {"residual", "leakage"})
-    if unknown:
-        raise ConfigError(f"unknown tolerances keys {unknown}")
+    _known(tolerances, "tolerances", ("residual", "leakage"))
     tol = float(args.tol) if args.tol is not None else \
         _number(tolerances.get("residual", 1e-6), "residual tolerance")
     tol_leak = _number(tolerances.get("leakage", tol), "leakage tolerance")
@@ -301,6 +330,7 @@ def cmd_sweep(config, args) -> Dict[str, Any]:
     node = _object(config.get("sweep", {}), "sweep")
     if not node:
         raise ConfigError("config needs a 'sweep' section")
+    _known(node, "sweep", ("phi_pi", "q_values", "radius_out"))
     values = _rational_range(_required(node, "phi_pi", "sweep"), "sweep.phi_pi")
     # (q, count key, index key, eta key) per column group, built once
     columns = [(q, f"count_disc_q={q}", f"index_q={q}", f"eta_outer_q={q}")
@@ -332,6 +362,7 @@ def cmd_sweep(config, args) -> Dict[str, Any]:
 
 def cmd_eta(config, args) -> Dict[str, Any]:
     node = _object(config.get("eta", {}), "eta")
+    _known(node, "eta", ("c_values", "s_values", "n_terms"))
     c_values = [_fraction(t)
                 for t in _array(node, "c_values", ["1/8", "1/4", "1/3", "1/2", "3/4"])]
     s_values = [_number(s, "eta s value")
@@ -382,6 +413,7 @@ def cmd_bm(config, args) -> Dict[str, Any]:
     node = _object(config.get("bm", {}), "bm")
     if not node:
         raise ConfigError("config needs a 'bm' section")
+    _known(node, "bm", ("r_inner", "r_outer", "s_inner", "s_outer", "phi_pi", "phi", "sweep"))
     cfg = BMConfig(
         r_inner=_real(_required(node, "r_inner", "bm"), "r_inner"),
         r_outer=_real(_required(node, "r_outer", "bm"), "r_outer"),
@@ -389,14 +421,9 @@ def cmd_bm(config, args) -> Dict[str, Any]:
         s_inner=_real(_required(node, "s_inner", "bm"), "s_inner"),
         s_outer=_real(_required(node, "s_outer", "bm"), "s_outer"),
     )
-    rows = []
     if "sweep" in node:
-        sw = _object(node["sweep"], "bm.sweep")
-        unbounded = sw.get("unbounded", False)
-        if not isinstance(unbounded, bool):
-            raise ConfigError(f"bm sweep unbounded must be true or false, got {unbounded!r}")
-        rows = bm_flux_sweep(cfg, _rational_range(sw, "bm.sweep"), unbounded=unbounded)
-        return {"command": "bm", "rows": rows}
+        return {"command": "bm",
+                "rows": bm_flux_sweep(cfg, _rational_range(node["sweep"], "bm.sweep"))}
     mode = bm_zero_mode(cfg)
     row: Dict[str, Any] = {
         "phi": float(cfg.phi),
@@ -486,8 +513,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--tol", type=float, help="override residual tolerance")
-    parser.add_argument("--grid", type=int, help="grid scale parameter")
+    parser.add_argument("--tol", type=float, help="verify: override the residual tolerance")
+    parser.add_argument("--grid", type=int, help="verify: grid scale parameter")
     return parser
 
 
@@ -499,6 +526,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
 
     try:
+        for flag in ("tol", "grid"):
+            if getattr(args, flag) is not None and args.command != "verify":
+                raise ConfigError(f"--{flag} applies to verify only")
         config = load_config(args.config)
         document = COMMANDS[args.command](config, args)
     except (ConfigError, OSError, KeyError, TypeError, ValueError) as exc:

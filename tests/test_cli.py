@@ -339,11 +339,47 @@ RANGE = {"start": "0", "stop": "1", "step": "1/2"}
     pytest.param("index", {"domain": {"kind": "plane", "holes": []}, "field": {}},
                  "the index table applies to disc and sphere domains", id="index-plane"),
     pytest.param("bm", {}, "config needs a 'bm' section", id="no-bm"),
-    # bool("false") is True: the string ran the unbounded sweep
-    pytest.param("bm", {"bm": dict(BM, sweep={"start": "0", "stop": "1", "step": "1/2",
-                                              "unbounded": "false"})},
-                 "bm sweep unbounded must be true or false, got 'false'",
-                 id="bm-unbounded-string"),
+    # a key that nothing reads was ignored: the default kernel and q = 0 ran
+    pytest.param("count", _with(["field"], dict(DISC_3PI["field"], kernel_choice="alternate",
+                                                q_shift="1/4")),
+                 "unknown field keys ['kernel_choice', 'q_shift']", id="unknown-field-keys"),
+    pytest.param("count", _with(["tolerance"], {"residual": 1e-6}),
+                 "unknown config keys ['tolerance']", id="unknown-config-key"),
+    pytest.param("count", _with(["domain", "omitted_hole"], 0),
+                 "unknown disc domain keys ['omitted_hole']", id="unknown-disc-domain-key"),
+    pytest.param("count", _with(["domain", "radius_out"], 4.0, SPHERE_3PI),
+                 "unknown sphere domain keys ['radius_out']", id="unknown-sphere-domain-key"),
+    pytest.param("count", {"domain": {"kind": "plane", "holes": [], "radius_out": 3.0},
+                           "field": {}},
+                 "unknown plane domain keys ['radius_out']", id="unknown-plane-domain-key"),
+    pytest.param("count", _with(["domain", "holes", 0, "flux_pi"], "1/2"),
+                 "unknown hole keys ['flux_pi']", id="unknown-hole-key"),
+    pytest.param("count", _with(["field", "bumps", 0, "radius"], 0.6),
+                 "unknown bump keys ['radius']", id="unknown-bump-key"),
+    pytest.param("sweep", {"sweep": {"phi_pi": RANGE, "q": "0"}},
+                 "unknown sweep keys ['q']", id="unknown-sweep-key"),
+    pytest.param("sweep", {"sweep": {"phi_pi": dict(RANGE, end="2")}},
+                 "unknown sweep.phi_pi keys ['end']", id="unknown-sweep-range-key"),
+    pytest.param("eta", {"eta": {"c_values": ["1/3"], "terms": 100}},
+                 "unknown eta keys ['terms']", id="unknown-eta-key"),
+    pytest.param("bm", {"bm": dict(BM, r_in=1.0)}, "unknown bm keys ['r_in']",
+                 id="unknown-bm-key"),
+    # the sweep that printed a constant has_mode false row for every flux is gone
+    pytest.param("bm", {"bm": dict(BM, sweep=dict(RANGE, unbounded=True))},
+                 "unknown bm.sweep keys ['unbounded']", id="unknown-bm-sweep-key"),
+    # the _pi form won when a value was given both ways
+    pytest.param("count", _with(["field", "bumps", 0, "flux"], math.pi),
+                 "give either 'flux_pi' or 'flux', not both", id="flux-both-ways"),
+    pytest.param("count", _with(["field", "hole_fluxes"], [math.pi / 2]),
+                 "give either 'hole_fluxes_pi' or 'hole_fluxes', not both",
+                 id="hole-fluxes-both-ways"),
+    pytest.param("bm", {"bm": dict(BM, phi=math.pi)},
+                 "give either 'phi_pi' or 'phi', not both", id="phi-both-ways"),
+    # the flags were ignored by every command but verify
+    *[pytest.param(f"{command} {flag} {value}", config, f"{flag} applies to verify only",
+                   id=f"{command}{flag}")
+      for command, config in (("count", DISC_3PI), ("bm", {"bm": BM}))
+      for flag, value in (("--tol", "1e-30"), ("--grid", "4"))],
     # a bulk lattice 2,142,858 points wide (4.6e12 points) was accepted
     pytest.param("verify", _with(["grid"], {"max_bulk_points": 10_000_000_000_000,
                                             "bulk_divisor": 1_000_000}, DISC_SEED7),
