@@ -21,12 +21,14 @@ Example config::
                  "s_outer": -1.0, "phi_pi": "1"}
     }
 
-A key that nothing reads is a configuration error, as is a value given both
+A key that nothing reads is a configuration error, found when the config is
+loaded, in every section whichever command runs; so is a value given both
 ways (``flux`` and ``flux_pi``, ``hole_fluxes`` and ``hole_fluxes_pi``,
 ``phi`` and ``phi_pi``).  ``--tol`` and ``--grid`` apply to ``verify`` only;
 any other command refuses them.  A ``bm`` section with a ``sweep`` range
-prints one ``{phi, has_mode, n}`` row per flux; without one, ``bm`` reports
-the single configuration's mode and its verification.
+prints one ``{phi, has_mode, n}`` row per flux and needs no ``phi`` of its
+own; without one, ``bm`` reports the single configuration's mode and its
+verification.
 
 Exit codes: 0 success (and, for ``verify``, all modes passing), 1 verify ran
 with failing modes, 2 configuration/validation errors (an ``--out`` path that
@@ -152,12 +154,13 @@ def _choice(enum, text, key: str):
         raise ConfigError(f"unknown {key} {text!r}; expected one of {names}") from None
 
 
+# the keys of a flux range
+_RANGE_KEYS = ("start", "stop", "step")
+
+
 def _rational_range(node, section: str) -> List[PiFlux]:
     """Flux values start, start + step, ... up to stop, all multiples of pi."""
-    node = _object(node, section)
-    _known(node, section, ("start", "stop", "step"))
-    start, stop, step = (_fraction(_required(node, k, section))
-                         for k in ("start", "stop", "step"))
+    start, stop, step = (_fraction(_required(node, k, section)) for k in _RANGE_KEYS)
     if step <= 0:
         raise ConfigError("range step must be positive")
     n = max(0, math.floor((stop - start) / step) + 1)
@@ -204,7 +207,6 @@ def parse_field(node: Dict[str, Any], n_holes: Optional[int] = None) -> FieldSpe
     callers).  It stays a parameter so callers that pass it keep working.
     """
     node = _object(node, "field")
-    _known(node, "field", ("bumps", "hole_fluxes_pi", "hole_fluxes", "q", "kernel"))
     bumps = []
     for b in (_object(entry, "bump") for entry in _array(node, "bumps", [])):
         _known(b, "bump", ("center", "support_radius", "flux_pi", "flux", "profile"))
@@ -227,10 +229,32 @@ def parse_field(node: Dict[str, Any], n_holes: Optional[int] = None) -> FieldSpe
     )
 
 
+# the keys each config section may hold; a domain's kind narrows its own
+_SECTION_KEYS = {
+    "domain": set().union(*_DOMAIN_KEYS.values()),
+    "field": ("bumps", "hole_fluxes_pi", "hole_fluxes", "q", "kernel"),
+    "grid": GridSpec.__dataclass_fields__,
+    "tolerances": ("residual", "leakage"),
+    "sweep": ("phi_pi", "q_values", "radius_out"),
+    "eta": ("c_values", "s_values", "n_terms"),
+    "bm": ("r_inner", "r_outer", "s_inner", "s_outer", "phi_pi", "phi", "sweep"),
+}
+# the flux ranges of a config, by section and key
+_RANGES = (("sweep", "phi_pi"), ("bm", "sweep"))
+
+
 def load_config(path: str) -> Dict[str, Any]:
+    """The config at ``path``, every section's keys checked whichever command
+    reads it."""
     with open(path, "r", encoding="utf-8") as fh:
         config = _object(json.load(fh), "config")
-    _known(config, "config", ("domain", "field", "grid", "tolerances", "sweep", "eta", "bm"))
+    _known(config, "config", _SECTION_KEYS)
+    for section in config:
+        _known(_object(config[section], section), section, _SECTION_KEYS[section])
+    for section, key in _RANGES:
+        if key in config.get(section, {}):
+            name = f"{section}.{key}"
+            _known(_object(config[section][key], name), name, _RANGE_KEYS)
     return config
 
 
@@ -248,8 +272,7 @@ def _validated_problem(config):
 
 
 def _grid_from(config, args) -> GridSpec:
-    node = dict(_object(config.get("grid", {}), "grid"))
-    _known(node, "grid", GridSpec.__dataclass_fields__)
+    node = dict(config.get("grid", {}))
     if args.grid is not None:
         n = int(args.grid)
         if n < 1:
@@ -283,8 +306,7 @@ def cmd_count(config, args) -> Dict[str, Any]:
 def cmd_verify(config, args) -> Dict[str, Any]:
     domain, fld, problem = _validated_problem(config)
     grid = _grid_from(config, args)
-    tolerances = _object(config.get("tolerances", {}), "tolerances")
-    _known(tolerances, "tolerances", ("residual", "leakage"))
+    tolerances = config.get("tolerances", {})
     tol = float(args.tol) if args.tol is not None else \
         _number(tolerances.get("residual", 1e-6), "residual tolerance")
     tol_leak = _number(tolerances.get("leakage", tol), "leakage tolerance")
@@ -327,10 +349,9 @@ def cmd_verify(config, args) -> Dict[str, Any]:
 
 
 def cmd_sweep(config, args) -> Dict[str, Any]:
-    node = _object(config.get("sweep", {}), "sweep")
+    node = config.get("sweep", {})
     if not node:
         raise ConfigError("config needs a 'sweep' section")
-    _known(node, "sweep", ("phi_pi", "q_values", "radius_out"))
     values = _rational_range(_required(node, "phi_pi", "sweep"), "sweep.phi_pi")
     # (q, count key, index key, eta key) per column group, built once
     columns = [(q, f"count_disc_q={q}", f"index_q={q}", f"eta_outer_q={q}")
@@ -361,8 +382,7 @@ def cmd_sweep(config, args) -> Dict[str, Any]:
 
 
 def cmd_eta(config, args) -> Dict[str, Any]:
-    node = _object(config.get("eta", {}), "eta")
-    _known(node, "eta", ("c_values", "s_values", "n_terms"))
+    node = config.get("eta", {})
     c_values = [_fraction(t)
                 for t in _array(node, "c_values", ["1/8", "1/4", "1/3", "1/2", "3/4"])]
     s_values = [_number(s, "eta s value")
@@ -410,14 +430,15 @@ def cmd_index(config, args) -> Dict[str, Any]:
 
 
 def cmd_bm(config, args) -> Dict[str, Any]:
-    node = _object(config.get("bm", {}), "bm")
+    node = config.get("bm", {})
     if not node:
         raise ConfigError("config needs a 'bm' section")
-    _known(node, "bm", ("r_inner", "r_outer", "s_inner", "s_outer", "phi_pi", "phi", "sweep"))
+    # a sweep gives each row its own flux, so it needs none of its own
+    reads_phi = "sweep" not in node or "phi_pi" in node or "phi" in node
     cfg = BMConfig(
         r_inner=_real(_required(node, "r_inner", "bm"), "r_inner"),
         r_outer=_real(_required(node, "r_outer", "bm"), "r_outer"),
-        phi=_flux(node, "phi_pi", "phi"),
+        phi=_flux(node, "phi_pi", "phi") if reads_phi else 0.0,
         s_inner=_real(_required(node, "s_inner", "bm"), "s_inner"),
         s_outer=_real(_required(node, "s_outer", "bm"), "s_outer"),
     )

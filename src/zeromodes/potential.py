@@ -22,25 +22,28 @@ Every source is evaluated in float arithmetic on the squared distance
 s^2 = dx^2 + dy^2, built from the real and imaginary parts of d.  Outside a
 support h is -(flux/4pi) log max(s^2, rho^2), and a is accumulated as
 a_x -= k dy, a_y += k dx with k = F(s)/(2pi s^2).  Only the points inside a
-support are gathered for its profile.  There k has a closed form: flux/(2pi
-rho^2) on a uniform disc, and b(0)/2 (1 - s^2/2rho^2), from the leading law
-of F, within 1e-3 rho of a smooth bump's centre.  So a bump's a never
-divides by a vanishing s^2; at its centre it is 0.  If some s^2 of a call
-underflows to 0 or overflows to inf, the call's h is evaluated again with
-the logs taken of ``np.hypot(dx, dy)``: h stays finite wherever |z - center|
-is positive and finite, and a delta's h raises SingularPoint only at its
-centre.  A delta's a raises wherever s^2 is 0.
+support are gathered for its profile.  If some s^2 of a call underflows to 0
+or overflows to inf, the call's h is evaluated again with the logs taken of
+``np.hypot(dx, dy)``: h stays finite wherever |z - center| is positive and
+finite, and a delta's h raises SingularPoint only at its centre.  A delta's
+a raises wherever s^2 is 0.
 
-Smooth-compact bumps have no closed forms.  Once per bump, F is evaluated at
-the 160 first-kind Chebyshev nodes of [0, rho] by fixed-order Gauss-Legendre
-quadrature (:func:`field.gauss_nodes`) and interpolated there exactly, its
-coefficients being a cosine sum over the nodes.  h is the indefinite
-integral (``chebint``) of the interpolant of F(s)/s through the same nodes,
-since h'(s) = -F(s)/(2pi s), with its constant fixed so that h meets the
-outside law at s = rho (Trefethen, Approximation Theory and Approximation
-Practice, SIAM 2013, ch. 3 and 19).  Both profiles are smooth on [0, rho],
-so the interpolation error sits far below the 1e-8 quadrature budget; the
-interpolants keep only the coefficients down to 1e-14 of their largest.
+Inside its support every bump is two Chebyshev series in x = 2 s^2/rho^2 - 1,
+each built once: k with the bump, h at its first use.  Both profiles are even in s, so they are smooth in s^2
+and need no square root, and k = F/(2pi s^2) is read directly, never divided
+by a vanishing s^2; at a bump's centre a is 0.  On a uniform disc k is the
+one term flux/(2pi rho^2).  A smooth-compact bump has no closed form: F is
+evaluated at the 160 first-kind Chebyshev nodes of [-1, 1], placed in s^2,
+by fixed-order Gauss-Legendre quadrature (:func:`field.gauss_nodes`), and
+F/(2pi s^2) is interpolated there exactly, its coefficients being a cosine
+sum over the nodes.  For either profile h is the indefinite integral
+(``chebint``) of k, since dh/d(s^2) = -k/2, with its constant fixed so that
+h meets the outside law at s = rho (Trefethen, Approximation Theory and
+Approximation Practice, SIAM 2013, ch. 3 and 19); on a uniform disc that is
+the closed form -(flux/2pi) [log(rho) - (rho^2 - s^2)/(2 rho^2)].  Both
+series are smooth on [-1, 1], so the interpolation error sits far below the
+1e-8 quadrature budget; they keep only the coefficients down to 1e-14 of
+their largest.
 """
 
 from __future__ import annotations
@@ -70,10 +73,6 @@ _CHEB_NODES = 160
 # trailing Chebyshev coefficients of a bump profile below this fraction of
 # the largest are fitting noise and are dropped
 _CHEB_CHOP = 1e-14
-
-# inside this fraction of a smooth bump's radius its a takes the leading
-# s^2 law of F: the interpolant's absolute error would be amplified by 1/s^2
-_CENTRE_FRACTION = 1e-3
 
 
 def _chopped(coef: np.ndarray) -> np.ndarray:
@@ -119,7 +118,8 @@ def _flat_parts(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class _RadialSource:
-    """Radial profiles F(s) (cumulative flux) and h(s) of one source of flux.
+    """Radial profiles k(s) = F(s)/(2pi s^2), F the cumulative flux, and h(s)
+    of one source of flux.
 
     A source has a centre, a flux and a support radius.  A bump's profile and
     radius are its own; a hole's delta is the source of radius 0, so every
@@ -129,28 +129,28 @@ class _RadialSource:
     def __init__(self, center: complex, flux: float, bump: Optional[RadialBump] = None):
         self.center = center
         self.flux = flux
-        self.rho = 0.0 if bump is None else bump.support_radius
-        self.profile = None if bump is None else bump.profile
-        if self.profile is Profile.SMOOTH_COMPACT:
-            self._build_smooth(smooth_profile_amplitude(bump))
+        self.rho = rho = 0.0 if bump is None else bump.support_radius
+        if bump is None:
+            return
+        if bump.profile is Profile.UNIFORM_DISC:
+            # a float, not an array: building a uniform bump loads no numpy
+            self._cheb_k = (flux / (TWO_PI * rho ** 2),)
+        else:
+            # the first-kind Chebyshev nodes in s^2, all interior to (0, rho^2)
+            s2 = 0.5 * rho ** 2 * (1.0 + _cosines()[1])
+            amp = smooth_profile_amplitude(bump)
+            f_vals = TWO_PI * _gl_integrals_from(
+                lambda r: amp * smooth_profile_shape(r, rho) * r, np.zeros_like(s2), np.sqrt(s2))
+            self._cheb_k = _chopped(_interpolant(f_vals / (TWO_PI * s2)))
 
-    def _build_smooth(self, amp: float) -> None:
+    @functools.cached_property
+    def _cheb_h(self) -> np.ndarray:
+        """h from dh/d(s^2) = -k/2 with d(s^2) = rho^2/2 dx on [-1, 1], meeting
+        the outside law at s = rho; built at its first use, so building a
+        uniform bump makes no numpy call."""
         rho = self.rho
-        self._density0 = amp * math.exp(-1.0)
-        # the first-kind Chebyshev nodes mapped to [0, rho], all interior
-        t = 0.5 * rho * (1.0 + _cosines()[1])
-
-        def density(r):
-            return amp * smooth_profile_shape(r, rho)
-
-        f_vals = TWO_PI * _gl_integrals_from(lambda r: density(r) * r, np.zeros_like(t), t)
-        self._cheb_f = _chopped(_interpolant(f_vals))
-        # h from the smooth radial relation h'(s) = -F(s)/(2 pi s) with
-        # ds = rho/2 dx on [-1, 1]; F(s)/s vanishes at 0, so no log
-        # singularity enters, and h meets the outside law at s = rho
-        h_edge = -self.flux / TWO_PI * math.log(rho)
-        self._cheb_h = _chopped(np.polynomial.chebyshev.chebint(
-            _interpolant(f_vals / t), lbnd=1.0, k=h_edge, scl=-rho / (2.0 * TWO_PI)))
+        return _chopped(np.polynomial.chebyshev.chebint(
+            self._cheb_k, lbnd=1.0, k=-self.flux / TWO_PI * math.log(rho), scl=-rho ** 2 / 4.0))
 
     def _squared_distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """s^2 = dx^2 + dy^2 of the flat points x + i y from the centre (a new array)."""
@@ -183,11 +183,7 @@ class _RadialSource:
             np.log(h, out=h)
             h *= 0.5 * coef
         if rho and inside.size:
-            if self.profile is Profile.UNIFORM_DISC:
-                h[inside] = coef * (math.log(rho) - (rho2 - s2_in) / (2.0 * rho2))
-            else:
-                h[inside] = np.polynomial.chebyshev.chebval(
-                    2.0 * np.sqrt(s2_in) / rho - 1.0, self._cheb_h)
+            h[inside] = np.polynomial.chebyshev.chebval(2.0 * s2_in / rho2 - 1.0, self._cheb_h)
         out += h
 
     def add_a(self, x: np.ndarray, y: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> None:
@@ -204,19 +200,7 @@ class _RadialSource:
         k = np.maximum(s2, rho2, out=s2)
         np.divide(self.flux / TWO_PI, k, out=k)
         if inside.size:
-            if self.profile is Profile.UNIFORM_DISC:
-                k[inside] = self.flux / (TWO_PI * rho2)
-            else:
-                # F/s^2 from the interpolant, but from the leading law
-                # F = pi b(0) s^2 (1 - s^2 / 2 rho^2) near the centre
-                centre2 = (_CENTRE_FRACTION * rho) ** 2
-                s2_mid = np.maximum(s2_in, centre2)
-                k_in = np.polynomial.chebyshev.chebval(
-                    2.0 * np.sqrt(s2_mid) / rho - 1.0, self._cheb_f) / (TWO_PI * s2_mid)
-                near = s2_in < centre2
-                if np.any(near):
-                    k_in[near] = 0.5 * self._density0 * (1.0 - s2_in[near] / (2.0 * rho2))
-                k[inside] = k_in
+            k[inside] = np.polynomial.chebyshev.chebval(2.0 * s2_in / rho2 - 1.0, self._cheb_k)
         np.multiply(k, dy, out=dy)
         ax -= dy
         np.multiply(k, dx, out=dx)

@@ -367,6 +367,17 @@ RANGE = {"start": "0", "stop": "1", "step": "1/2"}
     # the sweep that printed a constant has_mode false row for every flux is gone
     pytest.param("bm", {"bm": dict(BM, sweep=dict(RANGE, unbounded=True))},
                  "unknown bm.sweep keys ['unbounded']", id="unknown-bm-sweep-key"),
+    # a section the command does not read was never checked: count exited 0
+    *[pytest.param("count", _with([section], value), message, id=f"count-unknown-{section}-key")
+      for section, value, message in (
+          ("grid", {"radail": 8}, "unknown grid keys ['radail']"),
+          ("tolerances", {"pde": 1}, "unknown tolerances keys ['pde']"),
+          ("eta", {"terms": 3}, "unknown eta keys ['terms']"),
+          ("bm", dict(BM, sweep=dict(RANGE, unbounded=True)),
+           "unknown bm.sweep keys ['unbounded']"))],
+    # only a sweep gives the flux of its rows
+    pytest.param("bm", {"bm": _without(BM, "phi_pi")},
+                 "flux needs either 'phi_pi' or 'phi'", id="bm-no-phi"),
     # the _pi form won when a value was given both ways
     pytest.param("count", _with(["field", "bumps", 0, "flux"], math.pi),
                  "give either 'flux_pi' or 'flux', not both", id="flux-both-ways"),
@@ -557,14 +568,17 @@ def test_sweep_staircase_jumps(tmp_path, capsys):
 
 
 def test_bm_sweep_modes_at_odd_pi(tmp_path, capsys):
-    cfg = write_config(tmp_path, {
-        "bm": {"r_inner": 1.0, "r_outer": 2.0, "s_inner": 1.0, "s_outer": -1.0,
-               "phi_pi": "1",
-               "sweep": {"start": "0", "stop": "4", "step": "1/4"}},
-    })
-    code, out, _ = run_cli(capsys, "bm", "--config", cfg)
-    assert code == 0
-    rows = json.loads(out)["rows"]
+    # each row takes its flux from the sweep, so the section's own flux
+    # changes nothing and may be left out
+    outputs = []
+    for flux in ({"phi_pi": "1"}, {"phi_pi": "3"}, {"phi_pi": "1/2"}, {"phi": 2.0}, {}):
+        cfg = write_config(tmp_path, {"bm": dict(
+            _without(BM, "phi_pi"), **flux, sweep={"start": "0", "stop": "4", "step": "1/4"})})
+        code, out, _ = run_cli(capsys, "bm", "--config", cfg)
+        assert code == 0
+        outputs.append(out)
+    assert outputs == outputs[:1] * len(outputs)
+    rows = json.loads(outputs[0])["rows"]
     hits = [r["phi"] / math.pi for r in rows if r["has_mode"]]
     assert hits == pytest.approx([1.0, 3.0])
 

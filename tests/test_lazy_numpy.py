@@ -107,3 +107,20 @@ assert all(vars(m).get("np", numpy) is numpy
 print("ok")
 """
     assert run_child(script) == "ok"
+
+
+def test_uniform_bump_potential_builds_without_numpy():
+    # a uniform bump's k series is one float until the first evaluation, so
+    # building its potential, the end of a verify's set-up, loads no numpy
+    script = """
+import json, sys
+from zeromodes import FieldSpec, PotentialField, Profile, RadialBump, disc_with_holes
+pot = PotentialField(FieldSpec(bumps=[RadialBump(0.5, 0.6, 2.0, Profile.UNIFORM_DISC)]),
+                     disc_with_holes(3.0))
+built = sorted(n for n in sys.modules if n.startswith("numpy."))
+pot.eval_h(0.5)
+print(json.dumps({"built": built,
+                  "evaluated": any(n.startswith("numpy.") for n in sys.modules)}))
+"""
+    report = json.loads(run_child(script))
+    assert report == {"built": [], "evaluated": True}

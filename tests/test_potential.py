@@ -118,38 +118,37 @@ def test_h_past_the_squared_range_is_the_log_law():
 
 def _plain_h_and_a(pot, z):
     """h and a summed over ``pot``'s sources from |z - center| by np.abs, as
-    the radial laws read, with the library's interpolants on smooth supports."""
+    the radial laws read: the closed forms of a delta and of a uniform disc,
+    and the library's series in s^2 on a smooth support."""
     cheb = np.polynomial.chebyshev
+    bumps = pot.problem.field.bumps
+    profiles = [None] * (len(pot._sources) - len(bumps)) + [b.profile for b in bumps]
     h = np.zeros(z.shape)
     a = np.zeros(z.shape, dtype=complex)
-    for src in pot._sources:
+    for src, profile in zip(pot._sources, profiles):
         d = z - src.center
         s, rho = np.abs(d), src.rho
         coef = -src.flux / TWO_PI
-        outside = coef * np.log(np.maximum(s, rho))
-        if not rho:
-            h_s, f_s = outside, np.full(s.shape, src.flux)
-        elif src.profile is Profile.UNIFORM_DISC:
+        h_s = coef * np.log(np.maximum(s, rho))
+        # k = F/(2 pi s^2), F = flux min(1, s^2/rho^2) outside a smooth support
+        k_s = src.flux / (TWO_PI * np.maximum(s, rho) ** 2)
+        if profile is Profile.UNIFORM_DISC:
             h_s = np.where(s < rho, coef * (math.log(rho) - (rho ** 2 - s ** 2) / (2 * rho ** 2)),
-                           outside)
-            f_s = src.flux * np.minimum(1.0, (s / rho) ** 2)
-        else:
-            x = 2.0 * np.minimum(s, rho) / rho - 1.0
-            h_s = np.where(s < rho, cheb.chebval(x, src._cheb_h), outside)
-            f_s = np.where(s < rho, cheb.chebval(x, src._cheb_f), src.flux)
-            # the exact s^2 law of F near the centre
-            f_s = np.where(s < 1e-3 * rho,
-                           math.pi * src._density0 * s ** 2 * (1 - s ** 2 / (2 * rho ** 2)), f_s)
+                           h_s)
+        elif profile is Profile.SMOOTH_COMPACT:
+            x = 2.0 * (np.minimum(s, rho) / rho) ** 2 - 1.0
+            h_s = np.where(s < rho, cheb.chebval(x, src._cheb_h), h_s)
+            k_s = np.where(s < rho, cheb.chebval(x, src._cheb_k), k_s)
         h += h_s
         safe = s > 0
-        a[safe] += 1j * f_s[safe] * d[safe] / (TWO_PI * s[safe] ** 2)
+        a[safe] += 1j * k_s[safe] * d[safe]
     return h, a
 
 
 def test_kernels_follow_the_plain_radial_laws():
     # eval_h and eval_a, built from squared distances, against the radial laws
     # from |z - center|: at random points, inside both profiles, on both
-    # support circles and within 1e-3 rho of both bump centres
+    # support circles and from 1e-12 to 1e-3 rho from both bump centres
     smooth, uniform = RadialBump(-1.0 + 0.5j, 0.7, 2.3), \
         RadialBump(1.2 - 0.4j, 0.5, -1.6, Profile.UNIFORM_DISC)
     pot = PotentialField(FieldSpec(bumps=[smooth, uniform], hole_fluxes=[pi_flux("1/3"), -0.9]),
@@ -190,6 +189,24 @@ def test_smooth_profiles_against_mpmath_radial_integrals():
             z = bump.center + s
             assert TWO_PI * s * abs(pot.eval_a(z)) == pytest.approx(float(f_ref), abs=1e-12)
             assert pot.eval_h(z) == pytest.approx(float(h_ref), abs=1e-12)
+
+
+def test_a_near_a_smooth_centre_against_mpmath():
+    # |a|/s = F/(2 pi s^2) near a smooth bump's centre against 30-digit
+    # quadrature, to 1e-12 relative; the bump is centred at 0, so s is the
+    # float z itself
+    bump = RadialBump(0.0, 0.6, pi_flux("25/4"))
+    pot = PotentialField(FieldSpec(bumps=[bump]), disc_with_holes(3.0))
+    rho, flux = bump.support_radius, float(bump.flux)
+    with mpmath.workdps(30):
+        def weight(r):
+            return mpmath.exp(-1 / (1 - (r / rho) ** 2)) * r
+
+        amp = flux / (2 * mpmath.pi * mpmath.quad(weight, [0, rho]))
+        for frac in (1e-4, 1.1e-3, 2e-3, 5e-3, 1e-2):
+            s = frac * rho
+            k_ref = amp * mpmath.quad(weight, [0, s]) / s ** 2
+            assert abs(pot.eval_a(complex(s))) / s == pytest.approx(float(k_ref), rel=1e-12)
 
 
 def test_a_tangential_outside_support():
@@ -312,9 +329,10 @@ def test_h_asymptotics():
 
 
 def test_chopped_profiles_follow_the_full_fit():
-    # the chopped F and h interpolants of a smooth bump stay within 1e-13 of
-    # the largest coefficient of the full 160-term fit on [0, rho], and both
-    # are shorter than it
+    # the chopped k = F/(2 pi s^2) and h series of a smooth bump, in
+    # x = 2 s^2/rho^2 - 1, stay within 1e-13 of the largest coefficient of
+    # the full 160-term fit, and both are shorter than it; the full h
+    # integrates the full k by quadrature, dh/dx = -k rho^2/4
     from numpy.polynomial import chebyshev as cheb
 
     from zeromodes.field import smooth_profile_amplitude, smooth_profile_shape
@@ -324,23 +342,20 @@ def test_chopped_profiles_follow_the_full_fit():
     pot = PotentialField(FieldSpec(bumps=[bump]), disc_with_holes(3.0))
     radial = pot._sources[0]
     rho, n_nodes = bump.support_radius, 160
-    k = np.arange(n_nodes)
-    t = 0.5 * rho * (1.0 + np.cos(math.pi * (2 * k + 1) / (2 * n_nodes)))
-    x = 2.0 * t / rho - 1.0
+    x = np.cos(math.pi * (2 * np.arange(n_nodes) + 1) / (2 * n_nodes))
+    s2 = 0.5 * rho ** 2 * (1.0 + x)
     amp = smooth_profile_amplitude(bump)
-    f_full = cheb.chebfit(x, TWO_PI * _gl_integrals_from(
-        lambda r: amp * smooth_profile_shape(r, rho) * r, np.zeros_like(t), t),
-        n_nodes - 1)
-    h_vals = -radial.flux / TWO_PI * math.log(rho) + _gl_integrals_from(
-        lambda s: cheb.chebval(2.0 * s / rho - 1.0, f_full) / s,
-        t, np.full_like(t, rho)) / TWO_PI
+    f_vals = TWO_PI * _gl_integrals_from(
+        lambda r: amp * smooth_profile_shape(r, rho) * r, np.zeros_like(s2), np.sqrt(s2))
+    k_full = cheb.chebfit(x, f_vals / (TWO_PI * s2), n_nodes - 1)
+    h_vals = -radial.flux / TWO_PI * math.log(rho) + rho ** 2 / 4 * _gl_integrals_from(
+        lambda u: cheb.chebval(u, k_full), x, np.ones_like(x))
     h_full = cheb.chebfit(x, h_vals, n_nodes - 1)
 
-    assert len(radial._cheb_f) < n_nodes and len(radial._cheb_h) < n_nodes
-    s = np.linspace(0.0, rho, 10_000)
-    for chopped, full in ((radial._cheb_f, f_full), (radial._cheb_h, h_full)):
-        gap = np.max(np.abs(cheb.chebval(2.0 * s / rho - 1.0, chopped)
-                            - cheb.chebval(2.0 * s / rho - 1.0, full)))
+    assert len(radial._cheb_k) < n_nodes and len(radial._cheb_h) < n_nodes
+    x_test = 2.0 * (np.linspace(0.0, rho, 10_000) / rho) ** 2 - 1.0
+    for chopped, full in ((radial._cheb_k, k_full), (radial._cheb_h, h_full)):
+        gap = np.max(np.abs(cheb.chebval(x_test, chopped) - cheb.chebval(x_test, full)))
         assert gap <= 1e-13 * np.max(np.abs(full))
 
 
