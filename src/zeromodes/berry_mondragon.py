@@ -26,7 +26,7 @@ from ._numpy import np
 from .field import FluxLike, PiFlux, TWO_PI
 from .geometry import Annulus
 from .numutil import integer_at
-from .zero_modes import GridSpec, VerificationReport, _polar_points, pde_residuals
+from .zero_modes import GridSpec, VerificationReport, _polar_chunks, pde_residuals
 
 # points per circle at which the boundary relation is checked
 _BOUNDARY_SAMPLES = 512
@@ -95,7 +95,7 @@ def bm_verify(
     """Finite-difference PDE residual plus pointwise boundary-relation check."""
     x = float(cfg.phi) / TWO_PI
     grid = GridSpec()
-    zs = _polar_points(0.0, Annulus(cfg.r_inner, cfg.r_outer), grid.radial, grid.angular)
+    chunks = _polar_chunks(0.0, Annulus(cfg.r_inner, cfg.r_outer), grid.radial, grid.angular)
 
     def vec_a(z):
         return 1j * x * z / np.abs(z) ** 2
@@ -104,7 +104,7 @@ def bm_verify(
         return mode.eval_up(z), mode.eval_down(z)
 
     step = grid.fd_step_factor * cfg.r_inner
-    (pde_residual, richardson), = pde_residuals(components_at, (True, False), vec_a, zs,
+    (pde_residual, richardson), = pde_residuals(components_at, (True, False), vec_a, chunks,
                                                 step, tol_residual)
 
     phis = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_SAMPLES, endpoint=False)

@@ -169,15 +169,17 @@ def _rational_range(node, section: str) -> List[PiFlux]:
     return [PiFlux(start + i * step) for i in range(n)]
 
 
-# the keys a domain of each kind reads
+# the keys a domain of each kind, a hole and a bump read
 _DOMAIN_KEYS = {DomainKind.PLANE: ("kind", "holes"),
                 DomainKind.DISC: ("kind", "holes", "radius_out"),
                 DomainKind.SPHERE: ("kind", "holes", "omitted_hole")}
+_HOLE_KEYS = ("center", "radius")
+_BUMP_KEYS = ("center", "support_radius", "flux_pi", "flux", "profile")
 
 
 def _hole(node) -> Hole:
     node = _object(node, "hole")
-    _known(node, "hole", ("center", "radius"))
+    _known(node, "hole", _HOLE_KEYS)
     return Hole(_point(_required(node, "center", "hole"), "hole center"),
                 _real(_required(node, "radius", "hole"), "hole radius"))
 
@@ -209,7 +211,7 @@ def parse_field(node: Dict[str, Any], n_holes: Optional[int] = None) -> FieldSpe
     node = _object(node, "field")
     bumps = []
     for b in (_object(entry, "bump") for entry in _array(node, "bumps", [])):
-        _known(b, "bump", ("center", "support_radius", "flux_pi", "flux", "profile"))
+        _known(b, "bump", _BUMP_KEYS)
         bumps.append(RadialBump(
             center=_point(_required(b, "center", "bump"), "bump center"),
             support_radius=_real(_required(b, "support_radius", "bump"), "support_radius"),
@@ -235,7 +237,7 @@ _SECTION_KEYS = {
     "field": ("bumps", "hole_fluxes_pi", "hole_fluxes", "q", "kernel"),
     "grid": GridSpec.__dataclass_fields__,
     "tolerances": ("residual", "leakage"),
-    "sweep": ("phi_pi", "q_values", "radius_out"),
+    "sweep": ("phi_pi", "q_values"),
     "eta": ("c_values", "s_values", "n_terms"),
     "bm": ("r_inner", "r_outer", "s_inner", "s_outer", "phi_pi", "phi", "sweep"),
 }
@@ -243,14 +245,30 @@ _SECTION_KEYS = {
 _RANGES = (("sweep", "phi_pi"), ("bm", "sweep"))
 
 
+def _entries(node: Dict[str, Any], key: str):
+    """The JSON objects of the array at ``key``; an entry or array of another
+    type is left to the command that reads it."""
+    value = node.get(key)
+    return [entry for entry in value if isinstance(entry, dict)] if isinstance(value, list) else []
+
+
 def load_config(path: str) -> Dict[str, Any]:
     """The config at ``path``, every section's keys checked whichever command
-    reads it."""
+    reads it: a domain's against those of its kind, and each hole's and
+    bump's too."""
     with open(path, "r", encoding="utf-8") as fh:
         config = _object(json.load(fh), "config")
     _known(config, "config", _SECTION_KEYS)
     for section in config:
         _known(_object(config[section], section), section, _SECTION_KEYS[section])
+    domain, fld = config.get("domain", {}), config.get("field", {})
+    kind = next((k for k in DomainKind if k.value == domain.get("kind")), None)
+    if kind is not None:  # a kind of no known name is the domain parser's error
+        _known(domain, f"{kind.value} domain", _DOMAIN_KEYS[kind])
+    for entry in _entries(domain, "holes"):
+        _known(entry, "hole", _HOLE_KEYS)
+    for entry in _entries(fld, "bumps"):
+        _known(entry, "bump", _BUMP_KEYS)
     for section, key in _RANGES:
         if key in config.get(section, {}):
             name = f"{section}.{key}"
@@ -280,7 +298,7 @@ def _grid_from(config, args) -> GridSpec:
         node.setdefault("radial", n)
         node.setdefault("angular", 4 * n)
         node.setdefault("bulk_divisor", max(2, n // 2))
-        node.setdefault("fd_step_factor", 2.0 / n)
+        node.setdefault("fd_step_factor", GridSpec.fd_step_factor * 64 / n)
     return GridSpec(**node)
 
 
@@ -356,9 +374,10 @@ def cmd_sweep(config, args) -> Dict[str, Any]:
     # (q, count key, index key, eta key) per column group, built once
     columns = [(q, f"count_disc_q={q}", f"index_q={q}", f"eta_outer_q={q}")
                for q in (_fraction(t) for t in _array(node, "q_values", ["0"]))]
-    radius_out = _real(node.get("radius_out", 5.0), "radius_out")
     plane = DomainSpec(DomainKind.PLANE, [])
-    disc = DomainSpec(DomainKind.DISC, [], radius_out=radius_out)
+    # no column reads the disc's radius: the count, the index and the outer
+    # eta depend on the flux and q only
+    disc = DomainSpec(DomainKind.DISC, [], radius_out=5.0)
     rows = []
     prev: Dict[str, int] = {}
     for phi in values:

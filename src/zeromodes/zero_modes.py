@@ -32,7 +32,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ._numpy import np
 from . import conformal
@@ -251,21 +251,58 @@ def _grid_reference(domain: DomainSpec, fld: FieldSpec) -> float:
     return domain.radius_out / 8.0 if domain.kind is DomainKind.DISC else 1.0
 
 
-def _polar_points(center: complex, annulus: Annulus, radial: int, angular: int):
-    # the fractions first, so the radii stay in the float range with the annulus
-    radii = annulus.inner + (annulus.outer - annulus.inner) * ((np.arange(radial) + 0.5) / radial)
-    angles = np.linspace(0.0, 2.0 * math.pi, angular, endpoint=False)
-    return (center + radii[:, None] * np.exp(1j * angles[None, :])).ravel()
-
-
-# points per chunk of the residual pass, and at most per block of bulk lattice
-# rows (one row at least): a chunk's values at one stencil shift and three
-# partial arrays per component take a few MB, not nine full-size arrays
+# points per chunk of the residual pass, and at most per block of annulus or
+# bulk lattice rows (one row at least): a chunk's values at one stencil shift
+# and three partial arrays per component take a few MB, not nine full-size arrays
 _CHUNK_POINTS = 16384
 
+# A chunk of residual points: (size, make), where make() returns new points,
+# at most ``size`` of them (the points a block's rows hold before masking),
+# and ``size`` is at most ``_CHUNK_POINTS`` unless one row holds more.
+Chunk = Tuple[int, Callable[[], "np.ndarray"]]
 
-def _bulk_points(domain: DomainSpec, fld: FieldSpec, grid: GridSpec,
-                 fd_step: float) -> np.ndarray:
+
+def _array_chunks(zs: np.ndarray) -> List[Chunk]:
+    """The points of ``zs``, in order, in chunks of ``_CHUNK_POINTS``."""
+    return [(min(_CHUNK_POINTS, zs.size - lo), lambda lo=lo: zs[lo:lo + _CHUNK_POINTS])
+            for lo in range(0, zs.size, _CHUNK_POINTS)]
+
+
+def _polar_chunks(center: complex, annulus: Annulus, radial: int, angular: int) -> List[Chunk]:
+    """The polar grid of ``annulus`` around ``center``, row by row (radius
+    by radius, each row in angle order), in blocks of whole rows; a row
+    longer than a chunk is split by angle."""
+    rows, cols = max(1, _CHUNK_POINTS // angular), min(angular, _CHUNK_POINTS)
+    step = 2.0 * math.pi / angular
+
+    def chunk(r0: int, r1: int, c0: int, c1: int) -> Chunk:
+        def make() -> np.ndarray:
+            # the fractions first, so the radii stay in the float range with the annulus
+            radii = annulus.inner + (annulus.outer - annulus.inner) \
+                * ((np.arange(r0, r1) + 0.5) / radial)
+            angles = np.arange(c0, c1, dtype=float) * step  # np.linspace's, without the end
+            return (center + radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+        return (r1 - r0) * (c1 - c0), make
+
+    return [chunk(r0, min(r0 + rows, radial), c0, min(c0 + cols, angular))
+            for r0 in range(0, radial, rows) for c0 in range(0, angular, cols)]
+
+
+def _window(ax: np.ndarray, center: float, reach: float, spacing: float) -> slice:
+    """The entries of the sorted axis ``ax`` within ``reach`` plus one
+    ``spacing`` of ``center``: a mask with that reach keeps every point
+    outside, since |z - c| >= max(|x - c.x|, |y - c.y|), and the spacing
+    absorbs the rounding of both sides."""
+    lo, hi = np.searchsorted(ax, (center - reach - spacing, center + reach + spacing))
+    return slice(int(lo), int(hi))
+
+
+def _bulk_chunks(domain: DomainSpec, fld: FieldSpec, grid: GridSpec,
+                 fd_step: float) -> List[Chunk]:
+    """The kept points of the bulk lattice, one chunk per block of its rows;
+    each block is built and masked only when its chunk is made, so no
+    n x n array is allocated, and the kept points come out in the order of
+    the whole lattice."""
     spacing = _grid_reference(domain, fld) / grid.bulk_divisor
     if domain.kind is DomainKind.DISC:
         lo, hi = -domain.radius_out, domain.radius_out
@@ -282,23 +319,35 @@ def _bulk_points(domain: DomainSpec, fld: FieldSpec, grid: GridSpec,
         spacing *= 2.0
         n = int((hi - lo) / spacing) + 1
     ax = lo + spacing * np.arange(n)
-    # the n x n lattice in blocks of rows, masked block by block; the kept
-    # points come out in the order of the whole lattice
-    kept = []
+    # each cut: its centre, the reach of what it removes, and the test of
+    # which points it keeps; a hole removes its disc and a uniform bump, whose
+    # density jumps at the support edge, the stencil-wide ring there
+    cuts = [(h.center, h.radius, lambda d, r=h.radius: d > r) for h in domain.holes]
+    cuts += [(b.center, b.support_radius + 3 * fd_step,
+              lambda d, r=b.support_radius: np.abs(d - r) > 3 * fd_step)
+             for b in fld.bumps if b.profile is Profile.UNIFORM_DISC]
+    windows = [(c, _window(ax, c.real, reach, spacing), _window(ax, c.imag, reach, spacing),
+                keeps) for c, reach, keeps in cuts]
     block = max(1, _CHUNK_POINTS // n)
-    for row in range(0, n, block):
-        zz = (ax[None, :] + 1j * ax[row:row + block, None]).ravel()
-        keep = np.ones(zz.shape, dtype=bool)
-        if domain.kind is DomainKind.DISC:
-            keep &= np.abs(zz) < domain.radius_out - 2 * fd_step
-        for h in domain.holes:
-            keep &= np.abs(zz - h.center) > h.radius
-        for b in fld.bumps:
-            if b.profile is Profile.UNIFORM_DISC:
-                # the density jumps at the support edge; skip the stencil-wide ring
-                keep &= np.abs(np.abs(zz - b.center) - b.support_radius) > 3 * fd_step
-        kept.append(zz[keep])
-    return np.concatenate(kept)
+
+    def chunk(row: int) -> Chunk:
+        def make() -> np.ndarray:
+            rows = ax[row:row + block]
+            zz = np.empty((rows.size, n), dtype=complex)  # x + 1j * y, bit for bit
+            zz.real = ax
+            zz.imag = rows[:, None]
+            if domain.kind is DomainKind.DISC:
+                keep = np.abs(zz) < domain.radius_out - 2 * fd_step
+            else:
+                keep = np.ones(zz.shape, dtype=bool)
+            for c, cols, rs, keeps in windows:  # the block's rows in the cut's window
+                r0, r1 = max(rs.start - row, 0), min(rs.stop - row, rows.size)
+                if r0 < r1:
+                    keep[r0:r1, cols] &= keeps(np.abs(zz[r0:r1, cols] - c))
+            return zz[keep]
+        return min(block, n - row) * n, make
+
+    return [chunk(row) for row in range(0, n, block)]
 
 
 def _central_difference(components_at, z: np.ndarray, shift: complex) -> List[np.ndarray]:
@@ -339,24 +388,27 @@ def _component_residual(ux, uy, u0, av, up: bool) -> np.ndarray:
     return np.abs(ux)
 
 
-def _residual_chunks(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: float,
-                     weight=None, starts: Optional[range] = None):
-    """The one walk of the residual oracle over the points, in chunks of ``_CHUNK_POINTS``.
+def _residual_chunks(components_at, ups: Sequence[bool], a, chunks: Sequence[Chunk],
+                     step: float, weight=None, share: Optional[range] = None):
+    """The one walk of the residual oracle over the points, chunk by chunk.
 
     ``components_at(z)`` gives the components of one or more spinors at z,
     spinor after spinor, and component i obeys the spin-up equation iff
-    ``ups[i % len(ups)]``.  Yields ``(s, lo, residual, modulus)``: spinor s's
-    residual at each point of the chunk that starts at ``zs[lo]`` (the
-    ``np.maximum`` over its components, so a NaN wins), and its largest
-    modulus there.  Each chunk takes one ``components_at`` call per stencil
-    shift.  ``starts`` walks only the chunks that start there (default: all).
+    ``ups[i % len(ups)]``.  Yields ``(s, c, z, residual, modulus)``: spinor
+    s's residual at each point z of chunk c (the ``np.maximum`` over its
+    components, so a NaN wins), and its largest modulus there.  Each chunk
+    is made when it is reached and takes one ``components_at`` call per
+    stencil shift; a chunk with no point yields nothing.  ``share`` walks
+    only the chunks of those indices (default: all).
 
     Every call of ``components_at`` must return new arrays, which nothing
     else holds: the stencil sums and the residuals are formed in them.
     """
     width = len(ups)
-    for lo in range(0, zs.size, _CHUNK_POINTS) if starts is None else starts:
-        z = zs[lo:lo + _CHUNK_POINTS]
+    for c in range(len(chunks)) if share is None else share:
+        z = chunks[c][1]()
+        if not z.size:
+            continue
         ux, uy = (_central_difference(components_at, z, shift) for shift in (step, 1j * step))
         av = a(z)
         av_down = np.conj(av) if not all(ups) else None
@@ -374,13 +426,15 @@ def _residual_chunks(components_at, ups: Sequence[bool], a, zs: np.ndarray, step
                 if weight is not None:
                     r *= w_res
                     u_abs *= w_mod
-                yield i // width, lo, r, np.max(u_abs)
+                yield i // width, c, z, r, np.max(u_abs)
         del ux, uy  # before the next chunk's stencil passes, not after them
 
 
-def _worse(p: Tuple[np.float64, int], q: Tuple[np.float64, int]) -> Tuple[np.float64, int]:
-    """Of two (residual, point index) pairs, the point ``np.argmax`` over both
-    would pick: a NaN residual, else the larger residual, else the smaller index."""
+def _worse(p: Sequence, q: Sequence) -> Sequence:
+    """Of two (residual, point key, ...) records, the point ``np.argmax`` over
+    both would pick: a NaN residual, else the larger residual, else the
+    smaller key (the point's (chunk, index), which orders points as the
+    whole point set does)."""
     return min(p, q, key=lambda point: (0, 0.0, point[1]) if math.isnan(point[0])
                else (1, -point[0], point[1]))
 
@@ -418,9 +472,10 @@ def _send_and_exit(walk, share: range, write: int) -> None:
         os._exit(0)
 
 
-def _in_shares(walk, starts: range, workers: int) -> list:
-    """``walk(starts)`` for a ``walk`` that returns one list entry per chunk,
-    computed in ``workers`` contiguous shares of ``starts``.
+def _in_shares(walk, chunks: range, workers: int) -> list:
+    """``walk(chunks)`` for a ``walk`` that returns a list in the order of
+    the chunk indices ``chunks``, computed in ``workers`` contiguous shares
+    of them.
 
     This process walks the first share (no share is larger) and forks a
     child for each other one; a share no child could be forked for is walked
@@ -434,15 +489,15 @@ def _in_shares(walk, starts: range, workers: int) -> list:
     returns or raises, and killed first when its result is no longer wanted.
     """
     if workers == 1:
-        return walk(starts)
+        return walk(chunks)
     import pickle  # only a forking walk loads these, not the table commands
     import signal
     import warnings
 
-    # the first len(starts) % workers shares take one chunk more; a child
+    # the first len(chunks) % workers shares take one chunk more; a child
     # pays for its fork before it starts walking
-    edges = [-(-len(starts) * i // workers) for i in range(workers + 1)]
-    shares = [starts[lo:hi] for lo, hi in zip(edges, edges[1:])]
+    edges = [-(-len(chunks) * i // workers) for i in range(workers + 1)]
+    shares = [chunks[lo:hi] for lo, hi in zip(edges, edges[1:])]
     children = []  # (pid, read end of its result pipe), in share order
     received = 0
     try:
@@ -494,55 +549,86 @@ def _conformal_weights(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return w ** (-1.5), w ** (-0.5)
 
 
-def pde_residuals(components_at, ups: Sequence[bool], a, zs: np.ndarray, step: float,
+def _raise_malloc_thresholds() -> None:
+    """Allocate and free one 8 MiB block through the C library, so that the
+    chunks' arrays come from the heap.
+
+    glibc's malloc maps a block above its mmap threshold (128 KiB at start)
+    on its own and unmaps it when it is freed; freeing a mapped block raises
+    that threshold to the block's size, and the heap's trim threshold to
+    twice it (mallopt(3)).  A chunk's arrays (256 KiB each) would otherwise
+    be mapped and unmapped on every use, each page faulted in again: in one
+    warm one-worker verify that cost ten times the minor faults and the
+    system time of a walk whose arrays stay on the heap.  The block is never
+    touched, so it takes no resident memory, and tracemalloc does not see
+    it.  Another C library ignores it."""
+    if sys.platform == "linux":
+        import ctypes  # numpy has loaded it already
+
+        libc = ctypes.CDLL(None)
+        libc.malloc.argtypes, libc.malloc.restype = (ctypes.c_size_t,), ctypes.c_void_p
+        libc.free.argtypes, libc.free.restype = (ctypes.c_void_p,), None
+        libc.free(libc.malloc(8 << 20))
+
+
+def pde_residuals(components_at, ups: Sequence[bool], a, chunks: Sequence[Chunk], step: float,
                   tol_residual: float, weight=None) -> List[Tuple[float, float]]:
     """Each spinor's largest |D_a u| relative to its size, and its step-halving ratio.
 
-    The spinors and their layout are those of :func:`_residual_chunks`; ``a``
-    evaluates the vector potential, and ``weight(z)``, when given, returns
-    the factors the residual and the modulus take at z (the sphere's W^{-3/2}
-    and W^{-1/2}).  One walk at ``step`` keeps each spinor's worst point (the
-    one ``np.argmax`` over its whole row would pick, so a NaN is the worst)
-    and its largest modulus, in memory that does not grow with ``zs``; one
-    more walk evaluates every spinor's worst point at ``step / 2``.  The first
+    The spinors and their layout are those of :func:`_residual_chunks`;
+    ``chunks`` holds the points, as :data:`Chunk` makers in point order;
+    ``a`` evaluates the vector potential, and ``weight(z)``, when given,
+    returns the factors the residual and the modulus take at z (the
+    sphere's W^{-3/2} and W^{-1/2}).  One walk at ``step`` keeps each
+    spinor's worst point (the one ``np.argmax`` over its whole row would
+    pick, so a NaN is the worst), by value, and its largest modulus; one
+    more walk evaluates every spinor's worst point at ``step / 2``.  Each
+    chunk is made only in the walk that reaches it, so memory grows with the
+    chunk size and the spinor count, never with the point count; with no
+    multi-MB point array freed before the walk, glibc would map and unmap
+    the chunks' arrays on every use, so :func:`_raise_malloc_thresholds`
+    keeps them on the heap.  The first
     walk is split into shares of chunks (:func:`_in_shares`), each reduced
     to one worst point and modulus per chunk and spinor, and merged here in
-    chunk order, so the result does not depend on the split.  Both
-    residuals are divided by the modulus in numpy float64.  GridTooCoarse is
-    raised for the first spinor, in order, whose two residuals differ by more
-    than ten tolerances (no convergence).
+    chunk order, so the result does not depend on the split; only whole
+    chunks' worth of points earn a worker.  Both residuals are divided by
+    the modulus in numpy float64.  GridTooCoarse is raised for the first
+    spinor, in order, whose two residuals differ by more than ten
+    tolerances (no convergence).
     """
-    if not zs.size:
-        raise ValueError("no point to check the Dirac residual at: "
-                         "the finite-difference step leaves none inside the domain")
-
-    def chunk_worst(share: range) -> List[Tuple[int, np.float64, int, np.float64]]:
-        """(spinor, residual, point index, modulus) at each chunk's worst point."""
+    def chunk_worst(share: range) -> list:
+        """(spinor, residual, (chunk, index), point, modulus) at each chunk's worst point."""
         out = []
-        for s, lo, r, modulus in _residual_chunks(components_at, ups, a, zs, step, weight,
-                                                  share):
+        for s, c, z, r, modulus in _residual_chunks(components_at, ups, a, chunks, step,
+                                                    weight, share):
             k = int(np.argmax(r))
-            out.append((s, r[k], lo + k, modulus))
+            out.append((s, r[k], (c, k), z[k], modulus))
         return out
 
-    worst: List[Tuple[np.float64, int]] = []
+    _raise_malloc_thresholds()
+    worst: list = []  # (residual, (chunk, index), point) per spinor
     scales: List[np.float64] = []
-    for s, value, idx, modulus in _in_shares(chunk_worst, range(0, zs.size, _CHUNK_POINTS),
-                                             _worker_count(zs.size // _CHUNK_POINTS)):
-        if s == len(worst):  # the first chunk
-            worst.append((value, idx))
+    whole = sum(size for size, _ in chunks) // _CHUNK_POINTS
+    for s, *point, modulus in _in_shares(chunk_worst, range(len(chunks)), _worker_count(whole)):
+        if s == len(worst):  # the first chunk with a point
+            worst.append(point)
             scales.append(modulus)
         else:
-            worst[s] = _worse(worst[s], (value, idx))
+            worst[s] = _worse(worst[s], point)
             scales[s] = np.maximum(scales[s], modulus)
+    if not worst:
+        raise ValueError("no point to check the Dirac residual at: "
+                         "the finite-difference step leaves none inside the domain")
     # point s of the half-step walk is spinor s's worst point
     halves = [None] * len(worst)
-    points = zs[[idx for _, idx in worst]]
-    for s, lo, r, _ in _residual_chunks(components_at, ups, a, points, step / 2, weight):
+    points = np.array([z for _, _, z in worst])
+    for s, c, _, r, _ in _residual_chunks(components_at, ups, a, _array_chunks(points),
+                                          step / 2, weight):
+        lo = c * _CHUNK_POINTS
         if lo <= s < lo + r.size:
             halves[s] = r[s - lo]
     out = []
-    for (value, _), half, scale in zip(worst, halves, scales):
+    for (value, _, _), half, scale in zip(worst, halves, scales):
         residual, residual_half = float(value / scale), float(half / scale)
         if abs(residual - residual_half) > 10.0 * tol_residual:
             raise GridTooCoarse(f"residual {residual:.3e} vs {residual_half:.3e} "
@@ -569,20 +655,18 @@ def boundary_spectra(problem: conformal.Problem) -> Dict[str, BoundarySpectrum]:
     return out
 
 
-def _residual_points(dom: DomainSpec, f: FieldSpec, grid: GridSpec,
-                     fd: float) -> np.ndarray:
+def _point_chunks(dom: DomainSpec, f: FieldSpec, grid: GridSpec, fd: float) -> List[Chunk]:
     """Polar annuli around the holes and inside the outer circle, then the bulk grid."""
-    point_sets: List[np.ndarray] = []
+    chunks: List[Chunk] = []
     for j, hole in enumerate(dom.holes):
         probe = annulus_probe(dom, j, support_radii_from(f, hole.center))
-        point_sets.append(_polar_points(hole.center, probe, grid.radial, grid.angular))
+        chunks += _polar_chunks(hole.center, probe, grid.radial, grid.angular)
     if dom.kind is DomainKind.DISC:
         probe = annulus_probe(dom, OUTER, support_extents_from(f, 0.0))
         inset = Annulus(probe.inner, probe.outer - 2 * fd)
         if inset.outer > inset.inner:
-            point_sets.append(_polar_points(0.0, inset, grid.radial, grid.angular))
-    point_sets.append(_bulk_points(dom, f, grid, fd))
-    return np.concatenate(point_sets)
+            chunks += _polar_chunks(0.0, inset, grid.radial, grid.angular)
+    return chunks + _bulk_chunks(dom, f, grid, fd)
 
 
 def check_tolerances(tol_residual: float, tol_leakage: float) -> None:
@@ -631,8 +715,8 @@ def verify_modes(
     # --- PDE residual over polar annuli plus the bulk grid.  Components are
     # flat-metric: the conformal factor enters only as the weights.
     weight = _conformal_weights if problem.dressed else None
-    zs = _residual_points(dom, f, grid, fd)
-    pde = pde_residuals(basis_at, (up,), potential.eval_a, zs, fd, tol_residual, weight)
+    pde = pde_residuals(basis_at, (up,), potential.eval_a, _point_chunks(dom, f, grid, fd), fd,
+                        tol_residual, weight)
 
     # --- boundary trace leakage; e^{+-h} and the phase once per circle
     phis = np.linspace(0.0, 2.0 * math.pi, grid.n_boundary_samples, endpoint=False)

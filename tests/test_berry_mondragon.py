@@ -135,10 +135,11 @@ def test_unbalanced_magnitudes_shift_the_matching_flux():
 
 def test_bm_verify_fails_a_spinor_that_is_nan_at_one_residual_point():
     from zeromodes.geometry import Annulus
-    from zeromodes.zero_modes import GridSpec, _polar_points
+    from zeromodes.zero_modes import GridSpec, _polar_chunks
 
     grid = GridSpec()
-    bad = _polar_points(0.0, Annulus(OPP.r_inner, OPP.r_outer), grid.radial, grid.angular)[777]
+    bad = np.concatenate([make() for _, make in _polar_chunks(
+        0.0, Annulus(OPP.r_inner, OPP.r_outer), grid.radial, grid.angular)])[777]
     mode = bm_zero_mode(OPP)
 
     class Spoiled(type(mode)):
@@ -153,14 +154,15 @@ def test_bm_verify_fails_a_spinor_that_is_nan_at_one_residual_point():
 def test_bm_verify_fails_a_nan_residual_in_a_later_chunk(monkeypatch):
     from zeromodes import zero_modes
     from zeromodes.geometry import Annulus
-    from zeromodes.zero_modes import GridSpec, _polar_points
+    from zeromodes.zero_modes import GridSpec, _polar_chunks
 
     monkeypatch.setattr(zero_modes, "_CHUNK_POINTS", 1000)
     # the NaN reaches residual point 5000 (the sixth chunk) through one
     # stencil point, and no modulus: a running maximum kept with `>` drops it
     grid = GridSpec()
     step = grid.fd_step_factor * OPP.r_inner
-    zs = _polar_points(0.0, Annulus(OPP.r_inner, OPP.r_outer), grid.radial, grid.angular)
+    zs = np.concatenate([make() for _, make in _polar_chunks(
+        0.0, Annulus(OPP.r_inner, OPP.r_outer), grid.radial, grid.angular)])
     bad = zs[5000] + 1j * step
     mode = bm_zero_mode(OPP)
     assert bm_verify(OPP, mode).passed

@@ -252,8 +252,7 @@ RANGE = {"start": "0", "stop": "1", "step": "1/2"}
     pytest.param("verify", _with(["grid"], {"fd_step": 2.0}, NO_HOLE),
                  "no point to check the Dirac residual at", id="grid-fd-step-leaves-no-point"),
     # float(True) is 1.0: a JSON boolean ran as the number one
-    pytest.param("sweep", {"sweep": {"phi_pi": {"start": "0", "stop": "1", "step": "1/2"},
-                                     "radius_out": True}},
+    pytest.param("count", _with(["domain", "radius_out"], True),
                  "radius_out must be a number, got True", id="radius-out-bool"),
     pytest.param("verify", _with(["tolerances"], {"residual": True}),
                  "residual tolerance must be a number, got True", id="residual-bool"),
@@ -364,6 +363,20 @@ RANGE = {"start": "0", "stop": "1", "step": "1/2"}
                  "unknown eta keys ['terms']", id="unknown-eta-key"),
     pytest.param("bm", {"bm": dict(BM, r_in=1.0)}, "unknown bm keys ['r_in']",
                  id="unknown-bm-key"),
+    # the sweep's disc radius changed no column: 0.001 and 100 gave one output
+    pytest.param("sweep", {"sweep": {"phi_pi": RANGE, "radius_out": 100.0}},
+                 "unknown sweep keys ['radius_out']", id="sweep-radius-out"),
+    # a command that reads no domain or field exited 0 on these, and count 2
+    *[pytest.param(command, _with(path, value, dict(DISC_3PI, **section)), message,
+                   id=f"{command}-{name}")
+      for command, section in (("eta", {"eta": {"c_values": ["1/3"]}}),
+                               ("sweep", {"sweep": {"phi_pi": RANGE}}), ("bm", {"bm": BM}))
+      for name, path, value, message in (
+          ("disc-omitted-hole", ["domain", "omitted_hole"], 0,
+           "unknown disc domain keys ['omitted_hole']"),
+          ("hole-flux", ["domain", "holes", 0, "flux"], 1.0, "unknown hole keys ['flux']"),
+          ("bump-radius", ["field", "bumps", 0, "radius"], 0.6,
+           "unknown bump keys ['radius']"))],
     # the sweep that printed a constant has_mode false row for every flux is gone
     pytest.param("bm", {"bm": dict(BM, sweep=dict(RANGE, unbounded=True))},
                  "unknown bm.sweep keys ['unbounded']", id="unknown-bm-sweep-key"),
@@ -490,8 +503,17 @@ def test_verify_grid_too_coarse_exits_3(tmp_path, capsys):
     assert code == 3
     # the message gives the step it halved and the keys that change it
     assert re.fullmatch(r"numerical failure: GridTooCoarse: residual \S+ vs \S+ under step "
-                        r"halving from step 8\.750e-02; for a finer step lower grid\.fd_step "
+                        r"halving from step 8\.400e-03; for a finer step lower grid\.fd_step "
                         r"or raise --grid, or loosen the residual tolerance \(--tol\)\n", err)
+
+
+def test_grid_64_is_the_default_grid(tmp_path, capsys):
+    # its step factor was 2/64, ten times the default 3e-3: this disc exited
+    # 3 (GridTooCoarse from step 1.094e-02) with --grid 64 and passed without
+    cfg = write_config(tmp_path, DISC_SEED7)
+    default = run_cli(capsys, "verify", "--config", cfg)
+    assert default[0] == 0
+    assert run_cli(capsys, "verify", "--config", cfg, "--grid", "64") == default
 
 
 def test_verify_sphere_notes_dressing(tmp_path, capsys):

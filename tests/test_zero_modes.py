@@ -13,10 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zeromodes import (
     Chirality,
     DomainKind,
+    DomainSpec,
     EmptyBasis,
     FieldSpec,
     GridSpec,
@@ -241,7 +243,7 @@ def test_verify_fails_a_spinor_that_is_nan_at_one_residual_point(monkeypatch):
     mode = build_basis(DOM1, FLD1, pot).modes()[0]
     assert verify_mode(mode, DOM1, FLD1, pot, grid).passed
     fd = zero_modes._fd_scale(DOM1, FLD1) * grid.fd_step_factor
-    bad = zero_modes._residual_points(DOM1, FLD1, grid, fd)[100]
+    bad = _points(zero_modes._point_chunks(DOM1, FLD1, grid, fd))[100]
     eval_h = pot.eval_h
     monkeypatch.setattr(pot, "eval_h", lambda z: np.where(z == bad, np.nan, eval_h(z)))
     report = verify_mode(mode, DOM1, FLD1, pot, grid)
@@ -250,6 +252,11 @@ def test_verify_fails_a_spinor_that_is_nan_at_one_residual_point(monkeypatch):
 
 
 ZS = np.array([0.3 + 0.2j, -0.7 + 0.5j, 1.1 - 0.4j])
+
+
+def _points(chunks):
+    """The points of residual chunks, made and joined in order."""
+    return np.concatenate([make() for _, make in chunks])
 
 
 def _z3(z):
@@ -264,8 +271,9 @@ def _residual_rows(components_at, ups, a, zs, step, weight=None):
     """Every spinor's residual at every point, one row per spinor, and its
     largest modulus, collected from the oracle's one chunk walk."""
     rows, moduli = [], []
-    for s, lo, r, modulus in zero_modes._residual_chunks(components_at, ups, a, zs, step,
-                                                         weight):
+    for s, c, _, r, modulus in zero_modes._residual_chunks(
+            components_at, ups, a, zero_modes._array_chunks(zs), step, weight):
+        lo = c * zero_modes._CHUNK_POINTS
         if lo == 0:
             rows.append(np.empty(zs.size))
             moduli.append(modulus)
@@ -394,7 +402,7 @@ def _reference_report(mode, dom, fld, pot, grid, tol):
     ups = (mode.chirality is Chirality.UP,)
     fd = grid.fd_step if grid.fd_step is not None \
         else zero_modes._fd_scale(red_dom, red_fld) * grid.fd_step_factor
-    zs = zero_modes._residual_points(red_dom, red_fld, grid, fd)
+    zs = _points(zero_modes._point_chunks(red_dom, red_fld, grid, fd))
 
     def weight(z):
         w = conformal_factor(z)
@@ -546,7 +554,7 @@ def test_verify_modes_memory_does_not_grow_with_modes_times_points(monkeypatch):
     pot = PotentialField(fld, dom)
     grid = GridSpec(bulk_divisor=44)
     fd = zero_modes._fd_scale(dom, fld) * grid.fd_step_factor
-    points = zero_modes._residual_points(dom, fld, grid, fd).size
+    points = _points(zero_modes._point_chunks(dom, fld, grid, fd)).size
     assert points > 20 * zero_modes._CHUNK_POINTS
     peaks = []
     for count in (1, 16):
@@ -593,7 +601,7 @@ def test_a_nan_residual_in_a_later_chunk_fails_the_mode(monkeypatch):
     mode = build_basis(DOM1, FLD1, pot).modes()[0]
     assert verify_mode(mode, DOM1, FLD1, pot, grid).passed
     fd = zero_modes._fd_scale(DOM1, FLD1) * grid.fd_step_factor
-    bad = zero_modes._residual_points(DOM1, FLD1, grid, fd)[2500] + fd
+    bad = _points(zero_modes._point_chunks(DOM1, FLD1, grid, fd))[2500] + fd
     eval_h = pot.eval_h
     monkeypatch.setattr(pot, "eval_h", lambda z: np.where(z == bad, np.nan, eval_h(z)))
     report = verify_mode(mode, DOM1, FLD1, pot, grid)
@@ -636,8 +644,8 @@ def test_bm_verify_matches_full_row_reference(case, monkeypatch):
     report = bm_verify(cfg, mode)
 
     grid = GridSpec()
-    zs = zero_modes._polar_points(0.0, Annulus(cfg.r_inner, cfg.r_outer),
-                                  grid.radial, grid.angular)
+    zs = _points(zero_modes._polar_chunks(0.0, Annulus(cfg.r_inner, cfg.r_outer),
+                                          grid.radial, grid.angular))
     x = float(cfg.phi) / (2 * math.pi)
 
     def residual_at(sel, step):
@@ -702,11 +710,95 @@ def test_bulk_points_built_by_blocks_equal_the_full_lattice(case, chunk, monkeyp
             grid = GridSpec(max_bulk_points=5000)
     fd = zero_modes._fd_scale(dom, fld) * grid.fd_step_factor
     expected = _full_lattice_bulk(dom, fld, grid, fd)
-    got = zero_modes._bulk_points(dom, fld, grid, fd)
+    got = _points(zero_modes._bulk_chunks(dom, fld, grid, fd))
     assert got.size > 1000
     assert np.array_equal(got, expected)
     if case == "doubled":  # the spacing was doubled at least once
         assert 4 * got.size < _full_lattice_bulk(dom, fld, GridSpec(), fd).size
+
+
+_CUT_CENTERS = st.complex_numbers(max_magnitude=4.5, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from([DomainKind.DISC, DomainKind.PLANE]),
+       holes=st.lists(st.tuples(_CUT_CENTERS, st.floats(0.05, 2.0)), max_size=3),
+       bumps=st.lists(st.tuples(_CUT_CENTERS, st.floats(0.05, 2.0), st.booleans()),
+                      max_size=3),
+       fd_step=st.floats(1e-4, 0.2), divisor=st.integers(2, 64))
+def test_windowed_masks_keep_the_points_of_the_unwindowed_lattice(kind, holes, bumps,
+                                                                  fd_step, divisor):
+    # each hole and uniform bump is tested only in its window of rows and
+    # columns, and each block is filled by its real and imaginary parts:
+    # the kept points equal those of the whole lattice built by the cast add
+    # and masked everywhere, byte for byte
+    if kind is DomainKind.PLANE and not holes and not bumps:
+        holes = [(0j, 1.0)]
+    dom = DomainSpec(kind, [Hole(c, r) for c, r in holes],
+                     radius_out=3.0 if kind is DomainKind.DISC else None)
+    fld = FieldSpec(bumps=[RadialBump(c, r, pi_flux(1),
+                                      Profile.UNIFORM_DISC if uniform else Profile.SMOOTH_COMPACT)
+                           for c, r, uniform in bumps])
+    grid = GridSpec(bulk_divisor=divisor, max_bulk_points=20_000)
+    got = _points(zero_modes._bulk_chunks(dom, fld, grid, fd_step))
+    assert got.tobytes() == _full_lattice_bulk(dom, fld, grid, fd_step).tobytes()
+
+
+def _whole_polar(center, annulus, radial, angular):
+    """An annulus's polar grid as one array, row by row."""
+    radii = annulus.inner + (annulus.outer - annulus.inner) * ((np.arange(radial) + 0.5) / radial)
+    angles = np.linspace(0.0, 2.0 * math.pi, angular, endpoint=False)
+    return (center + radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+
+
+@pytest.mark.parametrize("chunk", [16384, 1000])
+@pytest.mark.parametrize("angular", [256, 2500, 20000])
+@pytest.mark.parametrize("case", ["disc-up", "sphere", "plane"])
+def test_point_chunks_join_to_the_whole_point_set_in_order(case, angular, chunk, monkeypatch):
+    # the annuli around the holes and inside the outer circle, then the bulk
+    # lattice, as whole arrays; an annulus row longer than a chunk is split
+    # by angle (angular 2500 with 1000-point chunks, 20000 with either)
+    from zeromodes.geometry import OUTER, Annulus, annulus_probe
+    from zeromodes.field import support_extents_from, support_radii_from
+
+    monkeypatch.setattr(zero_modes, "_CHUNK_POINTS", chunk)
+    dom, fld = _basis_case(case)[:2]
+    if case == "sphere":
+        dom, fld = sphere_to_disc(dom, fld)
+    grid = GridSpec(radial=3, angular=angular, bulk_divisor=8)
+    fd = zero_modes._fd_scale(dom, fld) * grid.fd_step_factor
+    whole = [_whole_polar(h.center, annulus_probe(dom, j, support_radii_from(fld, h.center)),
+                          grid.radial, grid.angular) for j, h in enumerate(dom.holes)]
+    if dom.kind is DomainKind.DISC:
+        probe = annulus_probe(dom, OUTER, support_extents_from(fld, 0.0))
+        whole.append(_whole_polar(0.0, Annulus(probe.inner, probe.outer - 2 * fd),
+                                  grid.radial, grid.angular))
+    whole.append(_full_lattice_bulk(dom, fld, grid, fd))
+    chunks = zero_modes._point_chunks(dom, fld, grid, fd)
+    made = [make() for _, make in chunks]
+    assert all(z.size <= min(size, chunk) for (size, _), z in zip(chunks, made))
+    assert np.concatenate(made).tobytes() == np.concatenate(whole).tobytes()
+
+
+def test_verify_memory_does_not_grow_with_the_lattice(monkeypatch):
+    # doubling bulk_divisor quadruples the bulk lattice (205,000 to 822,000
+    # points, 3.3 to 13.2 MB of complex points), and the traced peak of a
+    # one-worker verify stays that of one chunk's working set: every chunk
+    # is made when the walk reaches it, and no array holds the point set
+    _workers(monkeypatch, 1)
+    dom, fld = disc_with_holes(3.0), FieldSpec()
+    pot = PotentialField(fld, dom)
+    mode = ZeroMode(Chirality.UP, {0: 1.0 + 0.0j}, pot)
+    verify_modes([mode], GridSpec(bulk_divisor=32))  # the potential's lazy set-up
+    peaks = []
+    for divisor in (32, 64):
+        tracemalloc.start()
+        try:
+            verify_modes([mode], GridSpec(bulk_divisor=divisor))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.05 * peaks[0]
 
 
 # ---------------------------------------------------------------------------
@@ -834,8 +926,8 @@ def _line_residuals(monkeypatch, workers, a_at):
         return np.array([a_at(i) for i in index], dtype=complex)
 
     try:
-        return zero_modes.pde_residuals(lambda z: (np.ones_like(z),), (True,), a, _LINE,
-                                        1e-3, 1.0), calls
+        return zero_modes.pde_residuals(lambda z: (np.ones_like(z),), (True,), a,
+                                        zero_modes._array_chunks(_LINE), 1e-3, 1.0), calls
     finally:
         _assert_no_child_left()
 
@@ -847,7 +939,7 @@ def test_only_whole_chunks_earn_a_worker(points, whole, monkeypatch):
     chunks = []
     monkeypatch.setattr(zero_modes, "_worker_count", lambda n: chunks.append(n) or 1)
     zero_modes.pde_residuals(lambda z: (np.ones_like(z),), (True,), np.ones_like,
-                             _LINE[:points], 1e-3, 1.0)
+                             zero_modes._array_chunks(_LINE[:points]), 1e-3, 1.0)
     assert chunks == [whole]
 
 
@@ -938,7 +1030,8 @@ def test_split_walk_issues_every_share_warning_in_share_order(action, monkeypatc
         _workers(monkeypatch, n)
         with warnings.catch_warnings(record=True) as caught, np.errstate(invalid="warn"):
             warnings.simplefilter(action)
-            zero_modes.pde_residuals(lambda z: (np.ones_like(z),), (True,), a, zs, 1e-3, 1.0)
+            zero_modes.pde_residuals(lambda z: (np.ones_like(z),), (True,), a,
+                                     zero_modes._array_chunks(zs), 1e-3, 1.0)
         _assert_no_child_left()
         issued[n] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
     expected = [f"invalid value encountered in {f}" for f in ("sqrt", "arccosh", "log", "sqrt")]
