@@ -557,11 +557,12 @@ def _raise_malloc_thresholds() -> None:
     on its own and unmaps it when it is freed; freeing a mapped block raises
     that threshold to the block's size, and the heap's trim threshold to
     twice it (mallopt(3)).  A chunk's arrays (256 KiB each) would otherwise
-    be mapped and unmapped on every use, each page faulted in again: in one
-    warm one-worker verify that cost ten times the minor faults and the
-    system time of a walk whose arrays stay on the heap.  The block is never
-    touched, so it takes no resident memory, and tracemalloc does not see
-    it.  Another C library ignores it."""
+    be mapped and unmapped on every use, each page faulted in again: a warm
+    one-worker verify of a five-hole sphere (2-CPU Linux, glibc) took 5,400
+    minor faults and 15 ms of system time per pass that way, against 2 and
+    under 1 ms with this block.  The block is never touched, so it takes no
+    resident memory, and tracemalloc does not see it.  Another C library
+    ignores it."""
     if sys.platform == "linux":
         import ctypes  # numpy has loaded it already
 
@@ -587,7 +588,7 @@ def pde_residuals(components_at, ups: Sequence[bool], a, chunks: Sequence[Chunk]
     chunk size and the spinor count, never with the point count; with no
     multi-MB point array freed before the walk, glibc would map and unmap
     the chunks' arrays on every use, so :func:`_raise_malloc_thresholds`
-    keeps them on the heap.  The first
+    keeps them on the heap in a walk of more than one chunk.  The first
     walk is split into shares of chunks (:func:`_in_shares`), each reduced
     to one worst point and modulus per chunk and spinor, and merged here in
     chunk order, so the result does not depend on the split; only whole
@@ -605,7 +606,11 @@ def pde_residuals(components_at, ups: Sequence[bool], a, chunks: Sequence[Chunk]
             out.append((s, r[k], (c, k), z[k], modulus))
         return out
 
-    _raise_malloc_thresholds()
+    # a walk of one chunk (bm_verify's annulus) keeps its arrays mapped, as
+    # before the walk made its own chunks: on the heap they lifted a bm
+    # process's peak RSS by 0.3 MB
+    if len(chunks) > 1:
+        _raise_malloc_thresholds()
     worst: list = []  # (residual, (chunk, index), point) per spinor
     scales: List[np.float64] = []
     whole = sum(size for size, _ in chunks) // _CHUNK_POINTS
