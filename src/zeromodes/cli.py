@@ -106,9 +106,9 @@ def _object(node, key: str) -> Dict[str, Any]:
 
 def _known(node: Dict[str, Any], section: str, keys) -> None:
     """Refuse a key of ``node`` that is not among ``keys``: nothing would read it."""
-    unknown = sorted(set(node) - set(keys))
+    unknown = node.keys() - keys
     if unknown:
-        raise ConfigError(f"unknown {section} keys {unknown}")
+        raise ConfigError(f"unknown {section} keys {sorted(unknown)}")
 
 
 def _not_both(node: Dict[str, Any], key_pi: str, key_raw: str) -> None:
@@ -262,8 +262,11 @@ def load_config(path: str) -> Dict[str, Any]:
     for section in config:
         _known(_object(config[section], section), section, _SECTION_KEYS[section])
     domain, fld = config.get("domain", {}), config.get("field", {})
-    kind = next((k for k in DomainKind if k.value == domain.get("kind")), None)
-    if kind is not None:  # a kind of no known name is the domain parser's error
+    try:
+        kind = DomainKind(domain.get("kind"))
+    except ValueError:  # no known kind: parse_domain names it
+        pass
+    else:
         _known(domain, f"{kind.value} domain", _DOMAIN_KEYS[kind])
     for entry in _entries(domain, "holes"):
         _known(entry, "hole", _HOLE_KEYS)
