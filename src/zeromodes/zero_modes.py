@@ -251,9 +251,9 @@ def _grid_reference(domain: DomainSpec, fld: FieldSpec) -> float:
     return domain.radius_out / 8.0 if domain.kind is DomainKind.DISC else 1.0
 
 
-# points per chunk of the residual pass, and at most per block of annulus or
-# bulk lattice rows (one row at least): a chunk's values at one stencil shift
-# and three partial arrays per component take a few MB, not nine full-size arrays
+# points per chunk of the residual pass, a block of annulus rows (a longer row
+# split by angle) or of bulk lattice rows (one row at least): a chunk's values
+# at one stencil shift and three partial arrays per component take a few MB
 _CHUNK_POINTS = 16384
 
 # A chunk of residual points: (size, make), where make() returns new points,
