@@ -21,13 +21,15 @@ Example config::
                  "s_outer": -1.0, "phi_pi": "1"}
     }
 
-A key that nothing reads is a configuration error, found when the config is
-loaded, in every section whichever command runs; so is a value given both
-ways (``flux`` and ``flux_pi``, ``hole_fluxes`` and ``hole_fluxes_pi``,
-``phi`` and ``phi_pi``).  ``--tol`` and ``--grid`` apply to ``verify`` only;
-any other command refuses them.  A ``bm`` section with a ``sweep`` range
-prints one ``{phi, has_mode, n}`` row per flux and needs no ``phi`` of its
-own; without one, ``bm`` reports the single configuration's mode and its
+Every section of a config is parsed and checked once, keys and values, when
+the config is loaded (:func:`parse_config`), whichever command runs; only a
+computation's own checks, such as eta's ``c``, wait for it.  A key that
+nothing reads is a configuration error, and so is a value given both ways
+(``flux`` and ``flux_pi``, ``hole_fluxes`` and ``hole_fluxes_pi``, ``phi``
+and ``phi_pi``).  ``--tol`` and ``--grid`` apply to ``verify`` only; any
+other command refuses them.  A ``bm`` section with a ``sweep`` range prints
+one ``{phi, has_mode, n}`` row per flux and needs no ``phi`` of its own;
+without one, ``bm`` reports the single configuration's mode and its
 verification.
 
 Exit codes: 0 success (and, for ``verify``, all modes passing), 1 verify ran
@@ -46,7 +48,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .berry_mondragon import BMConfig, bm_flux_sweep, bm_verify, bm_zero_mode
 from .conformal import Problem, flat_problem
@@ -104,11 +106,13 @@ def _object(node, key: str) -> Dict[str, Any]:
     return node
 
 
-def _known(node: Dict[str, Any], section: str, keys) -> None:
-    """Refuse a key of ``node`` that is not among ``keys``: nothing would read it."""
-    unknown = node.keys() - keys
+def _known(node, section: str, keys) -> Dict[str, Any]:
+    """``node`` itself, if it is a JSON object whose keys are all among
+    ``keys``: nothing would read another key."""
+    unknown = _object(node, section).keys() - keys
     if unknown:
         raise ConfigError(f"unknown {section} keys {sorted(unknown)}")
+    return node
 
 
 def _not_both(node: Dict[str, Any], key_pi: str, key_raw: str) -> None:
@@ -158,28 +162,27 @@ def _choice(enum, text, key: str):
 _RANGE_KEYS = ("start", "stop", "step")
 
 
-def _rational_range(node, section: str) -> List[PiFlux]:
-    """Flux values start, start + step, ... up to stop, all multiples of pi."""
+def _rational_range(node, section: str) -> Callable[[], List[PiFlux]]:
+    """Flux values start, start + step, ... up to stop, all multiples of pi:
+    checked now, made when called, so a command that reads no range pays none."""
+    node = _known(node, section, _RANGE_KEYS)
     start, stop, step = (_fraction(_required(node, k, section)) for k in _RANGE_KEYS)
     if step <= 0:
         raise ConfigError("range step must be positive")
     n = max(0, math.floor((stop - start) / step) + 1)
     if n > MAX_RANGE_VALUES:
         raise ConfigError(f"range holds {n} values; at most {MAX_RANGE_VALUES} are allowed")
-    return [PiFlux(start + i * step) for i in range(n)]
+    return lambda: [PiFlux(start + i * step) for i in range(n)]
 
 
-# the keys a domain of each kind, a hole and a bump read
+# the keys a domain of each kind reads
 _DOMAIN_KEYS = {DomainKind.PLANE: ("kind", "holes"),
                 DomainKind.DISC: ("kind", "holes", "radius_out"),
                 DomainKind.SPHERE: ("kind", "holes", "omitted_hole")}
-_HOLE_KEYS = ("center", "radius")
-_BUMP_KEYS = ("center", "support_radius", "flux_pi", "flux", "profile")
 
 
 def _hole(node) -> Hole:
-    node = _object(node, "hole")
-    _known(node, "hole", _HOLE_KEYS)
+    node = _known(node, "hole", ("center", "radius"))
     return Hole(_point(_required(node, "center", "hole"), "hole center"),
                 _real(_required(node, "radius", "hole"), "hole radius"))
 
@@ -208,10 +211,10 @@ def parse_field(node: Dict[str, Any], n_holes: Optional[int] = None) -> FieldSpe
     meets its domain (``validate_field``, and ``flat_problem`` for library
     callers).  It stays a parameter so callers that pass it keep working.
     """
-    node = _object(node, "field")
+    node = _known(node, "field", ("bumps", "hole_fluxes_pi", "hole_fluxes", "q", "kernel"))
     bumps = []
-    for b in (_object(entry, "bump") for entry in _array(node, "bumps", [])):
-        _known(b, "bump", _BUMP_KEYS)
+    for b in (_known(entry, "bump", ("center", "support_radius", "flux_pi", "flux", "profile"))
+              for entry in _array(node, "bumps", [])):
         bumps.append(RadialBump(
             center=_point(_required(b, "center", "bump"), "bump center"),
             support_radius=_real(_required(b, "support_radius", "bump"), "support_radius"),
@@ -231,51 +234,95 @@ def parse_field(node: Dict[str, Any], n_holes: Optional[int] = None) -> FieldSpe
     )
 
 
-# the keys each config section may hold; a domain's kind narrows its own
-_SECTION_KEYS = {
-    "domain": set().union(*_DOMAIN_KEYS.values()),
-    "field": ("bumps", "hole_fluxes_pi", "hole_fluxes", "q", "kernel"),
-    "grid": GridSpec.__dataclass_fields__,
-    "tolerances": ("residual", "leakage"),
-    "sweep": ("phi_pi", "q_values"),
-    "eta": ("c_values", "s_values", "n_terms"),
-    "bm": ("r_inner", "r_outer", "s_inner", "s_outer", "phi_pi", "phi", "sweep"),
-}
-# the flux ranges of a config, by section and key
-_RANGES = (("sweep", "phi_pi"), ("bm", "sweep"))
+def _grid(node, args) -> GridSpec:
+    """The grid section as a GridSpec; ``--grid N`` gives the keys it leaves out."""
+    node = _known(node, "grid", GridSpec.__dataclass_fields__)
+    if args.grid is not None:
+        n = args.grid
+        if n < 1:
+            raise ConfigError(f"grid scale must be positive, got {n}")
+        node = {"radial": n, "angular": 4 * n, "bulk_divisor": max(2, n // 2),
+                "fd_step_factor": GridSpec.fd_step_factor * 64 / n, **node}
+    return GridSpec(**node)
 
 
-def _entries(node: Dict[str, Any], key: str):
-    """The JSON objects of the array at ``key``; an entry or array of another
-    type is left to the command that reads it."""
-    value = node.get(key)
-    return [entry for entry in value if isinstance(entry, dict)] if isinstance(value, list) else []
+def _tolerances(node, args) -> Tuple[float, float]:
+    """The residual and leakage tolerances; ``--tol`` overrides the residual one."""
+    node = _known(node, "tolerances", ("residual", "leakage"))
+    tol = float(args.tol) if args.tol is not None else \
+        _number(node.get("residual", 1e-6), "residual tolerance")
+    tol_leak = _number(node.get("leakage", tol), "leakage tolerance")
+    check_tolerances(tol, tol_leak)
+    return tol, tol_leak
+
+
+def _sweep(node, args) -> Tuple[Callable[[], List[PiFlux]], List[Fraction]]:
+    """The sweep's fluxes, made when called, and its q values."""
+    node = _known(node, "sweep", ("phi_pi", "q_values"))
+    return (_rational_range(_required(node, "phi_pi", "sweep"), "sweep.phi_pi"),
+            [_fraction(t) for t in _array(node, "q_values", ["0"])])
+
+
+def _eta(node, args) -> Tuple[List[Fraction], List[float], int]:
+    """The eta table's c values, s values and number of series terms."""
+    node = _known(node, "eta", ("c_values", "s_values", "n_terms"))
+    c_values = [_fraction(t)
+                for t in _array(node, "c_values", ["1/8", "1/4", "1/3", "1/2", "3/4"])]
+    s_values = [_number(s, "eta s value")
+                for s in _array(node, "s_values", list(DEFAULT_S_VALUES))]
+    n_terms = node.get("n_terms", DEFAULT_N_TERMS)
+    if not isinstance(n_terms, int) or isinstance(n_terms, bool):
+        raise ConfigError(f"eta n_terms must be an integer, got {n_terms!r}")
+    check_s_values(s_values)
+    return c_values, s_values, n_terms
+
+
+def _bm(node, args) -> Tuple[BMConfig, Optional[Callable[[], List[PiFlux]]]]:
+    """The Berry–Mondragon configuration, and its sweep's fluxes if it has one."""
+    node = _known(node, "bm",
+                  ("r_inner", "r_outer", "s_inner", "s_outer", "phi_pi", "phi", "sweep"))
+    # a sweep gives each row its own flux, so it needs none of its own
+    reads_phi = "sweep" not in node or "phi_pi" in node or "phi" in node
+    cfg = BMConfig(
+        r_inner=_real(_required(node, "r_inner", "bm"), "r_inner"),
+        r_outer=_real(_required(node, "r_outer", "bm"), "r_outer"),
+        phi=_flux(node, "phi_pi", "phi") if reads_phi else 0.0,
+        s_inner=_real(_required(node, "s_inner", "bm"), "s_inner"),
+        s_outer=_real(_required(node, "s_outer", "bm"), "s_outer"),
+    )
+    return cfg, (_rational_range(node["sweep"], "bm.sweep") if "sweep" in node else None)
+
+
+# each config section's parser, called with the section and the command line
+_PARSERS = {"domain": lambda node, args: parse_domain(node),
+            "field": lambda node, args: parse_field(node),
+            "grid": _grid, "tolerances": _tolerances,
+            "sweep": _sweep, "eta": _eta, "bm": _bm}
+# the sections a command reads also when a config leaves them out, as {}: their defaults
+_DEFAULTS = {"verify": {"grid": {}, "tolerances": {}}, "eta": {"eta": {}}}
 
 
 def load_config(path: str) -> Dict[str, Any]:
-    """The config at ``path``, every section's keys checked whichever command
-    reads it: a domain's against those of its kind, and each hole's and
-    bump's too."""
+    """The JSON document at ``path``, as read: :func:`parse_config` checks it."""
     with open(path, "r", encoding="utf-8") as fh:
-        config = _object(json.load(fh), "config")
-    _known(config, "config", _SECTION_KEYS)
-    for section in config:
-        _known(_object(config[section], section), section, _SECTION_KEYS[section])
-    domain, fld = config.get("domain", {}), config.get("field", {})
-    try:
-        kind = DomainKind(domain.get("kind"))
-    except ValueError:  # no known kind: parse_domain names it
-        pass
-    else:
-        _known(domain, f"{kind.value} domain", _DOMAIN_KEYS[kind])
-    for entry in _entries(domain, "holes"):
-        _known(entry, "hole", _HOLE_KEYS)
-    for entry in _entries(fld, "bumps"):
-        _known(entry, "bump", _BUMP_KEYS)
-    for section, key in _RANGES:
-        if key in config.get(section, {}):
-            name = f"{section}.{key}"
-            _known(_object(config[section][key], name), name, _RANGE_KEYS)
+        return json.load(fh)
+
+
+def parse_config(node, args) -> Dict[str, Any]:
+    """``{section: parsed value}`` for a loaded config, each section parsed
+    and checked once by its own parser; ``args`` gives the command, ``--grid``
+    and ``--tol``.  A section left out stays out, unless the command reads its
+    defaults.  The domain is then validated, and the field against it."""
+    sections = {**_DEFAULTS.get(args.command, {}), **_known(node, "config", _PARSERS)}
+    config = {section: parse(sections[section], args)
+              for section, parse in _PARSERS.items() if section in sections}
+    if "domain" in config:
+        # field checks index the domain's holes, so they run on a valid domain only
+        violations = validate_domain(config["domain"]).violations
+        if not violations and "field" in config:
+            violations = validate_field(config["field"], config["domain"])
+        if violations:
+            raise ConfigError("; ".join(violations))
     return config
 
 
@@ -283,26 +330,7 @@ def _validated_problem(config):
     """The config's domain and field, and their flat problem (reduced once)."""
     if "domain" not in config or "field" not in config:
         raise ConfigError("config needs 'domain' and 'field' sections")
-    domain = parse_domain(config["domain"])
-    fld = parse_field(config["field"])
-    # field checks index the domain's holes, so they run on a valid domain only
-    violations = validate_domain(domain).violations or validate_field(fld, domain)
-    if violations:
-        raise ConfigError("; ".join(violations))
-    return domain, fld, flat_problem(domain, fld)
-
-
-def _grid_from(config, args) -> GridSpec:
-    node = dict(config.get("grid", {}))
-    if args.grid is not None:
-        n = int(args.grid)
-        if n < 1:
-            raise ConfigError(f"grid scale must be positive, got {n}")
-        node.setdefault("radial", n)
-        node.setdefault("angular", 4 * n)
-        node.setdefault("bulk_divisor", max(2, n // 2))
-        node.setdefault("fd_step_factor", GridSpec.fd_step_factor * 64 / n)
-    return GridSpec(**node)
+    return config["domain"], config["field"], flat_problem(config["domain"], config["field"])
 
 
 def _flux_payload(domain: DomainSpec, fld: FieldSpec, problem: Problem) -> Dict[str, Any]:
@@ -316,7 +344,12 @@ def _flux_payload(domain: DomainSpec, fld: FieldSpec, problem: Problem) -> Dict[
     }
 
 
-def cmd_count(config, args) -> Dict[str, Any]:
+def _by_boundary(values: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """``{boundary: value}`` as ``{"boundary", "value"}`` rows in boundary order."""
+    return [{"boundary": k, "value": v} for k, v in sorted(values.items())]
+
+
+def cmd_count(config) -> Dict[str, Any]:
     domain, fld, problem = _validated_problem(config)
     counted = count_zero_modes(problem)
     payload = _flux_payload(domain, fld, problem)
@@ -324,14 +357,9 @@ def cmd_count(config, args) -> Dict[str, Any]:
     return {"command": "count", "rows": [payload]}
 
 
-def cmd_verify(config, args) -> Dict[str, Any]:
+def cmd_verify(config) -> Dict[str, Any]:
     domain, fld, problem = _validated_problem(config)
-    grid = _grid_from(config, args)
-    tolerances = config.get("tolerances", {})
-    tol = float(args.tol) if args.tol is not None else \
-        _number(tolerances.get("residual", 1e-6), "residual tolerance")
-    tol_leak = _number(tolerances.get("leakage", tol), "leakage tolerance")
-    check_tolerances(tol, tol_leak)  # also when there is no mode to verify
+    tol, tol_leak = config["tolerances"]
     counted = count_zero_modes(problem)
     if counted.count > MAX_VERIFY_MODES:
         raise ConfigError(f"verify would check {counted.count} modes; "
@@ -341,7 +369,7 @@ def cmd_verify(config, args) -> Dict[str, Any]:
     if counted.count > 0:
         modes = build_basis(domain, fld, PotentialField(fld, domain)).modes()
         try:
-            reports = verify_modes(modes, grid, tol_residual=tol, tol_leakage=tol_leak)
+            reports = verify_modes(modes, config["grid"], tol_residual=tol, tol_leakage=tol_leak)
         except GridTooCoarse as exc:
             raise GridTooCoarse(f"{exc}; for a finer step lower grid.fd_step or raise "
                                 f"--grid, or loosen the residual tolerance (--tol)") from exc
@@ -354,10 +382,7 @@ def cmd_verify(config, args) -> Dict[str, Any]:
                 "w_dressed": mode.w_dressed,
                 "residuals": {
                     "pde": report.pde_residual,
-                    "leakage": [
-                        {"boundary": k, "value": v}
-                        for k, v in sorted(report.trace_leakage.items())
-                    ],
+                    "leakage": _by_boundary(report.trace_leakage),
                     "exponent_ok": report.integrability_exponent_ok,
                 },
                 "passed": report.passed,
@@ -369,21 +394,19 @@ def cmd_verify(config, args) -> Dict[str, Any]:
             "all_passed": all(r["passed"] for r in rows)}
 
 
-def cmd_sweep(config, args) -> Dict[str, Any]:
-    node = config.get("sweep", {})
-    if not node:
+def cmd_sweep(config) -> Dict[str, Any]:
+    if "sweep" not in config:
         raise ConfigError("config needs a 'sweep' section")
-    values = _rational_range(_required(node, "phi_pi", "sweep"), "sweep.phi_pi")
+    values, q_values = config["sweep"]
     # (q, count key, index key, eta key) per column group, built once
-    columns = [(q, f"count_disc_q={q}", f"index_q={q}", f"eta_outer_q={q}")
-               for q in (_fraction(t) for t in _array(node, "q_values", ["0"]))]
+    columns = [(q, f"count_disc_q={q}", f"index_q={q}", f"eta_outer_q={q}") for q in q_values]
     plane = DomainSpec(DomainKind.PLANE, [])
     # no column reads the disc's radius: the count, the index and the outer
     # eta depend on the flux and q only
     disc = DomainSpec(DomainKind.DISC, [], radius_out=5.0)
     rows = []
     prev: Dict[str, int] = {}
-    for phi in values:
+    for phi in values():
         row: Dict[str, Any] = {"phi_pi": str(phi.multiplier), "phi": float(phi)}
         jumped: List[str] = []
         bumps = [RadialBump(0.0, 1.0, phi)]
@@ -403,16 +426,8 @@ def cmd_sweep(config, args) -> Dict[str, Any]:
     return {"command": "sweep", "rows": rows}
 
 
-def cmd_eta(config, args) -> Dict[str, Any]:
-    node = config.get("eta", {})
-    c_values = [_fraction(t)
-                for t in _array(node, "c_values", ["1/8", "1/4", "1/3", "1/2", "3/4"])]
-    s_values = [_number(s, "eta s value")
-                for s in _array(node, "s_values", list(DEFAULT_S_VALUES))]
-    n_terms = node.get("n_terms", DEFAULT_N_TERMS)
-    if not isinstance(n_terms, int) or isinstance(n_terms, bool):
-        raise ConfigError(f"eta n_terms must be an integer, got {n_terms!r}")
-    check_s_values(s_values)
+def cmd_eta(config) -> Dict[str, Any]:
+    c_values, s_values, n_terms = config["eta"]
     rows = []
     for c in c_values:
         values = [eta_series(c, s, n_terms).value for s in s_values]
@@ -425,7 +440,7 @@ def cmd_eta(config, args) -> Dict[str, Any]:
     return {"command": "eta", "rows": rows}
 
 
-def cmd_index(config, args) -> Dict[str, Any]:
+def cmd_index(config) -> Dict[str, Any]:
     domain, fld, problem = _validated_problem(config)
     if domain.kind is DomainKind.PLANE:
         raise ConfigError("the index table applies to disc and sphere domains")
@@ -435,14 +450,8 @@ def cmd_index(config, args) -> Dict[str, Any]:
     payload.update({
         "index": report.index,
         "index_raw": assembly.raw,
-        "eta": [
-            {"boundary": k, "value": v}
-            for k, v in sorted(assembly.boundary_eta.items())
-        ],
-        "kernel_dims": [
-            {"boundary": k, "value": v}
-            for k, v in sorted(assembly.kernel_dims.items())
-        ],
+        "eta": _by_boundary(assembly.boundary_eta),
+        "kernel_dims": _by_boundary(assembly.kernel_dims),
         "count": report.count,
         "chirality": report.chirality.value,
         "signed_count": report.signed_count,
@@ -451,22 +460,12 @@ def cmd_index(config, args) -> Dict[str, Any]:
     return {"command": "index", "rows": [payload]}
 
 
-def cmd_bm(config, args) -> Dict[str, Any]:
-    node = config.get("bm", {})
-    if not node:
+def cmd_bm(config) -> Dict[str, Any]:
+    if "bm" not in config:
         raise ConfigError("config needs a 'bm' section")
-    # a sweep gives each row its own flux, so it needs none of its own
-    reads_phi = "sweep" not in node or "phi_pi" in node or "phi" in node
-    cfg = BMConfig(
-        r_inner=_real(_required(node, "r_inner", "bm"), "r_inner"),
-        r_outer=_real(_required(node, "r_outer", "bm"), "r_outer"),
-        phi=_flux(node, "phi_pi", "phi") if reads_phi else 0.0,
-        s_inner=_real(_required(node, "s_inner", "bm"), "s_inner"),
-        s_outer=_real(_required(node, "s_outer", "bm"), "s_outer"),
-    )
-    if "sweep" in node:
-        return {"command": "bm",
-                "rows": bm_flux_sweep(cfg, _rational_range(node["sweep"], "bm.sweep"))}
+    cfg, sweep = config["bm"]
+    if sweep is not None:
+        return {"command": "bm", "rows": bm_flux_sweep(cfg, sweep())}
     mode = bm_zero_mode(cfg)
     row: Dict[str, Any] = {
         "phi": float(cfg.phi),
@@ -477,10 +476,7 @@ def cmd_bm(config, args) -> Dict[str, Any]:
         report = bm_verify(cfg, mode)
         row["residuals"] = {
             "pde": report.pde_residual,
-            "boundary": [
-                {"boundary": k, "value": v}
-                for k, v in sorted(report.trace_leakage.items())
-            ],
+            "boundary": _by_boundary(report.trace_leakage),
         }
         row["passed"] = report.passed
     return {"command": "bm", "rows": [row]}
@@ -572,8 +568,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         for flag in ("tol", "grid"):
             if getattr(args, flag) is not None and args.command != "verify":
                 raise ConfigError(f"--{flag} applies to verify only")
-        config = load_config(args.config)
-        document = COMMANDS[args.command](config, args)
+        config = parse_config(load_config(args.config), args)
+        document = COMMANDS[args.command](config)
     except (ConfigError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -28,6 +28,7 @@ degree-exponent inequality plus a far-field decay sample.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 from collections import Counter
@@ -209,7 +210,9 @@ class GridSpec:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"grid {name} must be an integer, got {value!r}")
         for name, value in vars(self).items():
-            if isinstance(value, bool):  # True > 0, so it would run as 1
+            # True > 0 would run as 1, and only fd_step may be None (the factor rule's step)
+            if isinstance(value, bool) or not isinstance(value, (numbers.Real, type(None))) \
+                    or value is None and name != "fd_step":
                 raise ValueError(f"grid {name} must be a number, got {value!r}")
             if value is not None and not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"grid {name} must be positive and finite, got {value!r}")

@@ -418,12 +418,80 @@ RANGE = {"start": "0", "stop": "1", "step": "1/2"}
                                    s_outer=-1e300)},
                  "S_in/S_out = 1e-300/-1e+300 leaves the float range; rescale S",
                  id="bm-s-ratio-underflows"),
+    # the values of a section the command does not read were never checked: each exited 0
+    pytest.param("eta", _with(["domain", "holes", 0, "radius"], 0.0),
+                 "hole radius must be positive", id="eta-hole-radius-zero"),
+    pytest.param("eta", {"bm": dict(BM, r_inner=2.0)}, "r_inner < r_outer",
+                 id="eta-bm-radii-reversed"),
+    pytest.param("count", _with(["eta"], {"c_values": "x"}),
+                 "c_values must be a JSON array, got 'x'", id="count-eta-c-values-string"),
+    pytest.param("count", _with(["eta"], {"c_values": ["x"]}),
+                 "bad rational value 'x'", id="count-eta-c-value-not-rational"),
+    pytest.param("count", _with(["sweep"], {"phi_pi": dict(RANGE, step="0")}),
+                 "range step must be positive", id="count-sweep-step-zero"),
+    pytest.param("count", _with(["tolerances"], {"residual": "nan"}),
+                 "residual tolerance must be positive and finite", id="count-residual-nan"),
+    pytest.param("count", _with(["grid"], {"radial": -1}),
+                 "grid radial must be positive and finite, got -1",
+                 id="count-grid-radial-negative"),
+    # a string or a list failed on comparing with 0, and null on the arithmetic of
+    # the step; the message named no key
+    *[pytest.param("verify", _with(["grid"], {"fd_step_factor": value}),
+                   f"grid fd_step_factor must be a number, got {value!r}",
+                   id=f"grid-fd-step-factor-{type(value).__name__}")
+      for value in ("0.003", [0.003], None)],
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, config, message):
     code, out, err = run_cli(capsys, *command.split(), "--config",
                              write_config(tmp_path, config))
     assert code == 2 and out == ""
     assert err.startswith("config error:") and message in err
+
+
+# every section, and two holes and two bumps: each command reads some of it
+FULL = dict(DISC_SEED7, grid={"radial": 64}, tolerances={"residual": 1e-6},
+            sweep={"phi_pi": RANGE, "q_values": ["0"]}, eta={"c_values": ["1/3"]},
+            bm=dict(BM, sweep=RANGE))
+
+
+def _objects(node):
+    """Every JSON object in a config: the config itself, its sections and theirs."""
+    if isinstance(node, dict):
+        yield node
+        node = list(node.values())
+    for child in node if isinstance(node, list) else ():
+        yield from _objects(child)
+
+
+@pytest.mark.parametrize("command", sorted(zeromodes.cli.COMMANDS))
+def test_each_node_is_checked_once(tmp_path, capsys, monkeypatch, command):
+    """Whichever command runs, every object of the config has its keys
+    checked, and none twice."""
+    checked = []
+
+    def known(node, section, keys, _known=zeromodes.cli._known):
+        checked.append(json.dumps(node, sort_keys=True))
+        return _known(node, section, keys)
+
+    monkeypatch.setattr(zeromodes.cli, "_known", known)
+    code, _, err = run_cli(capsys, command, "--config", write_config(tmp_path, FULL))
+    assert code == 0, err
+    assert sorted(checked) == sorted(json.dumps(node, sort_keys=True) for node in _objects(FULL))
+
+
+def test_only_the_command_that_reads_a_range_makes_its_fluxes(tmp_path, capsys, monkeypatch):
+    """Both ranges are checked at load, but count makes none of their 2 x 1000 fluxes."""
+    made = []
+    monkeypatch.setattr(zeromodes.cli, "PiFlux",
+                        lambda value, _cls=zeromodes.cli.PiFlux: made.append(value) or _cls(value))
+    wide = {"start": "0", "stop": "999", "step": "1"}
+    config = write_config(tmp_path, dict(DISC_3PI, sweep={"phi_pi": wide},
+                                         bm=dict(BM, sweep=wide)))
+    code, _, _ = run_cli(capsys, "count", "--config", config)
+    assert code == 0 and len(made) == 3  # the bump's, the hole's and the bm phi
+    made.clear()
+    code, _, _ = run_cli(capsys, "sweep", "--config", config)
+    assert code == 0 and len(made) == 3 + 1000
 
 
 # a lattice spacing or a disc past the float range made int(inf) in the bulk
