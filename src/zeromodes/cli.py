@@ -22,8 +22,9 @@ Example config::
     }
 
 Every section of a config is parsed and checked once, keys and values, when
-the config is loaded (:func:`parse_config`), whichever command runs; only a
-computation's own checks, such as eta's ``c``, wait for it.  A key that
+the config is loaded (:func:`parse_config`), whichever command runs, eta's
+``c`` and ``n_terms`` among them; only a computation's own checks, such as
+a sphere's q, wait for it.  A key that
 nothing reads is a configuration error, and so is a value given both ways
 (``flux`` and ``flux_pi``, ``hole_fluxes`` and ``hole_fluxes_pi``, ``phi``
 and ``phi_pi``).  ``--tol`` and ``--grid`` apply to ``verify`` only; any
@@ -48,13 +49,15 @@ import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .berry_mondragon import BMConfig, bm_flux_sweep, bm_verify, bm_zero_mode
 from .conformal import Problem, flat_problem
 from .errors import GridTooCoarse, ZeroModesError
-from .eta_index import (DEFAULT_N_TERMS, DEFAULT_S_VALUES, check_s_values, eta_closed,
-                        eta_series, index_formula, index_vs_count, richardson_to_zero)
+from .eta_index import (DEFAULT_N_TERMS, DEFAULT_S_VALUES, check_s_values, check_series_terms,
+                        eta_closed, eta_series, index_formula, index_vs_count,
+                        richardson_to_zero)
 from .field import FieldSpec, KernelChoice, PiFlux, Profile, RadialBump, validate_field
 from .geometry import DomainKind, DomainSpec, Hole, validate_domain
 from .potential import PotentialField
@@ -274,6 +277,7 @@ def _eta(node, args) -> Tuple[List[Fraction], List[float], int]:
     if not isinstance(n_terms, int) or isinstance(n_terms, bool):
         raise ConfigError(f"eta n_terms must be an integer, got {n_terms!r}")
     check_s_values(s_values)
+    check_series_terms(c_values, n_terms)
     return c_values, s_values, n_terms
 
 
@@ -521,10 +525,65 @@ def render_csv(document: Dict[str, Any]) -> str:
     return buf.getvalue()
 
 
+# how json spells the floats that float.__repr__ writes as nan, inf and -inf
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+# the JSON text of a scalar of each exact type; a subclass (np.float64, an
+# IntEnum) takes its base type's rule in _json
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float,
+            bool: lambda value: "true" if value else "false",
+            type(None): lambda value: "null"}
+
+
+def _json(value, indent: str) -> str:
+    """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives
+    ``value`` on a line indented by ``indent``, tuples written as lists.
+
+    With an indent the standard library takes its pure-Python encoder, which
+    costs a table more than computing its rows; this writer takes strings
+    through the C ``encode_basestring_ascii`` and numbers through
+    ``int.__repr__`` and ``float.__repr__``, as that encoder does.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key in sorted(value):
+            item = value[key]
+            scalar = _SCALARS.get(type(item))
+            items.append(encode_basestring_ascii(key) + ": "
+                         + (scalar(item) if scalar else _json(item, inner)))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = []
+        for item in value:
+            scalar = _SCALARS.get(type(item))
+            items.append(scalar(item) if scalar else _json(item, inner))
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    scalar = _SCALARS.get(type(value))
+    if scalar:
+        return scalar(value)
+    # a subclass, by the order of the standard library's checks
+    for base in (str, int, float):
+        if isinstance(value, base):
+            return _SCALARS[base](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render(document: Dict[str, Any], fmt: str) -> str:
     if fmt == "csv":
         return render_csv(document)
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return _json(document, "") + "\n"
 
 
 COMMANDS = {

@@ -64,6 +64,8 @@ DEFAULT_N_TERMS = 16
 _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
 _EM_REMAINDER = 2 * 691 / 1307674368000
 _UNIT_ROUNDOFF = 2.0 ** -53
+# each boundary's bracket argument flux/2pi + q - 1/2, its -1/2 built once
+_MINUS_HALF = -HALF
 
 
 def eta_closed(c: Union[float, Fraction]) -> float:
@@ -99,10 +101,7 @@ def eta_series(c: Union[float, Fraction], s: float, n_terms: int) -> EtaSeriesRe
     range (large s makes <c>^{-s} overflow).
     """
     _check_s(s)
-    if not 8 <= n_terms <= MAX_ETA_TERMS:
-        raise ValueError(f"eta series needs 8 to {MAX_ETA_TERMS} terms, got {n_terms}")
-    if integer_at(c) is not None:
-        raise ValueError("eta series takes non-integer c; integers give eta = 0")
+    check_series_terms((c,), n_terms)
     cu = float(threshold_sum(c, -floor_strict(c)))
     a = n_terms + 1
 
@@ -130,6 +129,16 @@ def eta_series(c: Union[float, Fraction], s: float, n_terms: int) -> EtaSeriesRe
     except OverflowError:
         raise DomainError(f"eta series overflows the float range at s = {s}") from None
     return EtaSeriesResult(value=value, tail_bound=tail, s=s, n_terms=n_terms)
+
+
+def check_series_terms(c_values: Sequence[Union[float, Fraction]], n_terms: int) -> None:
+    """Reject the c values and term count :func:`eta_series` refuses, before
+    any series work: an integer c, or fewer than 8 or more than
+    ``MAX_ETA_TERMS`` terms (ValueError)."""
+    if not 8 <= n_terms <= MAX_ETA_TERMS:
+        raise ValueError(f"eta series needs 8 to {MAX_ETA_TERMS} terms, got {n_terms}")
+    if any(integer_at(c) is not None for c in c_values):
+        raise ValueError("eta series takes non-integer c; integers give eta = 0")
 
 
 def check_s_values(s_values: Sequence[float]) -> None:
@@ -206,7 +215,7 @@ def index_formula(problem: Problem) -> IndexResult:
     etas: Dict[str, float] = {}
     kers: Dict[str, int] = {}
     for label, phi in fluxes.items():
-        c = threshold_sum(flux_over_2pi(phi), q, -HALF)
+        c = threshold_sum(flux_over_2pi(phi), q, _MINUS_HALF)
         ker = 1 if integer_at(c) is not None else 0
         # holes carry the flipped sign; a kernel's zero eta stays +0.0
         eta = eta_closed(c) if label == "outer" or ker else -eta_closed(c)

@@ -48,8 +48,10 @@ class PiFlux:
     def __float__(self) -> float:
         return float(self.multiplier) * math.pi
 
-    @property
+    @functools.cached_property
     def over_2pi(self) -> Fraction:
+        """multiplier / 2, built on the first read and kept on the instance
+        (equality, hashing and repr read ``multiplier`` only)."""
         m = self.multiplier
         return Fraction(m.numerator, 2 * m.denominator)
 
@@ -152,7 +154,9 @@ def normalize_flux(
 
 def _sum_fluxes(parts: Sequence[FluxLike]) -> FluxLike:
     """Sum that stays exact when every part is a PiFlux (so an empty sum is
-    the exact zero)."""
+    the exact zero, and a lone PiFlux is its own sum)."""
+    if len(parts) == 1 and isinstance(parts[0], PiFlux):
+        return parts[0]
     if all(isinstance(p, PiFlux) for p in parts):
         return PiFlux(threshold_sum(*(p.multiplier for p in parts)))
     return float(sum(float(p) for p in parts))

@@ -10,7 +10,9 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import zeromodes
 from zeromodes.cli import main, render
@@ -427,6 +429,16 @@ RANGE = {"start": "0", "stop": "1", "step": "1/2"}
                  "c_values must be a JSON array, got 'x'", id="count-eta-c-values-string"),
     pytest.param("count", _with(["eta"], {"c_values": ["x"]}),
                  "bad rational value 'x'", id="count-eta-c-value-not-rational"),
+    # eta's c and n_terms were checked only by the series, so count and index exited 0
+    *[pytest.param(command, _with(["eta"], eta), message, id=f"{command}-eta-{name}")
+      for command in ("count", "index")
+      for name, eta, message in (
+          ("integer-c", {"c_values": ["2"]},
+           "eta series takes non-integer c; integers give eta = 0"),
+          ("too-few-terms", {"c_values": ["1/4"], "n_terms": 4},
+           "eta series needs 8 to 10000 terms, got 4"),
+          ("terms-past-the-cap", {"c_values": ["1/4"], "n_terms": 10_001},
+           "eta series needs 8 to 10000 terms, got 10001"))],
     pytest.param("count", _with(["sweep"], {"phi_pi": dict(RANGE, step="0")}),
                  "range step must be positive", id="count-sweep-step-zero"),
     pytest.param("count", _with(["tolerances"], {"residual": "nan"}),
@@ -733,6 +745,44 @@ def test_output_is_deterministic_and_formats_agree(tmp_path, capsys):
     assert float(csv_row["phi_total"]) == row["phi_total"]
     assert int(csv_row["count"]) == row["count"]
     assert csv_row["phi_normalized[0]"] == repr(row["phi_normalized"][0])
+
+
+# strings with non-ASCII, quote, backslash, control and lone surrogate characters
+_STRINGS = st.text(st.characters(blacklist_categories=())) | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\n\t\x7f", "\u00e9 \u2713 \U0001d11e", "\ud800"])
+_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1])
+_SCALARS = (_STRINGS | st.booleans() | st.none() | _FLOATS | _FLOATS.map(np.float64)
+            | st.integers() | st.integers(min_value=2**64, max_value=2**200)
+            | st.integers(max_value=-2**64, min_value=-2**200))
+_DOCUMENTS = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(_STRINGS, inner, max_size=4), max_leaves=24)
+
+
+@given(_DOCUMENTS)
+@example({"rows": [{"b": np.float64(0.1), "a": (math.nan, -math.inf, 2**70, True, None),
+                    "c": {}, "d": [], "\u00e9": "\"\\\x01"}], "command": "x"})
+def test_json_writer_gives_the_bytes_of_the_standard_library(document):
+    assert render(document, "json") == json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+# every command reads its own part: verify and index the field, bm without a
+# sweep its one configuration
+ROUND_TRIP = dict(DISC_3PI, sweep={"phi_pi": RANGE, "q_values": ["0", "1/3"]},
+                  eta={"c_values": ["1/3", "-5/4"]}, bm=BM)
+
+
+@pytest.mark.parametrize("command,config", [
+    *[pytest.param(command, ROUND_TRIP, id=command)
+      for command in ("count", "verify", "sweep", "eta", "index")],
+    pytest.param("bm", {"bm": dict(BM, sweep=RANGE)}, id="bm-sweep"),
+    pytest.param("bm", {"bm": BM}, id="bm-verify"),
+])
+def test_output_is_the_standard_library_rendering(tmp_path, capsys, command, config):
+    code, out, _ = run_cli(capsys, command, "--config", write_config(tmp_path, config))
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_out_file_written(tmp_path, capsys):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.integrate import dblquad
 
 import zeromodes
@@ -17,6 +17,7 @@ from zeromodes import (
     FieldSpec,
     Hole,
     KernelChoice,
+    PiFlux,
     Profile,
     RadialBump,
     SphereFluxMismatch,
@@ -115,6 +116,29 @@ def test_total_flux_examples():
 
     empty = FieldSpec()
     assert float(empty.total_flux) == 0.0
+
+
+@given(st.fractions())
+@example(Fraction(0))
+@example(Fraction(-7, 3))
+def test_over_2pi_is_exact_and_built_once(mult):
+    phi = PiFlux(mult)
+    half = phi.over_2pi
+    assert half == Fraction(mult.numerator, 2 * mult.denominator)
+    assert phi.over_2pi is half
+    # the kept value leaves equality, hashing and repr to the multiplier
+    fresh = PiFlux(mult)
+    assert phi == fresh and hash(phi) == hash(fresh) and repr(phi) == repr(fresh)
+
+
+def test_a_lone_exact_bump_is_its_field_total():
+    bump = RadialBump(0.0, 1.0, pi_flux("5/2"))
+    assert FieldSpec(bumps=[bump]).total_flux is bump.flux
+    # float fluxes still sum to a float, alone or beside an exact one
+    assert type(FieldSpec(bumps=[RadialBump(0.0, 1.0, 3)]).total_flux) is float
+    mixed = FieldSpec(bumps=[bump, RadialBump(2.0, 0.5, 1.5)])
+    assert mixed.total_flux == pytest.approx(2.5 * math.pi + 1.5)
+    assert type(mixed.total_flux) is float
 
 
 def test_a_field_without_flux_has_the_exact_zero_total():
