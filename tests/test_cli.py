@@ -767,8 +767,7 @@ def test_json_writer_gives_the_bytes_of_the_standard_library(document):
     assert render(document, "json") == json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-# every command reads its own part: verify and index the field, bm without a
-# sweep its one configuration
+# one config each command runs on; a bm section without a sweep is one configuration
 ROUND_TRIP = dict(DISC_3PI, sweep={"phi_pi": RANGE, "q_values": ["0", "1/3"]},
                   eta={"c_values": ["1/3", "-5/4"]}, bm=BM)
 
