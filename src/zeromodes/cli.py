@@ -54,7 +54,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .berry_mondragon import BMConfig, bm_flux_sweep, bm_verify, bm_zero_mode
 from .conformal import Problem, flat_problem
 from .errors import GridTooCoarse, ZeroModesError
-from .eta_index import (DEFAULT_N_TERMS, DEFAULT_S_VALUES, check_s_values, check_series_terms,
+from .eta_index import (DEFAULT_N_TERMS, DEFAULT_S_VALUES, check_c_and_n_terms, check_s_values,
                         eta_closed, eta_series, index_formula, index_vs_count,
                         richardson_to_zero)
 from .field import FieldSpec, KernelChoice, PiFlux, Profile, RadialBump, validate_field
@@ -276,7 +276,7 @@ def _eta(node, args) -> Tuple[List[Fraction], List[float], int]:
     if not isinstance(n_terms, int) or isinstance(n_terms, bool):
         raise ConfigError(f"eta n_terms must be an integer, got {n_terms!r}")
     check_s_values(s_values)
-    check_series_terms(c_values, n_terms)
+    check_c_and_n_terms(c_values, n_terms)
     return c_values, s_values, n_terms
 
 

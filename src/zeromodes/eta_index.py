@@ -101,7 +101,7 @@ def eta_series(c: Union[float, Fraction], s: float, n_terms: int) -> EtaSeriesRe
     range (large s makes <c>^{-s} overflow).
     """
     _check_s(s)
-    check_series_terms((c,), n_terms)
+    check_c_and_n_terms((c,), n_terms)
     cu = float(threshold_sum(c, -floor_strict(c)))
     a = n_terms + 1
 
@@ -131,7 +131,7 @@ def eta_series(c: Union[float, Fraction], s: float, n_terms: int) -> EtaSeriesRe
     return EtaSeriesResult(value=value, tail_bound=tail, s=s, n_terms=n_terms)
 
 
-def check_series_terms(c_values: Sequence[Union[float, Fraction]], n_terms: int) -> None:
+def check_c_and_n_terms(c_values: Sequence[Union[float, Fraction]], n_terms: int) -> None:
     """Reject the c values and term count :func:`eta_series` refuses, before
     any series work: an integer c, or fewer than 8 or more than
     ``MAX_ETA_TERMS`` terms (ValueError)."""
