@@ -36,21 +36,35 @@ one term flux/(2pi rho^2).  A smooth-compact bump has no closed form: F is
 evaluated at the 160 first-kind Chebyshev nodes of [-1, 1], placed in s^2,
 by fixed-order Gauss-Legendre quadrature (:func:`field.gauss_nodes`), and
 F/(2pi s^2) is interpolated there exactly, its coefficients being a cosine
-sum over the nodes.  For either profile h is the indefinite integral
-(``chebint``) of k, since dh/d(s^2) = -k/2, with its constant fixed so that
-h meets the outside law at s = rho (Trefethen, Approximation Theory and
-Approximation Practice, SIAM 2013, ch. 3 and 19); on a uniform disc that is
-the closed form -(flux/2pi) [log(rho) - (rho^2 - s^2)/(2 rho^2)].  Both
-series are smooth on [-1, 1], so the interpolation error sits far below the
-1e-8 quadrature budget; they keep only the coefficients down to 1e-14 of
-their largest.
+sum over the nodes.  For either profile h is the indefinite integral of
+k, since dh/d(s^2) = -k/2, with its constant fixed so that h meets the
+outside law at s = rho (Trefethen, Approximation Theory and Approximation
+Practice, SIAM 2013, ch. 3 and 19); on a uniform disc that is the closed
+form -(flux/2pi) [log(rho) - (rho^2 - s^2)/(2 rho^2)].  Both series are
+smooth on [-1, 1], so the interpolation error sits far below the 1e-8
+quadrature budget; they keep only the coefficients down to 1e-14 of their
+largest.
+
+The series arithmetic is the package's own and agrees bit for bit with
+``numpy.polynomial.chebyshev``: :func:`_chebint` is ``chebint`` with
+``lbnd=1`` and :func:`_chebval` is ``chebval`` (Clenshaw's recurrence,
+Clenshaw 1955), each in numpy's operation order, the second in place in
+three buffers.  So ``numpy.polynomial`` loads only for a smooth bump's
+Gauss-Legendre rule.
+
+The finite-difference oracle evaluates h at nine stencil images z + offset
+of each chunk of points.  :meth:`PotentialField.interior_plan` finds, once
+per chunk, which images fall inside each bump and evaluates h's series there
+in one call per bump; ``eval_h`` given an image's part of the plan reads
+those values in place of its own gather and series, so h is the same to the
+bit either way.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ._numpy import np
 from .conformal import flat_problem
@@ -111,6 +125,56 @@ def _interpolant(values: np.ndarray) -> np.ndarray:
     return coef
 
 
+def _chebval(x: np.ndarray, c) -> np.ndarray:
+    """The Chebyshev series c at the float array x, overwriting x: the result
+    is x itself or a new array.
+
+    Clenshaw's recurrence in ``chebval``'s operation order, so it agrees
+    with numpy's bit for bit, but run in place: x holds 2x while the
+    recurrence runs (both scalings are exact), and the two running terms and
+    their update take three buffers, however many terms c has.
+    """
+    if len(c) <= 2:
+        x *= c[1] if len(c) == 2 else 0.0
+        x += c[0]
+        return x
+    x *= 2.0
+    c0 = np.full_like(x, c[-3] - c[-1])
+    c1 = np.multiply(x, c[-1])
+    c1 += c[-2]
+    free = np.empty_like(x)
+    for i in range(4, len(c) + 1):
+        # c0, c1 = c[-i] - c1, c0 + c1 * 2x
+        t = np.multiply(c1, x, out=free)
+        t += c0
+        free, c0, c1 = c0, np.subtract(c[-i], c1, out=c1), t
+    x *= 0.5
+    c1 *= x
+    c1 += c0
+    return c1
+
+
+def _chebint(c, k: float, scl: float) -> np.ndarray:
+    """The integral of the Chebyshev series c, times scl, that is k at x = 1:
+    ``chebint(c, lbnd=1.0, k=k, scl=scl)``, in its operation order and with
+    its special case of a one-term zero series, bit for bit."""
+    c = np.multiply(c, scl, dtype=float)
+    n = len(c)
+    if n == 1 and c[0] == 0:
+        c[0] += k
+        return c
+    out = np.empty(n + 1)
+    out[0] = c[0] * 0
+    out[1] = c[0]
+    if n > 1:
+        out[2] = c[1] / 4
+    j = np.arange(2, n)
+    out[3:] = c[2:] / (2 * (j + 1))
+    out[1:n - 1] -= c[2:] / (2 * (j - 1))
+    out[0] += k - _chebval(np.ones(1), out)[0]
+    return out
+
+
 def _flat_parts(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The real and imaginary parts of z, flattened, as contiguous arrays."""
     flat = z.ravel()
@@ -149,8 +213,7 @@ class _RadialSource:
         the outside law at s = rho; built at its first use, so building a
         uniform bump makes no numpy call."""
         rho = self.rho
-        return _chopped(np.polynomial.chebyshev.chebint(
-            self._cheb_k, lbnd=1.0, k=-self.flux / TWO_PI * math.log(rho), scl=-rho ** 2 / 4.0))
+        return _chopped(_chebint(self._cheb_k, -self.flux / TWO_PI * math.log(rho), -rho ** 2 / 4.0))
 
     def _squared_distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """s^2 = dx^2 + dy^2 of the flat points x + i y from the centre (a new array)."""
@@ -161,17 +224,33 @@ class _RadialSource:
         s2 += dy2
         return s2
 
-    def add_h(self, x: np.ndarray, y: np.ndarray, out: np.ndarray, hypot: bool = False) -> None:
+    def _series_at(self, s2_in: np.ndarray, coef) -> np.ndarray:
+        """The series ``coef`` at x = 2 s^2/rho^2 - 1 for squared distances
+        inside the support, overwriting ``s2_in``."""
+        s2_in *= 2.0
+        s2_in /= self.rho ** 2
+        s2_in -= 1.0
+        return _chebval(s2_in, coef)
+
+    def add_h(self, x: np.ndarray, y: np.ndarray, out: np.ndarray, hypot: bool = False,
+              interior: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> None:
         """out += this source's h at the flat points x + i y.
 
         Its log is taken of s^2, or with ``hypot`` of |z - center| from
-        ``np.hypot``, which stays in the float range where s^2 leaves it.
+        ``np.hypot``, which stays in the float range where s^2 leaves it.  A
+        bump given ``interior``, the indices of the points inside its support
+        and its h there (:meth:`PotentialField.interior_plan`), reads them in
+        place of its own gather and series.
         """
         s2 = self._squared_distance(x, y)
         rho, rho2, coef = self.rho, self.rho ** 2, -self.flux / TWO_PI
-        if rho:
+        if not rho:
+            inside = ()
+        elif interior is None:
             inside = np.flatnonzero(s2 < rho2)
-            s2_in = s2[inside]
+            h_in = self._series_at(s2[inside], self._cheb_h) if inside.size else None
+        else:
+            inside, h_in = interior
         if hypot:
             h = np.hypot(x - self.center.real, y - self.center.imag)
             if not rho and np.any(h == 0.0):
@@ -179,11 +258,12 @@ class _RadialSource:
             np.log(np.maximum(h, rho, out=h), out=h)
             h *= coef
         else:
-            h = np.maximum(s2, rho2, out=s2) if rho else s2
+            # with no point inside, every s^2 is at least rho^2 or NaN: no clip
+            h = np.maximum(s2, rho2, out=s2) if len(inside) else s2
             np.log(h, out=h)
             h *= 0.5 * coef
-        if rho and inside.size:
-            h[inside] = np.polynomial.chebyshev.chebval(2.0 * s2_in / rho2 - 1.0, self._cheb_h)
+        if len(inside):
+            h[inside] = h_in
         out += h
 
     def add_a(self, x: np.ndarray, y: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> None:
@@ -193,14 +273,17 @@ class _RadialSource:
         s2 = dx * dx
         s2 += dy * dy
         rho, rho2 = self.rho, self.rho ** 2
-        if not rho and np.any(s2 == 0.0):
-            raise SingularPoint(f"a evaluated at delta centre {self.center}")
-        inside = np.flatnonzero(s2 < rho2)
-        s2_in = s2[inside]
-        k = np.maximum(s2, rho2, out=s2)
+        if not rho:  # a delta: no point is inside, and every s^2 must be positive
+            if np.any(s2 == 0.0):
+                raise SingularPoint(f"a evaluated at delta centre {self.center}")
+            inside = ()
+        else:
+            inside = np.flatnonzero(s2 < rho2)
+            k_in = self._series_at(s2[inside], self._cheb_k) if inside.size else None
+        k = np.maximum(s2, rho2, out=s2) if len(inside) else s2
         np.divide(self.flux / TWO_PI, k, out=k)
-        if inside.size:
-            k[inside] = np.polynomial.chebyshev.chebval(2.0 * s2_in / rho2 - 1.0, self._cheb_k)
+        if len(inside):
+            k[inside] = k_in
         np.multiply(k, dy, out=dy)
         ax -= dy
         np.multiply(k, dx, out=dx)
@@ -224,14 +307,61 @@ class PotentialField:
 
     # -- scalar potential --------------------------------------------------
 
-    def eval_h(self, z) -> np.ndarray:
+    def interior_plan(self, z: np.ndarray, offsets: Sequence[complex]) -> Optional[Dict]:
+        """Every bump's h at the images z + offset inside its support, for all
+        the offsets at once: None for a potential with no bump.
+
+        By offset, one entry per source, the ``plan`` of ``eval_h(z + offset,
+        plan)``: the flat indices of the images inside the source's support
+        and its h there, ``((), None)`` for none.  Each image's s^2 is formed
+        as ``eval_h`` forms it, so the indices and values are its own to the
+        bit; each bump's series is evaluated once, for all its images.  Only
+        these inside-sized arrays outlive the call.
+        """
+        if not any(src.rho for src in self._sources):
+            return None
+        x, y = _flat_parts(z)
+        reach = max(abs(offset) for offset in offsets)
+        # a delta reads no plan; so does a bump with no image inside
+        plan = {offset: [((), None)] * len(self._sources) for offset in offsets}
+        for i, src in enumerate(self._sources):
+            if not src.rho:
+                continue
+            # an image inside lies within rho of the centre, so its point
+            # lies within rho + reach; twice the reach, and a term at the
+            # scale of the coordinates, cover the rounding of image and s^2
+            margin = 2 * reach + 1e-12 * (abs(src.center) + src.rho)
+            near = np.flatnonzero(src._squared_distance(x, y) < (src.rho + margin) ** 2)
+            if not near.size:
+                continue
+            xn, yn = x[near], y[near]
+            found, s2_in = [], []
+            for offset in offsets:
+                s2 = src._squared_distance(xn + offset.real, yn + offset.imag)
+                keep = np.flatnonzero(s2 < src.rho ** 2)
+                if keep.size:
+                    found.append((offset, near[keep]))
+                    s2_in.append(s2[keep])
+            if not found:
+                continue
+            s2_all = np.concatenate(s2_in)
+            s2_in.clear()  # the series runs on the joined copy alone
+            h_in = src._series_at(s2_all, src._cheb_h)
+            ends = np.cumsum([inside.size for _, inside in found])[:-1]
+            for (offset, inside), part in zip(found, np.split(h_in, ends)):
+                plan[offset][i] = inside, part
+        return plan
+
+    def eval_h(self, z, plan: Optional[list] = None) -> np.ndarray:
+        """h at z; ``plan``, when given, is ``interior_plan(w, offsets)[offset]``
+        for z = w + offset, and gives each bump's h inside its support."""
         scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.shape == ())
         z = np.asarray(z, dtype=complex)
         x, y = _flat_parts(z)
         out = np.zeros(x.shape)
         with np.errstate(divide="ignore", over="ignore"):
-            for src in self._sources:
-                src.add_h(x, y, out)
+            for src, interior in zip(self._sources, plan or [None] * len(self._sources)):
+                src.add_h(x, y, out, interior=interior)
             if not np.isfinite(out).all():  # some s^2 under- or overflowed
                 out = np.zeros(x.shape)
                 for src in self._sources:

@@ -154,8 +154,9 @@ def _combine(coefficients: Dict[int, complex], powers: Dict[int, np.ndarray]) ->
 
 
 def _basis_at(modes: Sequence["ZeroMode"], chirality, potential):
-    """The function z -> the flat (undressed) value of every mode at z, in
-    order, each a new array.
+    """The function (z, plan) -> the flat (undressed) value of every mode at
+    z, in order, each a new array; ``plan`` (default None) is passed to
+    ``potential.eval_h``.
 
     One e^{+-h} and one walk up its products with the powers of z (or
     conj z) serve all the modes.
@@ -168,11 +169,11 @@ def _basis_at(modes: Sequence["ZeroMode"], chirality, potential):
     alone = [mode.degree if mode.coefficients == {mode.degree: 1}
              and readers[mode.degree] == 1 else None for mode in modes]
 
-    def at(z):
+    def at(z, plan=None):
         if chirality is Chirality.UP:
-            h, var = potential.eval_h(z), z
+            h, var = potential.eval_h(z, plan), z
         else:
-            h, var = -potential.eval_h(z), np.conj(z)
+            h, var = -potential.eval_h(z, plan), np.conj(z)
         # e^{+-h} made complex once, so no product with it casts
         powers = _powers(var, lo, top, np.exp(h).astype(complex))
         for mode, n in zip(modes, alone):
@@ -353,23 +354,32 @@ def _bulk_chunks(domain: DomainSpec, fld: FieldSpec, grid: GridSpec,
     return [chunk(row) for row in range(0, n, block)]
 
 
-def _central_difference(components_at, z: np.ndarray, shift: complex) -> List[np.ndarray]:
+def _stencil(step: float) -> List[complex]:
+    """The offsets of the residual oracle's stencil images z + offset, in the
+    order it evaluates them: 2s, s, -s and -2s for s = step, then for
+    s = i step, then 0 for z itself."""
+    return [offset for shift in (step, 1j * step)
+            for offset in (2 * shift, shift, -shift, -(2 * shift))] + [0]
+
+
+def _central_difference(at, shift: complex) -> List[np.ndarray]:
     """Every component's fourth-order central difference along the complex step ``shift``,
 
         (-u(2s) + 8 u(s) - 8 u(-s) + u(-2s)) / 12|s|,
 
-    summed term by term in that order, in place in the arrays
-    ``components_at`` returns at z + 2s; the unit weights take no multiply."""
-    partial = list(components_at(z + 2 * shift))
+    summed term by term in that order, in place in the arrays ``at(offset)``
+    returns, the components at z + offset, for offset 2s; the unit weights
+    take no multiply."""
+    partial = list(at(2 * shift))
     for p in partial:
         p *= -1.0
-    for p, u in zip(partial, components_at(z + shift)):
+    for p, u in zip(partial, at(shift)):
         u *= 8.0
         p += u
-    for p, u in zip(partial, components_at(z - shift)):
+    for p, u in zip(partial, at(-shift)):
         u *= 8.0
         p -= u
-    for p, u in zip(partial, components_at(z - 2 * shift)):
+    for p, u in zip(partial, at(-(2 * shift))):
         p += u
     scale = 1.0 / (12 * abs(shift))  # the factor numpy's complex-by-real division applies
     for p in partial:
@@ -392,7 +402,8 @@ def _component_residual(ux, uy, u0, av, up: bool) -> np.ndarray:
 
 
 def _residual_chunks(components_at, ups: Sequence[bool], a, chunks: Sequence[Chunk],
-                     step: float, weight=None, share: Optional[range] = None):
+                     step: float, weight=None, share: Optional[range] = None,
+                     interior_plan=None):
     """The one walk of the residual oracle over the points, chunk by chunk.
 
     ``components_at(z)`` gives the components of one or more spinors at z,
@@ -402,7 +413,10 @@ def _residual_chunks(components_at, ups: Sequence[bool], a, chunks: Sequence[Chu
     components, so a NaN wins), and its largest modulus there.  Each chunk
     is made when it is reached and takes one ``components_at`` call per
     stencil shift; a chunk with no point yields nothing.  ``share`` walks
-    only the chunks of those indices (default: all).
+    only the chunks of those indices (default: all).  ``interior_plan(z,
+    offsets)``, when given, is called once per chunk with the offsets of
+    :func:`_stencil`, and ``components_at`` is then called as
+    ``components_at(z + offset, plan[offset])`` with its result ``plan``.
 
     Every call of ``components_at`` must return new arrays, which nothing
     else holds: the stencil sums and the residuals are formed in them.
@@ -412,12 +426,18 @@ def _residual_chunks(components_at, ups: Sequence[bool], a, chunks: Sequence[Chu
         z = chunks[c][1]()
         if not z.size:
             continue
-        ux, uy = (_central_difference(components_at, z, shift) for shift in (step, 1j * step))
+        plan = interior_plan(z, _stencil(step)) if interior_plan is not None else None
+
+        def at(offset):
+            image = z + offset if offset else z
+            return components_at(image) if plan is None else components_at(image, plan[offset])
+
+        ux, uy = (_central_difference(at, shift) for shift in (step, 1j * step))
         av = a(z)
         av_down = np.conj(av) if not all(ups) else None
         if weight is not None:
             w_res, w_mod = weight(z)
-        for i, (dx, dy, u0) in enumerate(zip(ux, uy, components_at(z))):
+        for i, (dx, dy, u0) in enumerate(zip(ux, uy, at(0))):
             up = ups[i % width]
             r_i = _component_residual(dx, dy, u0, av if up else av_down, up)
             u_i = np.abs(u0)
@@ -430,7 +450,7 @@ def _residual_chunks(components_at, ups: Sequence[bool], a, chunks: Sequence[Chu
                     r *= w_res
                     u_abs *= w_mod
                 yield i // width, c, z, r, np.max(u_abs)
-        del ux, uy  # before the next chunk's stencil passes, not after them
+        del ux, uy, plan  # before the next chunk's plan and stencil, not after them
 
 
 def _worse(p: Sequence, q: Sequence) -> Sequence:
@@ -576,14 +596,16 @@ def _raise_malloc_thresholds() -> None:
 
 
 def pde_residuals(components_at, ups: Sequence[bool], a, chunks: Sequence[Chunk], step: float,
-                  tol_residual: float, weight=None) -> List[Tuple[float, float]]:
+                  tol_residual: float, weight=None,
+                  interior_plan=None) -> List[Tuple[float, float]]:
     """Each spinor's largest |D_a u| relative to its size, and its step-halving ratio.
 
     The spinors and their layout are those of :func:`_residual_chunks`;
     ``chunks`` holds the points, as :data:`Chunk` makers in point order;
     ``a`` evaluates the vector potential, and ``weight(z)``, when given,
     returns the factors the residual and the modulus take at z (the
-    sphere's W^{-3/2} and W^{-1/2}).  One walk at ``step`` keeps each
+    sphere's W^{-3/2} and W^{-1/2}); ``interior_plan``, when given, is
+    passed to both walks.  One walk at ``step`` keeps each
     spinor's worst point (the one ``np.argmax`` over its whole row would
     pick, so a NaN is the worst), by value, and its largest modulus; one
     more walk evaluates every spinor's worst point at ``step / 2``.  Each
@@ -604,7 +626,7 @@ def pde_residuals(components_at, ups: Sequence[bool], a, chunks: Sequence[Chunk]
         """(spinor, residual, (chunk, index), point, modulus) at each chunk's worst point."""
         out = []
         for s, c, z, r, modulus in _residual_chunks(components_at, ups, a, chunks, step,
-                                                    weight, share):
+                                                    weight, share, interior_plan):
             k = int(np.argmax(r))
             out.append((s, r[k], (c, k), z[k], modulus))
         return out
@@ -631,7 +653,7 @@ def pde_residuals(components_at, ups: Sequence[bool], a, chunks: Sequence[Chunk]
     halves = [None] * len(worst)
     points = np.array([z for _, _, z in worst])
     for s, c, _, r, _ in _residual_chunks(components_at, ups, a, _array_chunks(points),
-                                          step / 2, weight):
+                                          step / 2, weight, interior_plan=interior_plan):
         lo = c * _CHUNK_POINTS
         if lo <= s < lo + r.size:
             halves[s] = r[s - lo]
@@ -724,7 +746,7 @@ def verify_modes(
     # flat-metric: the conformal factor enters only as the weights.
     weight = _conformal_weights if problem.dressed else None
     pde = pde_residuals(basis_at, (up,), potential.eval_a, _point_chunks(dom, f, grid, fd), fd,
-                        tol_residual, weight)
+                        tol_residual, weight, potential.interior_plan)
 
     # --- boundary trace leakage; e^{+-h} and the phase once per circle
     phis = np.linspace(0.0, 2.0 * math.pi, grid.n_boundary_samples, endpoint=False)

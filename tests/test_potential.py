@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.integrate import dblquad
 
 from zeromodes import (
@@ -19,6 +20,7 @@ from zeromodes import (
     pi_flux,
     plane_with_holes,
 )
+from zeromodes import potential, zero_modes
 
 TWO_PI = 2 * math.pi
 
@@ -370,3 +372,95 @@ def test_quadrature_error_budget_on_support():
         assert pot.eval_h(complex(z)) == pytest.approx(
             h_quadrature_oracle(fld, complex(z), 2.5), abs=1e-8
         )
+
+
+def _bitwise_equal(got, want) -> bool:
+    """np.array_equal, with the same sign on every zero."""
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# a series of 1 to 80 terms, scaled by 1e-5 to 1e5
+series = st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=80),
+                   st.floats(-5.0, 5.0)).map(lambda cs: np.array(cs[0]) * 10.0 ** cs[1])
+
+
+@given(c=series, x=st.lists(st.floats(-1.0, 1.0), max_size=40))
+@example(c=np.array([0.0]), x=[-1.0, -0.5, -0.0, 0.0, 1.0])
+@example(c=np.array([-0.0, 2.0, -3.0]), x=[-1.0, 5e-324, 1.0])
+def test_own_clenshaw_is_numpys_chebval_bit_for_bit(c, x):
+    x = np.array(x, dtype=float)
+    cheb = np.polynomial.chebyshev
+    assert _bitwise_equal(potential._chebval(x.copy(), c), cheb.chebval(x, c))
+    # a one-term tuple, as a uniform bump's k is
+    assert _bitwise_equal(potential._chebval(x.copy(), (float(c[0]),)),
+                          cheb.chebval(x, (float(c[0]),)))
+
+
+@given(c=series, k=st.floats(-10.0, 10.0), scl=st.floats(-4.0, 4.0))
+@example(c=np.array([0.0]), k=1.5, scl=-0.25)
+@example(c=np.array([-0.0]), k=0.0, scl=2.0)
+def test_own_integration_is_numpys_chebint_bit_for_bit(c, k, scl):
+    want = np.polynomial.chebyshev.chebint(c, lbnd=1.0, k=k, scl=scl)
+    assert _bitwise_equal(potential._chebint(c, k, scl), want)
+    assert _bitwise_equal(potential._chebint(tuple(c), k, scl), want)
+
+
+def _near_the_circles(pot, offsets, rng):
+    """Points whose stencil images z + offset land on each bump's support
+    circle and one ulp to either side of it (at its four axis points, where
+    dyadic centres, radii and steps keep the arithmetic exact), random
+    points in a band a stencil wide around each circle, and random points
+    over all the supports."""
+    parts = []
+    for src in (src for src in pot._sources if src.rho):
+        c, rho = src.center, src.rho
+        for u in (1, -1, 1j, -1j):
+            w = c + rho * u
+            along = np.array([w.real, w.imag])
+            axis = 0 if u.real else 1
+            for toward in (-np.inf, None, np.inf):
+                p = along.copy()
+                if toward is not None:
+                    p[axis] = np.nextafter(p[axis], toward)
+                parts.append(complex(*p) - np.array(offsets))
+        reach = 3 * max(abs(o) for o in offsets)
+        band = rho + rng.uniform(-reach, reach, 400)
+        parts.append(c + band * np.exp(2j * math.pi * rng.random(400)))
+    parts.append(rng.uniform(-2, 2, 2000) + 1j * rng.uniform(-2, 2, 2000))
+    return np.concatenate([np.ravel(p) for p in parts])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_interior_plan_gives_eval_h_to_the_bit(seed):
+    # random smooth and uniform bumps on dyadic centres and radii, some
+    # supports overlapping, and two deltas: at every stencil image of points
+    # on, next to and around the support circles, h from the chunk's plan is
+    # h from the image's own evaluation
+    rng = np.random.default_rng(seed)
+    bumps = [RadialBump(complex(*rng.integers(-12, 13, 2) / 16), rng.integers(4, 17) / 16,
+                        rng.uniform(-3, 3), rng.choice(list(Profile))) for _ in range(3)]
+    bumps.append(RadialBump(bumps[0].center + bumps[0].support_radius / 2, 0.5, 1.3,
+                            Profile.UNIFORM_DISC))  # overlaps the first
+    pot = PotentialField(FieldSpec(bumps=bumps, hole_fluxes=[0.4, -1.1]),
+                         plane_with_holes([Hole(3.0 + 1.0j, 0.25), Hole(-3.0, 0.5)]))
+    offsets = zero_modes._stencil(2.0 ** -int(rng.integers(4, 8)))
+    z = _near_the_circles(pot, offsets, rng)
+    plan = pot.interior_plan(z, offsets)
+    on_circle = 0
+    for offset in offsets:
+        image = z + offset if offset else z
+        assert _bitwise_equal(pot.eval_h(image, plan[offset]), pot.eval_h(image))
+        on_circle += sum(np.count_nonzero(src._squared_distance(image.real, image.imag)
+                                          == src.rho ** 2) for src in pot._sources if src.rho)
+    assert on_circle >= 4 * len(bumps) * len(offsets)  # the images the points aim at
+    assert PotentialField(FieldSpec(hole_fluxes=[0.4]), plane_with_holes(
+        [Hole(3.0 + 1.0j, 0.25)])).interior_plan(z, offsets) is None
+
+
+def test_a_of_a_delta_raises_at_its_centre_and_keeps_a_nan():
+    pot = PotentialField(FieldSpec(hole_fluxes=[0.7]), plane_with_holes([Hole(0.5 - 0.25j, 0.3)]))
+    with pytest.raises(SingularPoint, match="a evaluated at delta centre"):
+        pot.eval_a(np.array([1.0 + 0.0j, 0.5 - 0.25j]))
+    a = pot.eval_a(np.array([complex(np.nan, 1.0), 2.0 + 0.0j]))
+    assert np.isnan(a[0].real) and np.isnan(a[0].imag)
+    assert a[1] == pytest.approx(1j * 0.7 / TWO_PI * (1.5 + 0.25j) / abs(1.5 + 0.25j) ** 2)

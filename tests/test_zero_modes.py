@@ -245,7 +245,8 @@ def test_verify_fails_a_spinor_that_is_nan_at_one_residual_point(monkeypatch):
     fd = zero_modes._fd_scale(DOM1, FLD1) * grid.fd_step_factor
     bad = _points(zero_modes._point_chunks(DOM1, FLD1, grid, fd))[100]
     eval_h = pot.eval_h
-    monkeypatch.setattr(pot, "eval_h", lambda z: np.where(z == bad, np.nan, eval_h(z)))
+    monkeypatch.setattr(pot, "eval_h",
+                        lambda z, plan=None: np.where(z == bad, np.nan, eval_h(z, plan)))
     report = verify_mode(mode, DOM1, FLD1, pot, grid)
     assert math.isnan(report.pde_residual)
     assert not report.passed
@@ -576,9 +577,9 @@ def test_the_half_step_walk_does_not_grow_with_the_mode_count(monkeypatch):
     eval_h = pot.eval_h
     calls = []
 
-    def counted(z):
+    def counted(z, plan=None):
         calls.append(1)
-        return eval_h(z)
+        return eval_h(z, plan)
 
     monkeypatch.setattr(pot, "eval_h", counted)
     counts = []
@@ -603,7 +604,8 @@ def test_a_nan_residual_in_a_later_chunk_fails_the_mode(monkeypatch):
     fd = zero_modes._fd_scale(DOM1, FLD1) * grid.fd_step_factor
     bad = _points(zero_modes._point_chunks(DOM1, FLD1, grid, fd))[2500] + fd
     eval_h = pot.eval_h
-    monkeypatch.setattr(pot, "eval_h", lambda z: np.where(z == bad, np.nan, eval_h(z)))
+    monkeypatch.setattr(pot, "eval_h",
+                        lambda z, plan=None: np.where(z == bad, np.nan, eval_h(z, plan)))
     report = verify_mode(mode, DOM1, FLD1, pot, grid)
     assert math.isnan(report.pde_residual)
     assert not report.passed
