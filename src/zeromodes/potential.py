@@ -131,8 +131,9 @@ def _chebval(x: np.ndarray, c) -> np.ndarray:
 
     Clenshaw's recurrence in ``chebval``'s operation order, so it agrees
     with numpy's bit for bit, but run in place: x holds 2x while the
-    recurrence runs (both scalings are exact), and the two running terms and
-    their update take three buffers, however many terms c has.
+    recurrence runs (both scalings are exact for |x| <= 1), and the two
+    running terms and their update take three buffers, however many terms
+    c has.
     """
     if len(c) <= 2:
         x *= c[1] if len(c) == 2 else 0.0
