@@ -52,12 +52,12 @@ Clenshaw 1955), each in numpy's operation order, the second in place in
 three buffers.  So ``numpy.polynomial`` loads only for a smooth bump's
 Gauss-Legendre rule.
 
-The finite-difference oracle evaluates h at nine stencil images z + offset
-of each chunk of points.  :meth:`PotentialField.interior_plan` finds, once
-per chunk, which images fall inside each bump and evaluates h's series there
-in one call per bump; ``eval_h`` given an image's part of the plan reads
-those values in place of its own gather and series, so h is the same to the
-bit either way.
+:meth:`PotentialField.interior_plan` is the one code that finds which
+points fall inside a bump and sums h's series there, and ``add_h`` takes
+those indices and values from it.  The finite-difference oracle builds one
+plan per chunk of points for its nine stencil images z + offset, with one
+series call per bump; ``eval_h`` reads an image's part of it, and given no
+plan builds the plan of its own points alone.
 """
 
 from __future__ import annotations
@@ -233,25 +233,17 @@ class _RadialSource:
         s2_in -= 1.0
         return _chebval(s2_in, coef)
 
-    def add_h(self, x: np.ndarray, y: np.ndarray, out: np.ndarray, hypot: bool = False,
-              interior: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> None:
-        """out += this source's h at the flat points x + i y.
+    def add_h(self, x: np.ndarray, y: np.ndarray, out: np.ndarray,
+              interior: Tuple[np.ndarray, np.ndarray], hypot: bool = False) -> None:
+        """out += this source's h at the flat points x + i y, given
+        ``interior``: the indices of the points inside its support and its h
+        there (:meth:`PotentialField.interior_plan`), ``((), None)`` for none.
 
         Its log is taken of s^2, or with ``hypot`` of |z - center| from
-        ``np.hypot``, which stays in the float range where s^2 leaves it.  A
-        bump given ``interior``, the indices of the points inside its support
-        and its h there (:meth:`PotentialField.interior_plan`), reads them in
-        place of its own gather and series.
+        ``np.hypot``, which stays in the float range where s^2 leaves it.
         """
-        s2 = self._squared_distance(x, y)
-        rho, rho2, coef = self.rho, self.rho ** 2, -self.flux / TWO_PI
-        if not rho:
-            inside = ()
-        elif interior is None:
-            inside = np.flatnonzero(s2 < rho2)
-            h_in = self._series_at(s2[inside], self._cheb_h) if inside.size else None
-        else:
-            inside, h_in = interior
+        inside, h_in = interior
+        rho, coef = self.rho, -self.flux / TWO_PI
         if hypot:
             h = np.hypot(x - self.center.real, y - self.center.imag)
             if not rho and np.any(h == 0.0):
@@ -259,8 +251,9 @@ class _RadialSource:
             np.log(np.maximum(h, rho, out=h), out=h)
             h *= coef
         else:
+            s2 = self._squared_distance(x, y)
             # with no point inside, every s^2 is at least rho^2 or NaN: no clip
-            h = np.maximum(s2, rho2, out=s2) if len(inside) else s2
+            h = np.maximum(s2, rho ** 2, out=s2) if len(inside) else s2
             np.log(h, out=h)
             h *= 0.5 * coef
         if len(inside):
@@ -308,19 +301,17 @@ class PotentialField:
 
     # -- scalar potential --------------------------------------------------
 
-    def interior_plan(self, z: np.ndarray, offsets: Sequence[complex]) -> Optional[Dict]:
+    def interior_plan(self, z: np.ndarray, offsets: Sequence[complex]) -> Dict:
         """Every bump's h at the images z + offset inside its support, for all
-        the offsets at once: None for a potential with no bump.
+        the offsets at once.
 
         By offset, one entry per source, the ``plan`` of ``eval_h(z + offset,
         plan)``: the flat indices of the images inside the source's support
-        and its h there, ``((), None)`` for none.  Each image's s^2 is formed
-        as ``eval_h`` forms it, so the indices and values are its own to the
-        bit; each bump's series is evaluated once, for all its images.  Only
-        these inside-sized arrays outlive the call.
+        and its h there, ``((), None)`` for none and for every delta.  Each
+        image's s^2 is formed as ``add_h`` forms it, and each bump's series is
+        evaluated once, for all its images.  Only these inside-sized arrays
+        outlive the call.
         """
-        if not any(src.rho for src in self._sources):
-            return None
         x, y = _flat_parts(z)
         reach = max(abs(offset) for offset in offsets)
         # a delta reads no plan; so does a bump with no image inside
@@ -354,19 +345,22 @@ class PotentialField:
         return plan
 
     def eval_h(self, z, plan: Optional[list] = None) -> np.ndarray:
-        """h at z; ``plan``, when given, is ``interior_plan(w, offsets)[offset]``
-        for z = w + offset, and gives each bump's h inside its support."""
+        """h at z; ``plan`` is ``interior_plan(w, offsets)[offset]`` for
+        z = w + offset, and gives each bump's h inside its support.  Without
+        one, h reads the plan of z alone."""
         scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.shape == ())
         z = np.asarray(z, dtype=complex)
         x, y = _flat_parts(z)
         out = np.zeros(x.shape)
         with np.errstate(divide="ignore", over="ignore"):
-            for src, interior in zip(self._sources, plan or [None] * len(self._sources)):
-                src.add_h(x, y, out, interior=interior)
+            if plan is None:
+                plan = self.interior_plan(z, (0,))[0]
+            for src, interior in zip(self._sources, plan):
+                src.add_h(x, y, out, interior)
             if not np.isfinite(out).all():  # some s^2 under- or overflowed
                 out = np.zeros(x.shape)
-                for src in self._sources:
-                    src.add_h(x, y, out, hypot=True)
+                for src, interior in zip(self._sources, plan):
+                    src.add_h(x, y, out, interior, hypot=True)
         return float(out[0]) if scalar else out.reshape(z.shape)
 
     def eval_a(self, z) -> np.ndarray:

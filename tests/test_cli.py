@@ -36,6 +36,20 @@ DISC_SEED7 = {
               "hole_fluxes_pi": ["1", "-7/4"]},
 }
 
+# twelve holes on a ring, so the boundary names hole10 and hole11 sort
+# before hole2 as strings
+TWELVE_HOLES = {
+    "domain": {"kind": "disc", "radius_out": 5.0, "holes": [
+        {"center": [round(3.5 * math.cos(math.pi * k / 6), 3),
+                    round(3.5 * math.sin(math.pi * k / 6), 3)], "radius": 0.2}
+        for k in range(12)]},
+    "field": {"bumps": [{"center": [0, 0], "support_radius": 1.0,
+                         "flux_pi": "3", "profile": "uniform"}],
+              "hole_fluxes_pi": [str(Fraction(k, 8)) for k in range(-6, 6)]},
+}
+# the boundary rows of a disc list its holes in circle order, then the outer circle
+TWELVE_BOUNDARIES = [f"hole{j}" for j in range(12)] + ["outer"]
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -555,14 +569,17 @@ def test_each_field_sums_its_flux_once(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_all_pass(tmp_path, capsys):
-    cfg = write_config(tmp_path, DISC_3PI)
-    code, out, _ = run_cli(capsys, "verify", "--config", cfg)
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["all_passed"]
-    row = doc["rows"][0]
-    assert row["residuals"]["pde"] < 1e-6
-    assert all(entry["value"] < 1e-6 for entry in row["residuals"]["leakage"])
+    for config, boundaries in ((DISC_3PI, ["hole0", "outer"]),
+                               (TWELVE_HOLES, TWELVE_BOUNDARIES)):
+        cfg = write_config(tmp_path, config)
+        code, out, _ = run_cli(capsys, "verify", "--config", cfg)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["all_passed"]
+        row = doc["rows"][0]
+        assert row["residuals"]["pde"] < 1e-6
+        assert [entry["boundary"] for entry in row["residuals"]["leakage"]] == boundaries
+        assert all(entry["value"] < 1e-6 for entry in row["residuals"]["leakage"])
 
 
 def test_verify_with_a_failing_mode_exits_1(tmp_path, capsys):
@@ -604,6 +621,29 @@ def test_verify_sphere_notes_dressing(tmp_path, capsys):
     assert "W^(-1/2)" in doc["note"]
     assert doc["all_passed"] and doc["rows"]
     assert all(row["w_dressed"] for row in doc["rows"])
+
+
+@pytest.mark.parametrize("command", ["verify", "index"])
+def test_sphere_holes_keep_their_config_names(tmp_path, capsys, command):
+    # SPHERE_3PI with its two holes listed the other way round: the small
+    # hole is config hole 1 but the projected disc's hole 0, and its rows
+    # are those of SPHERE_3PI's hole 0 under its config name
+    first = _with(["domain", "omitted_hole"], 0, SPHERE_3PI)
+    first["domain"]["holes"].reverse()
+    first["field"]["hole_fluxes_pi"].reverse()
+    _, out, _ = run_cli(capsys, command, "--config", write_config(tmp_path, SPHERE_3PI))
+    want = json.loads(out)
+    code, out, _ = run_cli(capsys, command, "--config", write_config(tmp_path, first))
+    got = json.loads(out)
+    assert code == 0 and got["rows"]
+    for row in want["rows"]:
+        row["phi_normalized"].reverse()  # in config order
+        rows = [row["residuals"]["leakage"]] if command == "verify" \
+            else [row["eta"], row["kernel_dims"]]
+        for entries in rows:
+            assert [entry["boundary"] for entry in entries] == ["hole0", "outer"]
+            entries[0]["boundary"] = "hole1"
+    assert got == want
 
 
 def test_sphere_flux_mismatch_exits_3(tmp_path, capsys):
@@ -723,12 +763,16 @@ def test_eta_command(tmp_path, capsys):
 
 
 def test_index_command(tmp_path, capsys):
-    cfg = write_config(tmp_path, DISC_3PI)
-    code, out, _ = run_cli(capsys, "index", "--config", cfg)
-    assert code == 0
-    row = json.loads(out)["rows"][0]
-    assert row["index"] == 1 and row["consistent"]
-    assert row["index_raw"] == pytest.approx(1.0, abs=1e-9)
+    for config, boundaries in ((DISC_3PI, ["hole0", "outer"]),
+                               (TWELVE_HOLES, TWELVE_BOUNDARIES)):
+        cfg = write_config(tmp_path, config)
+        code, out, _ = run_cli(capsys, "index", "--config", cfg)
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["index"] == 1 and row["consistent"]
+        assert row["index_raw"] == pytest.approx(1.0, abs=1e-9)
+        assert [entry["boundary"] for entry in row["eta"]] == boundaries
+        assert [entry["boundary"] for entry in row["kernel_dims"]] == boundaries
 
 
 def test_output_is_deterministic_and_formats_agree(tmp_path, capsys):

@@ -430,12 +430,29 @@ def _near_the_circles(pot, offsets, rng):
     return np.concatenate([np.ravel(p) for p in parts])
 
 
+def _h_with_own_gathers(pot, z):
+    """h at the points z, each bump's inside found by its own s^2 < rho^2
+    gather and its h there by ``_series_at``, with no plan."""
+    x, y = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
+    out = np.zeros(x.shape)
+    for src in pot._sources:
+        interior = ((), None)
+        if src.rho:
+            s2 = src._squared_distance(x, y)
+            inside = np.flatnonzero(s2 < src.rho ** 2)
+            if inside.size:
+                interior = inside, src._series_at(s2[inside], src._cheb_h)
+        src.add_h(x, y, out, interior)
+    return out
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_the_interior_plan_gives_eval_h_to_the_bit(seed):
     # random smooth and uniform bumps on dyadic centres and radii, some
     # supports overlapping, and two deltas: at every stencil image of points
-    # on, next to and around the support circles, h from the chunk's plan is
-    # h from the image's own evaluation
+    # on, next to and around the support circles, h from the chunk's plan,
+    # and from the image's own one-image plan, is h from each bump's own
+    # gather and series
     rng = np.random.default_rng(seed)
     bumps = [RadialBump(complex(*rng.integers(-12, 13, 2) / 16), rng.integers(4, 17) / 16,
                         rng.uniform(-3, 3), rng.choice(list(Profile))) for _ in range(3)]
@@ -449,12 +466,16 @@ def test_the_interior_plan_gives_eval_h_to_the_bit(seed):
     on_circle = 0
     for offset in offsets:
         image = z + offset if offset else z
-        assert _bitwise_equal(pot.eval_h(image, plan[offset]), pot.eval_h(image))
+        want = _h_with_own_gathers(pot, image)
+        assert _bitwise_equal(pot.eval_h(image, plan[offset]), want)
+        assert _bitwise_equal(pot.eval_h(image), want)
         on_circle += sum(np.count_nonzero(src._squared_distance(image.real, image.imag)
                                           == src.rho ** 2) for src in pot._sources if src.rho)
     assert on_circle >= 4 * len(bumps) * len(offsets)  # the images the points aim at
-    assert PotentialField(FieldSpec(hole_fluxes=[0.4]), plane_with_holes(
-        [Hole(3.0 + 1.0j, 0.25)])).interior_plan(z, offsets) is None
+    # a potential with no bump gets a plan with no inside point
+    no_bump = PotentialField(FieldSpec(hole_fluxes=[0.4]), plane_with_holes(
+        [Hole(3.0 + 1.0j, 0.25)])).interior_plan(z, offsets)
+    assert no_bump == {offset: [((), None)] for offset in offsets}
 
 
 def test_a_of_a_delta_raises_at_its_centre_and_keeps_a_nan():
