@@ -87,10 +87,14 @@ def _fraction(text) -> Fraction:
 
 
 def _number(value, key: str) -> float:
-    """float(value), refusing a JSON boolean, which float() reads as 0.0 or 1.0."""
-    if isinstance(value, bool):
+    """float(value) of a JSON number; a boolean (float() reads it as 0 or 1), a
+    string, a list, null and an integer past the float range are refused."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} must be within the float range") from None
 
 
 def _real(value, key: str) -> float:
@@ -476,7 +480,12 @@ def cmd_bm(config) -> Dict[str, Any]:
     rows = bm_flux_sweep(cfg, [cfg.phi] if sweep is None else sweep())
     if sweep is None and rows[0]["has_mode"]:
         # the single configuration's row goes on with its mode's verification
-        report = bm_verify(cfg, bm_zero_mode(cfg))
+        try:
+            report = bm_verify(cfg, bm_zero_mode(cfg))
+        except GridTooCoarse as exc:
+            raise GridTooCoarse(f"{exc}; bm checks its mode n = {rows[0]['n']} on the fixed "
+                                f"default grid, and a bm 'sweep' section reports has_mode and n "
+                                f"without that check") from exc
         rows[0]["residuals"] = {
             "pde": report.pde_residual,
             "boundary": _by_boundary(report.trace_leakage),

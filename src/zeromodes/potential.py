@@ -29,10 +29,11 @@ finite, and a delta's h raises SingularPoint only at its centre.  A delta's
 a raises wherever s^2 is 0.
 
 Inside its support every bump is two Chebyshev series in x = 2 s^2/rho^2 - 1,
-each built once: k with the bump, h at its first use.  Both profiles are even in s, so they are smooth in s^2
-and need no square root, and k = F/(2pi s^2) is read directly, never divided
-by a vanishing s^2; at a bump's centre a is 0.  On a uniform disc k is the
-one term flux/(2pi rho^2).  A smooth-compact bump has no closed form: F is
+each built once: k with the bump, h at its first use.  Both profiles are
+even in s, so they are smooth in s^2 and need no square root, and
+k = F/(2pi s^2) is read directly, never divided by a vanishing s^2; at a
+bump's centre a is 0.  On a uniform disc k is the one term
+flux/(2pi rho^2).  A smooth-compact bump has no closed form: F is
 evaluated at the 160 first-kind Chebyshev nodes of [-1, 1], placed in s^2,
 by fixed-order Gauss-Legendre quadrature (:func:`field.gauss_nodes`), and
 F/(2pi s^2) is interpolated there exactly, its coefficients being a cosine
@@ -45,12 +46,8 @@ smooth on [-1, 1], so the interpolation error sits far below the 1e-8
 quadrature budget; they keep only the coefficients down to 1e-14 of their
 largest.
 
-The series arithmetic is the package's own and agrees bit for bit with
-``numpy.polynomial.chebyshev``: :func:`_chebint` is ``chebint`` with
-``lbnd=1`` and :func:`_chebval` is ``chebval`` (Clenshaw's recurrence,
-Clenshaw 1955), each in numpy's operation order, the second in place in
-three buffers.  So ``numpy.polynomial`` loads only for a smooth bump's
-Gauss-Legendre rule.
+The series are summed by ``numpy.polynomial.chebyshev.chebval``, and h's
+is integrated from k's by its ``chebint`` with ``lbnd=1``.
 
 :meth:`PotentialField.interior_plan` is the one code that finds which
 points fall inside a bump and sums h's series there, and ``add_h`` takes
@@ -125,57 +122,6 @@ def _interpolant(values: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _chebval(x: np.ndarray, c) -> np.ndarray:
-    """The Chebyshev series c at the float array x, overwriting x: the result
-    is x itself or a new array.
-
-    Clenshaw's recurrence in ``chebval``'s operation order, so it agrees
-    with numpy's bit for bit, but run in place: x holds 2x while the
-    recurrence runs (both scalings are exact for |x| <= 1), and the two
-    running terms and their update take three buffers, however many terms
-    c has.
-    """
-    if len(c) <= 2:
-        x *= c[1] if len(c) == 2 else 0.0
-        x += c[0]
-        return x
-    x *= 2.0
-    c0 = np.full_like(x, c[-3] - c[-1])
-    c1 = np.multiply(x, c[-1])
-    c1 += c[-2]
-    free = np.empty_like(x)
-    for i in range(4, len(c) + 1):
-        # c0, c1 = c[-i] - c1, c0 + c1 * 2x
-        t = np.multiply(c1, x, out=free)
-        t += c0
-        free, c0, c1 = c0, np.subtract(c[-i], c1, out=c1), t
-    x *= 0.5
-    c1 *= x
-    c1 += c0
-    return c1
-
-
-def _chebint(c, k: float, scl: float) -> np.ndarray:
-    """The integral of the Chebyshev series c, times scl, that is k at x = 1:
-    ``chebint(c, lbnd=1.0, k=k, scl=scl)``, in its operation order and with
-    its special case of a one-term zero series, bit for bit."""
-    c = np.multiply(c, scl, dtype=float)
-    n = len(c)
-    if n == 1 and c[0] == 0:
-        c[0] += k
-        return c
-    out = np.empty(n + 1)
-    out[0] = c[0] * 0
-    out[1] = c[0]
-    if n > 1:
-        out[2] = c[1] / 4
-    j = np.arange(2, n)
-    out[3:] = c[2:] / (2 * (j + 1))
-    out[1:n - 1] -= c[2:] / (2 * (j - 1))
-    out[0] += k - _chebval(np.ones(1), out)[0]
-    return out
-
-
 def _flat_parts(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The real and imaginary parts of z, flattened, as contiguous arrays."""
     flat = z.ravel()
@@ -214,7 +160,8 @@ class _RadialSource:
         the outside law at s = rho; built at its first use, so building a
         uniform bump makes no numpy call."""
         rho = self.rho
-        return _chopped(_chebint(self._cheb_k, -self.flux / TWO_PI * math.log(rho), -rho ** 2 / 4.0))
+        return _chopped(np.polynomial.chebyshev.chebint(
+            self._cheb_k, lbnd=1.0, k=-self.flux / TWO_PI * math.log(rho), scl=-rho ** 2 / 4.0))
 
     def _squared_distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """s^2 = dx^2 + dy^2 of the flat points x + i y from the centre (a new array)."""
@@ -231,7 +178,7 @@ class _RadialSource:
         s2_in *= 2.0
         s2_in /= self.rho ** 2
         s2_in -= 1.0
-        return _chebval(s2_in, coef)
+        return np.polynomial.chebyshev.chebval(s2_in, coef)
 
     def add_h(self, x: np.ndarray, y: np.ndarray, out: np.ndarray,
               interior: Tuple[np.ndarray, np.ndarray], hypot: bool = False) -> None:

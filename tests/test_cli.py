@@ -169,7 +169,7 @@ RANGE = {"start": "0", "stop": "1", "step": "1/2"}
                  id="eta-terms-past-the-cap"),
     pytest.param("eta", {"eta": {"c_values": ["1/3"], "s_values": []}},
                  "finite positive s values", id="eta-no-s"),
-    pytest.param("eta", {"eta": {"c_values": ["1/3"], "s_values": ["nan"]}},
+    pytest.param("eta", {"eta": {"c_values": ["1/3"], "s_values": [math.nan]}},
                  "s > -1", id="eta-s-nan"),
     pytest.param("eta", {"eta": {"c_values": ["1/3"], "s_values": [-1.5]}},
                  "s > -1", id="eta-s-below-minus-one"),
@@ -195,7 +195,7 @@ RANGE = {"start": "0", "stop": "1", "step": "1/2"}
       for tol in ("0", "-1", "nan", "inf")],
     pytest.param("verify --tol nan", _with(["field", "bumps", 0, "flux_pi"], "1/2"),
                  "residual tolerance must be positive and finite", id="tol-nan-no-modes"),
-    pytest.param("verify", _with(["tolerances"], {"residual": "nan"}),
+    pytest.param("verify", _with(["tolerances"], {"residual": math.nan}),
                  "residual tolerance must be positive and finite", id="residual-nan"),
     pytest.param("verify", _with(["tolerances"], {"leakage": 0}),
                  "leakage tolerance must be positive and finite", id="leakage-zero"),
@@ -455,7 +455,7 @@ RANGE = {"start": "0", "stop": "1", "step": "1/2"}
            "eta series needs 8 to 10000 terms, got 10001"))],
     pytest.param("count", _with(["sweep"], {"phi_pi": dict(RANGE, step="0")}),
                  "range step must be positive", id="count-sweep-step-zero"),
-    pytest.param("count", _with(["tolerances"], {"residual": "nan"}),
+    pytest.param("count", _with(["tolerances"], {"residual": math.nan}),
                  "residual tolerance must be positive and finite", id="count-residual-nan"),
     pytest.param("count", _with(["grid"], {"radial": -1}),
                  "grid radial must be positive and finite, got -1",
@@ -466,6 +466,29 @@ RANGE = {"start": "0", "stop": "1", "step": "1/2"}
                    f"grid fd_step_factor must be a number, got {value!r}",
                    id=f"grid-fd-step-factor-{type(value).__name__}")
       for value in ("0.003", [0.003], None)],
+    # float() read a quoted number as the number, and a list, null or a
+    # fraction failed with a message that named no key; a huge integer
+    # overflowed and exited 3
+    *[pytest.param(command, _with(path, value), message, id=name)
+      for name, command, path, value, message in (
+          ("support-radius-string", "count", ["field", "bumps", 0, "support_radius"], "1.0",
+           "support_radius must be a number, got '1.0'"),
+          ("flux-string", "count", ["field", "bumps", 0],
+           {"center": [-0.8, 0.3], "support_radius": 0.6, "flux": "9.42"},
+           "flux must be a number, got '9.42'"),
+          ("flux-fraction-string", "count", ["field", "bumps", 0],
+           {"center": [-0.8, 0.3], "support_radius": 0.6, "flux": "5/2"},
+           "flux must be a number, got '5/2'"),
+          ("residual-string", "verify", ["tolerances"], {"residual": "1e-6"},
+           "residual tolerance must be a number, got '1e-6'"),
+          ("eta-s-strings", "eta", ["eta"], {"c_values": ["1/3"], "s_values": ["0.2", "0.1"]},
+           "eta s value must be a number, got '0.2'"),
+          ("radius-out-list", "count", ["domain", "radius_out"], [3.0],
+           "radius_out must be a number, got [3.0]"),
+          ("hole-radius-null", "count", ["domain", "holes", 0, "radius"], None,
+           "hole radius must be a number, got None"),
+          ("radius-out-400-digits", "count", ["domain", "radius_out"], 10 ** 400,
+           "radius_out must be within the float range"))],
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, config, message):
     code, out, err = run_cli(capsys, *command.split(), "--config",
@@ -740,6 +763,18 @@ def test_bm_single_configuration(tmp_path, capsys, s_outer, n):
         leakage = row["residuals"]["boundary"]
         assert [entry["boundary"] for entry in leakage] == ["inner", "outer"]
         assert all(entry["value"] < 1e-6 for entry in leakage)
+
+
+def test_bm_grid_too_coarse_says_what_to_change(tmp_path, capsys):
+    # bm takes no --grid and no grid key: the message names the mode and the
+    # sweep, which reports the mode without the finite-difference check
+    cfg = write_config(tmp_path, {"bm": dict(BM, phi_pi="2001")})
+    code, out, err = run_cli(capsys, "bm", "--config", cfg)
+    assert code == 3 and out == ""
+    assert re.fullmatch(r"numerical failure: GridTooCoarse: residual \S+ vs \S+ under step "
+                        r"halving from step 3\.000e-03; bm checks its mode n = 1001 on the "
+                        r"fixed default grid, and a bm 'sweep' section reports has_mode and "
+                        r"n without that check\n", err)
 
 
 def test_eta_command(tmp_path, capsys):

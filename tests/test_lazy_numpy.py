@@ -75,25 +75,6 @@ def test_only_numeric_commands_load_numpy(tmp_path, command, config, loads_numpy
     assert bool(report["numpy"]) is loads_numpy, report["numpy"][:5]
 
 
-# DISC with its bump made uniform: no smooth profile, so no Gauss-Legendre rule
-DISC_UNIFORM = dict(DISC, field=dict(DISC["field"], bumps=[
-    dict(DISC["field"]["bumps"][0], profile="uniform")]))
-
-
-@pytest.mark.parametrize("config,loads_polynomial", [(DISC_UNIFORM, False), (DISC, True)],
-                         ids=["uniform", "smooth"])
-def test_only_a_smooth_bump_loads_numpy_polynomial(tmp_path, config, loads_polynomial):
-    # the Chebyshev arithmetic is the package's own; numpy.polynomial is
-    # loaded only for a smooth bump's Gauss-Legendre rule
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    out = tmp_path / "out.json"
-    report = json.loads(run_child(CLI_CHILD, "verify", "--config", str(path),
-                                  "--out", str(out)))
-    assert report["code"] == 0 and json.loads(out.read_text())
-    assert ("numpy.polynomial" in report["numpy"]) is loads_polynomial
-
-
 def test_numpy_imported_first_is_every_module_np():
     script = """
 import sys, types

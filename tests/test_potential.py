@@ -5,7 +5,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
 from scipy.integrate import dblquad
 
 from zeromodes import (
@@ -20,7 +19,7 @@ from zeromodes import (
     pi_flux,
     plane_with_holes,
 )
-from zeromodes import potential, zero_modes
+from zeromodes import zero_modes
 
 TWO_PI = 2 * math.pi
 
@@ -377,32 +376,6 @@ def test_quadrature_error_budget_on_support():
 def _bitwise_equal(got, want) -> bool:
     """np.array_equal, with the same sign on every zero."""
     return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-
-
-# a series of 1 to 80 terms, scaled by 1e-5 to 1e5
-series = st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=80),
-                   st.floats(-5.0, 5.0)).map(lambda cs: np.array(cs[0]) * 10.0 ** cs[1])
-
-
-@given(c=series, x=st.lists(st.floats(-1.0, 1.0), max_size=40))
-@example(c=np.array([0.0]), x=[-1.0, -0.5, -0.0, 0.0, 1.0])
-@example(c=np.array([-0.0, 2.0, -3.0]), x=[-1.0, 5e-324, 1.0])
-def test_own_clenshaw_is_numpys_chebval_bit_for_bit(c, x):
-    x = np.array(x, dtype=float)
-    cheb = np.polynomial.chebyshev
-    assert _bitwise_equal(potential._chebval(x.copy(), c), cheb.chebval(x, c))
-    # a one-term tuple, as a uniform bump's k is
-    assert _bitwise_equal(potential._chebval(x.copy(), (float(c[0]),)),
-                          cheb.chebval(x, (float(c[0]),)))
-
-
-@given(c=series, k=st.floats(-10.0, 10.0), scl=st.floats(-4.0, 4.0))
-@example(c=np.array([0.0]), k=1.5, scl=-0.25)
-@example(c=np.array([-0.0]), k=0.0, scl=2.0)
-def test_own_integration_is_numpys_chebint_bit_for_bit(c, k, scl):
-    want = np.polynomial.chebyshev.chebint(c, lbnd=1.0, k=k, scl=scl)
-    assert _bitwise_equal(potential._chebint(c, k, scl), want)
-    assert _bitwise_equal(potential._chebint(tuple(c), k, scl), want)
 
 
 def _near_the_circles(pot, offsets, rng):
