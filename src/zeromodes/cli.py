@@ -49,7 +49,7 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .berry_mondragon import BMConfig, bm_flux_sweep, bm_verify, bm_zero_mode
 from .conformal import Problem, flat_problem
@@ -58,7 +58,7 @@ from .eta_index import (DEFAULT_N_TERMS, DEFAULT_S_VALUES, check_c_and_n_terms, 
                         eta_closed, eta_series, index_formula, index_vs_count,
                         richardson_to_zero)
 from .field import FieldSpec, KernelChoice, PiFlux, Profile, RadialBump, validate_field
-from .geometry import DomainKind, DomainSpec, Hole, _checked_domain, validate_domain
+from .geometry import DomainKind, DomainSpec, Hole, validate_domain
 from .potential import PotentialField
 from .zero_modes import GridSpec, build_basis, check_tolerances, count_zero_modes, verify_modes
 
@@ -351,13 +351,11 @@ def _flux_payload(domain: DomainSpec, fld: FieldSpec, problem: Problem) -> Dict[
     }
 
 
-def _by_boundary(values: Dict[str, Any], hole_index: Sequence[int] = ()) -> List[Dict[str, Any]]:
+def _by_boundary(values: Dict[str, Any]) -> List[Dict[str, Any]]:
     """``{boundary: value}`` as ``{"boundary", "value"}`` rows in boundary
     order, as ``values`` holds them: the holes in circle order, then the outer
-    circle.  Hole ``j`` of the flat problem is named by ``hole_index[j]``, its
-    index in the config (:func:`geometry._checked_domain`)."""
-    names = {f"hole{j}": f"hole{i}" for j, i in enumerate(hole_index)}
-    return [{"boundary": names.get(k, k), "value": v} for k, v in values.items()]
+    circle."""
+    return [{"boundary": k, "value": v} for k, v in values.items()]
 
 
 def cmd_count(config) -> Dict[str, Any]:
@@ -376,7 +374,6 @@ def cmd_verify(config) -> Dict[str, Any]:
         raise ConfigError(f"verify would check {counted.count} modes; "
                           f"at most {MAX_VERIFY_MODES} are allowed")
     base = _flux_payload(domain, fld, problem)
-    hole_index = _checked_domain(domain)[1]
     rows: List[Dict[str, Any]] = []
     if counted.count > 0:
         modes = build_basis(domain, fld, PotentialField(fld, domain)).modes()
@@ -394,7 +391,7 @@ def cmd_verify(config) -> Dict[str, Any]:
                 "w_dressed": mode.w_dressed,
                 "residuals": {
                     "pde": report.pde_residual,
-                    "leakage": _by_boundary(report.trace_leakage, hole_index),
+                    "leakage": _by_boundary(report.trace_leakage),
                     "exponent_ok": report.integrability_exponent_ok,
                 },
                 "passed": report.passed,
@@ -458,13 +455,12 @@ def cmd_index(config) -> Dict[str, Any]:
         raise ConfigError("the index table applies to disc and sphere domains")
     report = index_vs_count(problem)
     assembly = report.assembly
-    hole_index = _checked_domain(domain)[1]
     payload = _flux_payload(domain, fld, problem)
     payload.update({
         "index": report.index,
         "index_raw": assembly.raw,
-        "eta": _by_boundary(assembly.boundary_eta, hole_index),
-        "kernel_dims": _by_boundary(assembly.kernel_dims, hole_index),
+        "eta": _by_boundary(assembly.boundary_eta),
+        "kernel_dims": _by_boundary(assembly.kernel_dims),
         "count": report.count,
         "chirality": report.chirality.value,
         "signed_count": report.signed_count,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
 
 from ._numpy import np
 from .errors import NorthPole, PolePoint
@@ -138,11 +138,25 @@ class Problem:
 
     domain: DomainSpec
     field: FieldSpec
-    dressed: bool = False  # a sphere's projected disc: modes carry W^{-1/2}
+    # a sphere's projected disc: the config index of the designated hole it
+    # leaves out
+    omitted_hole: Optional[int] = None
 
     def __post_init__(self):
         if self.domain.kind is DomainKind.SPHERE:
             raise ValueError("a Problem is flat: reduce a sphere with flat_problem")
+
+    @property
+    def dressed(self) -> bool:
+        """Whether the modes carry W^{-1/2}: the problem is a sphere's projected disc."""
+        return self.omitted_hole is not None
+
+    @property
+    def hole_index(self) -> Sequence[int]:
+        """The config index of each hole of ``domain``, which names it 'hole<i>':
+        a sphere's projected disc skips the designated hole's."""
+        om, n = self.omitted_hole, len(self.domain.holes)
+        return range(n) if om is None else [*range(om), *range(om + 1, n + 1)]
 
 
 def flat_problem(domain: DomainSpec, fld: FieldSpec) -> Problem:
@@ -158,4 +172,4 @@ def flat_problem(domain: DomainSpec, fld: FieldSpec) -> Problem:
         )
     if domain.kind is not DomainKind.SPHERE:
         return Problem(domain, fld)
-    return Problem(*sphere_to_disc(domain, fld), dressed=True)
+    return Problem(*sphere_to_disc(domain, fld), omitted_hole=domain.omitted_hole)

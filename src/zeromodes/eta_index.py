@@ -208,7 +208,7 @@ def index_formula(problem: Problem) -> IndexResult:
     if fld.kernel_choice is not KernelChoice.DEFAULT:
         raise ValueError("the index assembly uses the default kernel choice")
     q = fld.q_shift
-    fluxes = {f"hole{j}": nf.value for j, nf in enumerate(fld.normalized_hole_fluxes)}
+    fluxes = {f"hole{i}": nf.value for i, nf in zip(problem.hole_index, fld.normalized_hole_fluxes)}
     fluxes["outer"] = fld.total_flux
 
     raw = sum(float(flux_over_2pi(b.flux)) for b in fld.bumps)

@@ -3,7 +3,7 @@
 Fluxes may be given as plain floats or as :class:`PiFlux`, an exact rational
 multiple of pi.  The exact form keeps the staircase thresholds (strict-floor
 jumps at half-integer values of flux/2pi) free of float drift; everything that
-feeds quadrature converts to float at the point of use.
+feeds a numerical series converts to float at the point of use.
 
 The flux through each hole is only defined up to integer multiples of 2*pi
 (gauge freedom), so :func:`normalize_flux` folds it into the canonical
@@ -31,9 +31,6 @@ from .geometry import DomainKind, DomainSpec, _checked_domain
 from .numutil import HALF, floor_strict, threshold_sum
 
 TWO_PI = 2.0 * math.pi
-
-# Gauss-Legendre nodes per radial integral of a smooth bump profile
-QUADRATURE_ORDER = 96
 
 # largest |bulk + raw hole fluxes| a sphere field of float fluxes may carry
 SPHERE_BALANCE_TOL = 1e-9
@@ -197,34 +194,23 @@ def validate_field(fld: FieldSpec, domain: DomainSpec) -> List[str]:
     return bad
 
 
-def smooth_profile_shape(r: np.ndarray, rho: float) -> np.ndarray:
-    """Unnormalized bump shape exp(-1/(1-(r/rho)^2)) for r < rho, 0 beyond."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    inside = r < rho
-    x2 = (r[inside] / rho) ** 2
-    out[inside] = np.exp(-1.0 / (1.0 - x2))
-    return out
-
-
 @functools.cache
-def gauss_nodes() -> Tuple[np.ndarray, np.ndarray]:
-    """Order-QUADRATURE_ORDER Gauss-Legendre nodes and weights on [-1, 1]; read only."""
-    x, w = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
-    # cached and shared by every quadrature: an in-place write would corrupt them all
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+def smooth_flux_series() -> np.ndarray:
+    """Chebyshev series of G(x) = int_{-1}^x exp(-2/(1-t)) dt, read only: a
+    smooth bump of amplitude C carries the flux (pi C rho^2/2) G(x) within
+    radius s, with x = 2 s^2/rho^2 - 1, whatever its radius."""
+    cheb = np.polynomial.chebyshev
+    # the shape in x, interpolated at 160 first-kind nodes (clear of x = 1)
+    coef = cheb.chebint(cheb.chebinterpolate(lambda t: np.exp(-2.0 / (1.0 - t)), 159), lbnd=-1.0)
+    # cached and shared by every smooth bump: an in-place write would corrupt them all
+    coef.setflags(write=False)
+    return coef
 
 
 @functools.cache
 def _smooth_norm_unit() -> float:
-    # 2*pi * int_0^1 exp(-1/(1-u^2)) u du, the unit-radius bump's integral,
-    # by the Gauss-Legendre rule the potential profiles use (the map from
-    # [-1, 1] to [0, 1] halves the weights: 2*pi/2 = pi)
-    x, w = gauss_nodes()
-    u = 0.5 * (x + 1.0)
-    return math.pi * float(np.exp(-1.0 / (1.0 - u * u)) * u @ w)
+    # 2*pi * int_0^1 exp(-1/(1-u^2)) u du, the unit-radius bump's integral: (pi/2) G(1)
+    return 0.5 * math.pi * float(np.polynomial.chebyshev.chebval(1.0, smooth_flux_series()))
 
 
 def smooth_profile_amplitude(bump: RadialBump) -> float:
@@ -241,8 +227,10 @@ def eval_B(fld: FieldSpec, z) -> np.ndarray:
         if b.profile is Profile.UNIFORM_DISC:
             out += np.where(r < b.support_radius,
                             float(b.flux) / (math.pi * b.support_radius ** 2), 0.0)
-        else:
-            out += smooth_profile_amplitude(b) * smooth_profile_shape(r, b.support_radius)
+        else:  # the shape exp(-1/(1 - (r/rho)^2)) inside its support, 0 beyond
+            inside = r < b.support_radius
+            out[inside] += smooth_profile_amplitude(b) * np.exp(
+                -1.0 / (1.0 - (r[inside] / b.support_radius) ** 2))
     return out if out.shape else float(out)
 
 

@@ -33,18 +33,17 @@ each built once: k with the bump, h at its first use.  Both profiles are
 even in s, so they are smooth in s^2 and need no square root, and
 k = F/(2pi s^2) is read directly, never divided by a vanishing s^2; at a
 bump's centre a is 0.  On a uniform disc k is the one term
-flux/(2pi rho^2).  A smooth-compact bump has no closed form: F is
-evaluated at the 160 first-kind Chebyshev nodes of [-1, 1], placed in s^2,
-by fixed-order Gauss-Legendre quadrature (:func:`field.gauss_nodes`), and
-F/(2pi s^2) is interpolated there exactly, its coefficients being a cosine
-sum over the nodes.  For either profile h is the indefinite integral of
-k, since dh/d(s^2) = -k/2, with its constant fixed so that h meets the
-outside law at s = rho (Trefethen, Approximation Theory and Approximation
-Practice, SIAM 2013, ch. 3 and 19); on a uniform disc that is the closed
-form -(flux/2pi) [log(rho) - (rho^2 - s^2)/(2 rho^2)].  Both series are
-smooth on [-1, 1], so the interpolation error sits far below the 1e-8
-quadrature budget; they keep only the coefficients down to 1e-14 of their
-largest.
+flux/(2pi rho^2).  Every smooth-compact bump is the unit bump scaled by
+its amplitude C: its flux within s is (pi C rho^2/2) G(x), with G the one
+series of :func:`field.smooth_flux_series`, so its k is C times one cached
+unit series, G(x)/(2 (1 + x)).  For either profile h is the indefinite
+integral of k, since dh/d(s^2) = -k/2, with its constant fixed so that h
+meets the outside law at s = rho (Trefethen, Approximation Theory and
+Approximation Practice, SIAM 2013, ch. 3 and 19); on a uniform disc that is
+the closed form -(flux/2pi) [log(rho) - (rho^2 - s^2)/(2 rho^2)].  Both
+series are smooth on [-1, 1], so the interpolation error sits far below the
+1e-8 quadrature budget; ``chebtrim`` keeps only their coefficients down to
+1e-14 of their largest.
 
 The series are summed by ``numpy.polynomial.chebyshev.chebval``, and h's
 is integrated from k's by its ``chebint`` with ``lbnd=1``.
@@ -71,54 +70,26 @@ from .field import (
     Profile,
     RadialBump,
     TWO_PI,
-    gauss_nodes,
+    smooth_flux_series,
     smooth_profile_amplitude,
-    smooth_profile_shape,
 )
 from .geometry import DomainSpec
 
-
-# Chebyshev nodes (and interpolant terms) per smooth bump profile
-_CHEB_NODES = 160
 
 # trailing Chebyshev coefficients of a bump profile below this fraction of
 # the largest are fitting noise and are dropped
 _CHEB_CHOP = 1e-14
 
 
-def _chopped(coef: np.ndarray) -> np.ndarray:
-    """coef without its trailing entries below _CHEB_CHOP of the largest."""
-    size = np.abs(coef)
-    kept = np.nonzero(size >= _CHEB_CHOP * np.max(size))[0]
-    return coef[: kept[-1] + 1]
-
-
-def _gl_integrals_from(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Vector of integrals of fn over [lo_i, hi_i], one fixed rule per row."""
-    x, w = gauss_nodes()
-    mid = 0.5 * (lo + hi)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    return (half[:, 0]) * (fn(mid + half * x[None, :]) @ w)
-
-
 @functools.cache
-def _cosines() -> np.ndarray:
-    """cos(j theta_k) for j, k < _CHEB_NODES at the first-kind angles
-    theta_k = pi (2k + 1) / (2 _CHEB_NODES); row 1 holds the nodes.  Read only."""
-    n = _CHEB_NODES
-    theta = math.pi * (2 * np.arange(n) + 1) / (2 * n)
-    out = np.cos(np.arange(n)[:, None] * theta[None, :])
-    # cached and shared by every bump: an in-place write would corrupt them all
-    out.setflags(write=False)
-    return out
-
-
-def _interpolant(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of the polynomial through ``values`` at the
-    first-kind nodes: the discrete cosine sum (2/n) sum_k v_k cos(j theta_k),
-    with the constant term halved."""
-    coef = (2.0 / _CHEB_NODES) * (_cosines() @ values)
-    coef[0] *= 0.5
+def _unit_k() -> np.ndarray:
+    """k in x of the smooth bump of amplitude 1, whatever its radius: G(x)/(2 (1 + x))
+    (:func:`field.smooth_flux_series`), exact since G(-1) = 0.  Read only."""
+    cheb = np.polynomial.chebyshev
+    coef = 0.5 * cheb.chebdiv(smooth_flux_series(), (1.0, 1.0))[0]
+    coef = cheb.chebtrim(coef, _CHEB_CHOP * np.max(np.abs(coef)))
+    # cached and shared by every smooth bump: an in-place write would corrupt them all
+    coef.setflags(write=False)
     return coef
 
 
@@ -147,21 +118,17 @@ class _RadialSource:
             # a float, not an array: building a uniform bump loads no numpy
             self._cheb_k = (flux / (TWO_PI * rho ** 2),)
         else:
-            # the first-kind Chebyshev nodes in s^2, all interior to (0, rho^2)
-            s2 = 0.5 * rho ** 2 * (1.0 + _cosines()[1])
-            amp = smooth_profile_amplitude(bump)
-            f_vals = TWO_PI * _gl_integrals_from(
-                lambda r: amp * smooth_profile_shape(r, rho) * r, np.zeros_like(s2), np.sqrt(s2))
-            self._cheb_k = _chopped(_interpolant(f_vals / (TWO_PI * s2)))
+            self._cheb_k = smooth_profile_amplitude(bump) * _unit_k()
 
     @functools.cached_property
     def _cheb_h(self) -> np.ndarray:
         """h from dh/d(s^2) = -k/2 with d(s^2) = rho^2/2 dx on [-1, 1], meeting
         the outside law at s = rho; built at its first use, so building a
         uniform bump makes no numpy call."""
-        rho = self.rho
-        return _chopped(np.polynomial.chebyshev.chebint(
-            self._cheb_k, lbnd=1.0, k=-self.flux / TWO_PI * math.log(rho), scl=-rho ** 2 / 4.0))
+        rho, cheb = self.rho, np.polynomial.chebyshev
+        coef = cheb.chebint(self._cheb_k, lbnd=1.0, k=-self.flux / TWO_PI * math.log(rho),
+                            scl=-rho ** 2 / 4.0)
+        return cheb.chebtrim(coef, _CHEB_CHOP * np.max(np.abs(coef)))
 
     def _squared_distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """s^2 = dx^2 + dy^2 of the flat points x + i y from the centre (a new array)."""

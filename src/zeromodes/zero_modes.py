@@ -668,11 +668,12 @@ def pde_residuals(components_at, ups: Sequence[bool], a, chunks: Sequence[Chunk]
 
 
 def boundary_spectra(problem: conformal.Problem) -> Dict[str, BoundarySpectrum]:
-    """Boundary spectra keyed by 'hole<j>' and (bounded domains) 'outer'."""
+    """Boundary spectra keyed by 'hole<i>', i the config index of the hole
+    (``problem.hole_index``), and (bounded domains) 'outer'."""
     dom, f = problem.domain, problem.field
     out: Dict[str, BoundarySpectrum] = {}
-    for j, hole in enumerate(dom.holes):
-        out[f"hole{j}"] = BoundarySpectrum(
+    for j, (i, hole) in enumerate(zip(problem.hole_index, dom.holes)):
+        out[f"hole{i}"] = BoundarySpectrum(
             boundary=j, radius=hole.radius, flux_through=f.normalized_hole_fluxes[j].value,
             q=f.q_shift, kernel_choice=f.kernel_choice,
         )

@@ -8,7 +8,9 @@ SRC_A and SRC_B are the ``src`` directories of two checkouts.  For seeds 3,
 ``--format json`` and once with ``--format csv``.  Each tree runs all the
 jobs in one subprocess of its own, with only that tree on PYTHONPATH.  The
 script prints every job whose exit code, stdout or stderr differs between
-the trees, and exits 1 if any does, else 0.
+the trees, and exits 1 if any does, else 0.  For a JSON job whose stdout
+differs it also names the fields that moved, flattened as
+``rows[2].residuals.pde``.
 
 It reads ``perfbench/`` and changes nothing there.  Its name keeps pytest
 from collecting it.
@@ -51,6 +53,29 @@ def _jobs(work: Path):
                                  [command, "--config", str(folder / f"{config}.json"),
                                   "--format", fmt]))
     return jobs
+
+
+def _leaves(node, path=""):
+    """(flattened key, value) for each leaf of a JSON document, in document order."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def _moved_fields(out_a: str, out_b: str):
+    """The flattened keys whose values differ between two JSON documents, or
+    None when either output is not JSON."""
+    try:
+        a, b = (dict(_leaves(json.loads(out))) for out in (out_a, out_b))
+    except json.JSONDecodeError:
+        return None
+    missing = object()
+    return [key for key in {**a, **b} if a.get(key, missing) != b.get(key, missing)]
 
 
 def _child(jobs_file: str, out_file: str) -> int:
@@ -101,7 +126,10 @@ def main(argv) -> int:
         parts = [part for part, x, y in zip(("exit code", "stdout", "stderr"), ra, rb) if x != y]
         if parts:
             differ += 1
-            print(f"{label}: {', '.join(parts)} differ")
+            moved = _moved_fields(ra[1], rb[1]) if "stdout" in parts and label.endswith(
+                " json") else None
+            fields = f"; fields: {', '.join(moved)}" if moved else ""
+            print(f"{label}: {', '.join(parts)} differ{fields}")
     print(f"{differ} of {len(jobs)} runs differ: {len(jobs) // len(FORMATS)} pass jobs, "
           f"each in {' and '.join(FORMATS)}")
     return 1 if differ else 0

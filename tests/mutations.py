@@ -7,7 +7,9 @@ mutant: a file under SRC, an exact old text, the new text that replaces it,
 and the ids of the tests that must fail with the edit.  For each entry the
 script copies SRC, this checkout's ``tests`` and its ``pyproject.toml`` (the
 pytest settings) to a temporary directory, applies the edit there and runs
-each named test with pytest in a process of its own.
+each named test with pytest in a process of its own, with the hypothesis
+profile ``mutants`` of ``tests/conftest.py``, which does not shrink a failing
+example.
 
 A mutant is killed when every named test fails.  The script prints one line
 per entry and exits 1 if a mutant survives (a named test passes), if a test
@@ -62,6 +64,23 @@ REGISTER = (
            "for src in self._sources:\n            src.add_a(",
            "for src in self._sources[1:]:\n            src.add_a(",
            ("tests/test_potential.py::test_fd_gradient_matches_a_at_random_points",)),
+    Mutant("unit k divides G by 1 - x", "zeromodes/potential.py",
+           "chebdiv(smooth_flux_series(), (1.0, 1.0))",
+           "chebdiv(smooth_flux_series(), (1.0, -1.0))",
+           ("tests/test_potential.py::test_smooth_profiles_against_mpmath_radial_integrals",
+            "tests/test_potential.py::test_smooth_k_and_h_against_mpmath_at_any_radius")),
+    Mutant("unit k without its half", "zeromodes/potential.py",
+           "coef = 0.5 * cheb.chebdiv(", "coef = cheb.chebdiv(",
+           ("tests/test_potential.py::test_smooth_profiles_against_mpmath_radial_integrals",
+            "tests/test_potential.py::test_smooth_k_and_h_against_mpmath_at_any_radius")),
+    Mutant("series summed at x taken in s", "zeromodes/potential.py",
+           "        s2_in *= 2.0\n        s2_in /= self.rho ** 2\n",
+           "        np.sqrt(s2_in, out=s2_in)\n        s2_in *= 2.0\n        s2_in /= self.rho\n",
+           ("tests/test_potential.py::test_smooth_profiles_against_mpmath_radial_integrals",
+            "tests/test_potential.py::test_kernels_follow_the_plain_radial_laws")),
+    Mutant("boundary rows reversed", "zeromodes/cli.py",
+           "for k, v in values.items()]", "for k, v in reversed(values.items())]",
+           ("tests/test_cli.py::test_verify_all_pass", "tests/test_cli.py::test_index_command")),
 )
 
 
@@ -87,8 +106,8 @@ def _run_test(root: Path, test: str) -> int:
     if root / "src" not in Path(library).resolve().parents:
         raise SystemExit(f"the tests would import zeromodes from {library}, not the mutant")
     return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           test], cwd=root, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+                           "--hypothesis-profile", "mutants", test], cwd=root, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
 def verdict(entry: Mutant, src: Path) -> str:

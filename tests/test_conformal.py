@@ -16,11 +16,13 @@ from zeromodes import (
     RadialBump,
     PotentialField,
     SphereFluxMismatch,
+    boundary_spectra,
     build_basis,
     conformal_factor,
     conformal_ratio,
     count_zero_modes,
     flat_problem,
+    index_formula,
     mobius_for_point,
     patch_spinor,
     pi_flux,
@@ -28,6 +30,7 @@ from zeromodes import (
     sphere_with_holes,
     stereo_project,
     verify_mode,
+    verify_modes,
 )
 
 
@@ -185,6 +188,21 @@ def test_sphere_count_sweep_quarter_pi_grid():
         got = count_zero_modes(Problem(*sphere_to_disc(dom, fld))).count
         assert got == abs(strict_floor(Fraction(k, 8) + Fraction(1, 2))), k
         assert count_zero_modes(flat_problem(dom, fld)).count == got
+
+
+def test_sphere_holes_keep_their_config_names_in_the_library():
+    # the designated hole is config hole 0, so the projected disc's holes 0
+    # and 1 are config holes 1 and 2, and every boundary keying says so
+    dom = sphere_with_holes([Hole(0j, 3.0), Hole(1 + 0.5j, 0.3), Hole(-1.2j, 0.3)],
+                            omitted_hole=0)
+    fld = FieldSpec(bumps=[RadialBump(-0.5 + 0.3j, 0.5, pi_flux(7))],
+                    hole_fluxes=[pi_flux(-6), pi_flux("-1/2"), pi_flux("-1/2")])
+    problem = flat_problem(dom, fld)
+    modes = build_basis(dom, fld, PotentialField(fld, dom)).modes()
+    names = ["hole1", "hole2", "outer"]
+    assert list(boundary_spectra(problem)) == names
+    assert list(index_formula(problem).boundary_eta) == names
+    assert list(verify_modes(modes[:1])[0].trace_leakage) == names
 
 
 def test_sphere_count_matches_reduced_disc_and_mode_verifies():

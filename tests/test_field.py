@@ -29,7 +29,7 @@ from zeromodes import (
     sphere_with_holes,
     validate_field,
 )
-from zeromodes.field import gauss_nodes
+from zeromodes.field import smooth_flux_series, smooth_profile_amplitude
 from zeromodes.conformal import Problem, flat_problem
 
 TWO_PI = 2 * math.pi
@@ -222,12 +222,20 @@ def test_smooth_bump_field_builds_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_gauss_nodes_are_read_only():
-    # every quadrature shares the cached rule, so a write must not reach it
-    x, w = gauss_nodes()
-    for array in (x, w):
+def test_smooth_series_are_read_only_and_shared():
+    # every smooth bump reads the one cached flux series G and the one unit k
+    # series, whatever its radius, so a write must not reach either; each
+    # bump's k is its amplitude times the unit series, to the bit
+    from zeromodes.potential import PotentialField, _unit_k
+
+    unit = _unit_k()
+    for array in (smooth_flux_series(), unit):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             array *= 2.0
-    assert gauss_nodes()[0] is x and float(w.sum()) == pytest.approx(2.0)
+    bumps = [RadialBump(0.0, 0.13, pi_flux("7/2")), RadialBump(3.0, 2.5, -2.9)]
+    pot = PotentialField(FieldSpec(bumps=bumps), plane_with_holes([]))
+    for bump, src in zip(bumps, pot._sources):
+        np.testing.assert_array_equal(src._cheb_k, smooth_profile_amplitude(bump) * unit)
+    assert _unit_k() is unit and smooth_flux_series() is smooth_flux_series()

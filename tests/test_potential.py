@@ -170,7 +170,7 @@ def test_kernels_follow_the_plain_radial_laws():
 
 
 def test_smooth_profiles_against_mpmath_radial_integrals():
-    # the cosine-sum F and the chebint h of a smooth bump against 30-digit
+    # the series F and the chebint h of a smooth bump against 30-digit
     # quadrature of F(s) = 2 pi int_0^s b(r) r dr and
     # h(s) = -(1/2pi) [log(s) F(s) + 2 pi int_s^rho b(r) r log(r) dr],
     # with b normalised to the flux by quadrature as well; F is read off a
@@ -332,32 +332,53 @@ def test_h_asymptotics():
 def test_chopped_profiles_follow_the_full_fit():
     # the chopped k = F/(2 pi s^2) and h series of a smooth bump, in
     # x = 2 s^2/rho^2 - 1, stay within 1e-13 of the largest coefficient of
-    # the full 160-term fit, and both are shorter than it; the full h
-    # integrates the full k by quadrature, dh/dx = -k rho^2/4
+    # numpy's unchopped fit, and both are shorter than its 160 nodes: the
+    # flux series G interpolated at the first-kind nodes and integrated,
+    # k = C G/(2 (1 + x)), and h integrating k, dh/dx = -k rho^2/4
     from numpy.polynomial import chebyshev as cheb
 
-    from zeromodes.field import smooth_profile_amplitude, smooth_profile_shape
-    from zeromodes.potential import _gl_integrals_from
+    from zeromodes.field import smooth_profile_amplitude
 
     bump = RadialBump(0.3 - 0.2j, 0.6, pi_flux("25/4"))
     pot = PotentialField(FieldSpec(bumps=[bump]), disc_with_holes(3.0))
     radial = pot._sources[0]
     rho, n_nodes = bump.support_radius, 160
-    x = np.cos(math.pi * (2 * np.arange(n_nodes) + 1) / (2 * n_nodes))
-    s2 = 0.5 * rho ** 2 * (1.0 + x)
-    amp = smooth_profile_amplitude(bump)
-    f_vals = TWO_PI * _gl_integrals_from(
-        lambda r: amp * smooth_profile_shape(r, rho) * r, np.zeros_like(s2), np.sqrt(s2))
-    k_full = cheb.chebfit(x, f_vals / (TWO_PI * s2), n_nodes - 1)
-    h_vals = -radial.flux / TWO_PI * math.log(rho) + rho ** 2 / 4 * _gl_integrals_from(
-        lambda u: cheb.chebval(u, k_full), x, np.ones_like(x))
-    h_full = cheb.chebfit(x, h_vals, n_nodes - 1)
+    g_full = cheb.chebint(cheb.chebinterpolate(lambda t: np.exp(-2.0 / (1.0 - t)), n_nodes - 1),
+                          lbnd=-1.0)
+    k_full = 0.5 * smooth_profile_amplitude(bump) * cheb.chebdiv(g_full, (1.0, 1.0))[0]
+    h_full = cheb.chebint(k_full, lbnd=1.0, k=-radial.flux / TWO_PI * math.log(rho),
+                          scl=-rho ** 2 / 4.0)
 
     assert len(radial._cheb_k) < n_nodes and len(radial._cheb_h) < n_nodes
     x_test = 2.0 * (np.linspace(0.0, rho, 10_000) / rho) ** 2 - 1.0
     for chopped, full in ((radial._cheb_k, k_full), (radial._cheb_h, h_full)):
         gap = np.max(np.abs(cheb.chebval(x_test, chopped) - cheb.chebval(x_test, full)))
         assert gap <= 1e-13 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("rho", [0.13, 0.6, 2.5])
+def test_smooth_k_and_h_against_mpmath_at_any_radius(rho):
+    # one unit fit serves every radius and flux: k = F/(2 pi s^2), read as
+    # a/(i s) at a centred bump, to 1e-12 relative and h to 1e-12 absolute
+    # against 30-digit quadrature, which is linear in the flux
+    fluxes = [pi_flux("25/4"), -2.9, pi_flux("1/3"), 40.0]
+    pots = [PotentialField(FieldSpec(bumps=[RadialBump(0.0, rho, flux)]), disc_with_holes(8.0))
+            for flux in fluxes]
+    with mpmath.workdps(30):
+        def weight(r):
+            return mpmath.exp(-1 / (1 - (r / rho) ** 2)) * r
+
+        amp = 1 / (2 * mpmath.pi * mpmath.quad(weight, [0, rho]))
+        for frac in (1e-4, 0.01, 0.1, 0.37, 0.5, 0.8, 0.95, 0.999, 1.0):
+            s = frac * rho
+            f_unit = 2 * mpmath.pi * amp * mpmath.quad(weight, [0, s])
+            k_unit = float(f_unit / (2 * mpmath.pi * s ** 2))
+            h_unit = float(-(mpmath.log(s) * f_unit + 2 * mpmath.pi * amp * mpmath.quad(
+                lambda r: weight(r) * mpmath.log(r), [s, rho])) / (2 * mpmath.pi))
+            for flux, pot in zip(fluxes, pots):
+                k = (pot.eval_a(complex(s)) / (1j * s)).real
+                assert k == pytest.approx(float(flux) * k_unit, rel=1e-12)
+                assert pot.eval_h(complex(s)) == pytest.approx(float(flux) * h_unit, abs=1e-12)
 
 
 def test_quadrature_error_budget_on_support():
