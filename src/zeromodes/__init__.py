@@ -5,160 +5,19 @@ a disc, and a sphere with circular holes, together with the eta invariants
 and the index of the boundary-corrected problem.
 """
 
-from .aps_boundary import BoundarySpectrum, Chirality, leakage, trace_from_samples
-from .berry_mondragon import BMConfig, BMMode, bm_flux_sweep, bm_verify, bm_zero_mode
-from .conformal import (
-    MobiusCoeffs,
-    Problem,
-    conformal_factor,
-    conformal_ratio,
-    flat_problem,
-    mobius_for_point,
-    patch_spinor,
-    sphere_to_disc,
-    stereo_project,
-)
-from .errors import (
-    DomainError,
-    EmptyBasis,
-    GridTooCoarse,
-    NoClearance,
-    NorthPole,
-    PolePoint,
-    SingularPoint,
-    SphereFluxMismatch,
-    ZeroModesError,
-)
-from .eta_index import (
-    EtaSeriesResult,
-    IndexCountReport,
-    IndexResult,
-    eta_closed,
-    eta_richardson_to_zero,
-    eta_series,
-    index_formula,
-    index_vs_count,
-)
-from .field import (
-    FieldSpec,
-    KernelChoice,
-    NormalizedFlux,
-    PiFlux,
-    Profile,
-    RadialBump,
-    eval_B,
-    normalize_flux,
-    pi_flux,
-    validate_field,
-)
-from .geometry import (
-    OUTER,
-    Annulus,
-    DomainKind,
-    DomainSpec,
-    Hole,
-    ValidationResult,
-    annulus_probe,
-    disc_with_holes,
-    plane_with_holes,
-    projected_disc,
-    sphere_with_holes,
-    validate_domain,
-)
-from .numutil import floor_strict
-from .potential import PotentialField
-from .zero_modes import (
-    GridSpec,
-    VerificationReport,
-    ZeroMode,
-    ZeroModeBasis,
-    ZeroModeCount,
-    boundary_spectra,
-    build_basis,
-    count_zero_modes,
-    verify_mode,
-    verify_modes,
-)
+from .aps_boundary import *
+from .berry_mondragon import *
+from .conformal import *
+from .errors import *
+from .eta_index import *
+from .field import *
+from .geometry import *
+from .numutil import *
+from .potential import *
+from .zero_modes import *
 
-__all__ = [
-    # aps_boundary
-    "BoundarySpectrum",
-    "Chirality",
-    "leakage",
-    "trace_from_samples",
-    # berry_mondragon
-    "BMConfig",
-    "BMMode",
-    "bm_flux_sweep",
-    "bm_verify",
-    "bm_zero_mode",
-    # conformal
-    "MobiusCoeffs",
-    "Problem",
-    "conformal_factor",
-    "conformal_ratio",
-    "flat_problem",
-    "mobius_for_point",
-    "patch_spinor",
-    "sphere_to_disc",
-    "stereo_project",
-    # errors
-    "DomainError",
-    "EmptyBasis",
-    "GridTooCoarse",
-    "NoClearance",
-    "NorthPole",
-    "PolePoint",
-    "SingularPoint",
-    "SphereFluxMismatch",
-    "ZeroModesError",
-    # eta_index
-    "EtaSeriesResult",
-    "IndexCountReport",
-    "IndexResult",
-    "eta_closed",
-    "eta_richardson_to_zero",
-    "eta_series",
-    "index_formula",
-    "index_vs_count",
-    # field
-    "FieldSpec",
-    "KernelChoice",
-    "NormalizedFlux",
-    "PiFlux",
-    "Profile",
-    "RadialBump",
-    "eval_B",
-    "normalize_flux",
-    "pi_flux",
-    "validate_field",
-    # geometry
-    "OUTER",
-    "Annulus",
-    "DomainKind",
-    "DomainSpec",
-    "Hole",
-    "ValidationResult",
-    "annulus_probe",
-    "disc_with_holes",
-    "plane_with_holes",
-    "projected_disc",
-    "sphere_with_holes",
-    "validate_domain",
-    # numutil
-    "floor_strict",
-    # potential
-    "PotentialField",
-    # zero_modes
-    "GridSpec",
-    "VerificationReport",
-    "ZeroMode",
-    "ZeroModeBasis",
-    "ZeroModeCount",
-    "boundary_spectra",
-    "build_basis",
-    "count_zero_modes",
-    "verify_mode",
-    "verify_modes",
-]
+# importing a submodule binds its name in this package
+__all__ = [*aps_boundary.__all__, *berry_mondragon.__all__, *conformal.__all__, *errors.__all__,
+           *eta_index.__all__, *field.__all__, *geometry.__all__, *numutil.__all__,
+           *potential.__all__, *zero_modes.__all__]
 __version__ = "0.1.0"

@@ -52,6 +52,8 @@ from .field import FluxLike, KernelChoice, flux_over_2pi
 from .geometry import OUTER
 from .numutil import HALF, floor_strict, integer_at, threshold_sum
 
+__all__ = ["BoundarySpectrum", "Chirality", "leakage", "trace_from_samples"]
+
 
 class Chirality(Enum):
     """The nonzero spinor component of a zero mode; NONE when there is no mode."""

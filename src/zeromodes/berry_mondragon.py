@@ -26,7 +26,9 @@ from ._numpy import np
 from .field import FluxLike, PiFlux, TWO_PI
 from .geometry import Annulus
 from .numutil import integer_at
-from .zero_modes import GridSpec, VerificationReport, _polar_chunks, pde_residuals
+from .zero_modes import GridSpec, VerificationReport, pde_residuals, polar_chunks
+
+__all__ = ["BMConfig", "BMMode", "bm_flux_sweep", "bm_verify", "bm_zero_mode"]
 
 # points per circle at which the boundary relation is checked
 _BOUNDARY_SAMPLES = 512
@@ -95,7 +97,7 @@ def bm_verify(
     """Finite-difference PDE residual plus pointwise boundary-relation check."""
     x = float(cfg.phi) / TWO_PI
     grid = GridSpec()
-    chunks = _polar_chunks(0.0, Annulus(cfg.r_inner, cfg.r_outer), grid.radial, grid.angular)
+    chunks = polar_chunks(0.0, Annulus(cfg.r_inner, cfg.r_outer), grid.radial, grid.angular)
 
     def vec_a(z):
         return 1j * x * z / np.abs(z) ** 2

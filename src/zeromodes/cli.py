@@ -23,11 +23,13 @@ Example config::
 
 Every section of a config is parsed and checked once, keys and values, when
 the config is loaded (:func:`parse_config`), whichever command runs, eta's
-``c`` and ``n_terms`` among them; only a computation's own checks, such as
-a sphere's q, wait for it.  A key that nothing reads is a configuration
-error, and so is a value given both ways (``flux`` and ``flux_pi``,
-``hole_fluxes`` and ``hole_fluxes_pi``, ``phi`` and ``phi_pi``).  ``--tol``
-and ``--grid`` apply to ``verify`` only; any other command refuses them.
+``c`` and ``n_terms`` among them, and a domain and a field make their flat
+problem then, so a sphere's q, kernel and flux balance are checked too; only
+a computation's own checks, such as the verify mode cap, wait for it.  A key
+that nothing reads is a configuration error, and so is a value given both
+ways (``flux`` and ``flux_pi``, ``hole_fluxes`` and ``hole_fluxes_pi``,
+``phi`` and ``phi_pi``).  ``--tol`` and ``--grid`` apply to ``verify`` only;
+any other command refuses them.
 A ``bm`` section with a ``sweep`` range prints one ``{phi, has_mode, n}``
 row per flux and needs no ``phi`` of its own; without one, ``bm`` reports
 the single configuration's mode and its verification.
@@ -319,7 +321,8 @@ def parse_config(node, args) -> Dict[str, Any]:
     """``{section: parsed value}`` for a loaded config, each section parsed
     and checked once by its own parser; ``args`` gives the command, ``--grid``
     and ``--tol``.  A section left out stays out, unless the command reads its
-    defaults.  The domain is then validated, and the field against it."""
+    defaults.  The domain is then validated, and the field against it, and
+    the two make the flat ``"problem"``, whichever command runs."""
     sections = {**_DEFAULTS.get(args.command, {}), **_known(node, "config", _PARSERS)}
     config = {section: parse(sections[section], args)
               for section, parse in _PARSERS.items() if section in sections}
@@ -330,14 +333,17 @@ def parse_config(node, args) -> Dict[str, Any]:
             violations = validate_field(config["field"], config["domain"])
         if violations:
             raise ConfigError("; ".join(violations))
+        if "field" in config:
+            # a sphere's q, kernel and flux balance are checked here (ValueError)
+            config["problem"] = flat_problem(config["domain"], config["field"])
     return config
 
 
 def _validated_problem(config):
-    """The config's domain and field, and their flat problem (reduced once)."""
-    if "domain" not in config or "field" not in config:
+    """The config's domain and field, and their flat problem (reduced once, at load)."""
+    if "problem" not in config:
         raise ConfigError("config needs 'domain' and 'field' sections")
-    return config["domain"], config["field"], flat_problem(config["domain"], config["field"])
+    return config["domain"], config["field"], config["problem"]
 
 
 def _flux_payload(domain: DomainSpec, fld: FieldSpec, problem: Problem) -> Dict[str, Any]:
@@ -521,11 +527,8 @@ def render_csv(document: Dict[str, Any]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(keys)
     for flat in flat_rows:
-        line = []
-        for k in keys:
-            v = flat.get(k, "")
-            line.append(repr(v) if isinstance(v, float) else v)
-        writer.writerow(line)
+        # csv writes a float as str(), the text of repr(float(v)), np.float64 too
+        writer.writerow([flat.get(k, "") for k in keys])
     return buf.getvalue()
 
 

@@ -26,6 +26,11 @@ from .errors import NorthPole, PolePoint
 from .field import FieldSpec, KernelChoice, check_sphere_flux_balance
 from .geometry import DomainKind, DomainSpec, projected_disc
 
+__all__ = [
+    "MobiusCoeffs", "Problem", "conformal_factor", "conformal_ratio", "flat_problem",
+    "mobius_for_point", "patch_spinor", "sphere_to_disc", "stereo_project",
+]
+
 
 def conformal_factor(z) -> np.ndarray:
     """W(z) = (1 + |z|^2/4)^{-1}, the round-metric factor; W(0) = 1."""

@@ -1,5 +1,10 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "DomainError", "EmptyBasis", "GridTooCoarse", "NoClearance", "NorthPole", "PolePoint",
+    "SingularPoint", "SphereFluxMismatch", "ZeroModesError",
+]
+
 
 class ZeroModesError(Exception):
     """Base class for all library-specific failures."""
@@ -13,8 +18,8 @@ class SingularPoint(ZeroModesError):
     """Evaluation requested exactly at a delta-flux centre."""
 
 
-class SphereFluxMismatch(ZeroModesError):
-    """Sphere field data violate the zero-total-flux constraint."""
+class SphereFluxMismatch(ZeroModesError, ValueError):
+    """Sphere field data violate the zero-total-flux constraint (a bad argument)."""
 
 
 class GridTooCoarse(ZeroModesError):

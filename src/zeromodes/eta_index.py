@@ -53,6 +53,11 @@ from .geometry import DomainKind
 from .numutil import HALF, floor_strict, integer_at, threshold_sum
 from .zero_modes import count_zero_modes
 
+__all__ = [
+    "EtaSeriesResult", "IndexCountReport", "IndexResult", "eta_closed",
+    "eta_richardson_to_zero", "eta_series", "index_formula", "index_vs_count",
+]
+
 # terms one eta series may sum, so every config does a bounded amount of work
 MAX_ETA_TERMS = 10_000
 # Richardson levels and series terms of the continuation to s = 0: four levels

@@ -27,8 +27,13 @@ from typing import List, Sequence, Tuple, Union
 
 from ._numpy import np
 from .errors import SphereFluxMismatch
-from .geometry import DomainKind, DomainSpec, _checked_domain
+from .geometry import DomainKind, DomainSpec, checked_domain
 from .numutil import HALF, floor_strict, threshold_sum
+
+__all__ = [
+    "FieldSpec", "KernelChoice", "NormalizedFlux", "PiFlux", "Profile", "RadialBump", "eval_B",
+    "normalize_flux", "pi_flux", "validate_field",
+]
 
 TWO_PI = 2.0 * math.pi
 
@@ -181,7 +186,7 @@ def validate_field(fld: FieldSpec, domain: DomainSpec) -> List[str]:
             f"field carries {len(fld.hole_fluxes)} hole fluxes for {domain.n_holes} holes"
         )
     try:
-        flat, index = _checked_domain(domain)
+        flat, index = checked_domain(domain)
     except ValueError as exc:
         return bad + [str(exc)]
     for bi, b in enumerate(fld.bumps):

@@ -16,6 +16,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import NoClearance
 
+__all__ = [
+    "OUTER", "Annulus", "DomainKind", "DomainSpec", "Hole", "ValidationResult", "annulus_probe",
+    "disc_with_holes", "plane_with_holes", "projected_disc", "sphere_with_holes",
+    "validate_domain",
+]
+
 #: sentinel accepted by :func:`annulus_probe` to probe the outer boundary
 OUTER = -1
 
@@ -115,7 +121,7 @@ def projected_disc(spec: DomainSpec) -> DomainSpec:
     return disc_with_holes(outer.radius, [h for j, h in enumerate(spec.holes) if j != om])
 
 
-def _checked_domain(spec: DomainSpec) -> Tuple[DomainSpec, List[int]]:
+def checked_domain(spec: DomainSpec) -> Tuple[DomainSpec, List[int]]:
     """The flat domain the checks of ``spec`` run on (a sphere's
     :func:`projected_disc`, else ``spec``) and the index in ``spec`` of each
     of its holes.  Raises ValueError as :func:`projected_disc` does."""
@@ -131,7 +137,7 @@ def validate_domain(spec: DomainSpec) -> ValidationResult:
     names holes by their index in ``spec``.
     """
     try:
-        flat, index = _checked_domain(spec)
+        flat, index = checked_domain(spec)
     except ValueError as exc:
         return ValidationResult(False, [str(exc)])
     bad: List[str] = []

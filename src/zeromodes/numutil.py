@@ -26,6 +26,8 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
+__all__ = ["floor_strict"]
+
 Real = Union[int, float, Fraction]
 
 # absolute tolerance for "is this float an integer" decisions

@@ -75,6 +75,8 @@ from .field import (
 )
 from .geometry import DomainSpec
 
+__all__ = ["PotentialField"]
+
 
 # trailing Chebyshev coefficients of a bump profile below this fraction of
 # the largest are fitting noise and are dropped

@@ -51,6 +51,11 @@ from .geometry import OUTER, Annulus, DomainKind, DomainSpec, annulus_probe
 from .numutil import HALF, floor_strict, threshold_sum
 from .potential import PotentialField
 
+__all__ = [
+    "GridSpec", "VerificationReport", "ZeroMode", "ZeroModeBasis", "ZeroModeCount",
+    "boundary_spectra", "build_basis", "count_zero_modes", "verify_mode", "verify_modes",
+]
+
 
 @dataclass(frozen=True)
 class ZeroModeCount:
@@ -272,7 +277,7 @@ def _array_chunks(zs: np.ndarray) -> List[Chunk]:
             for lo in range(0, zs.size, _CHUNK_POINTS)]
 
 
-def _polar_chunks(center: complex, annulus: Annulus, radial: int, angular: int) -> List[Chunk]:
+def polar_chunks(center: complex, annulus: Annulus, radial: int, angular: int) -> List[Chunk]:
     """The polar grid of ``annulus`` around ``center``, row by row (radius
     by radius, each row in angle order), in blocks of whole rows; a row
     longer than a chunk is split by angle."""
@@ -691,12 +696,12 @@ def _point_chunks(dom: DomainSpec, f: FieldSpec, grid: GridSpec, fd: float) -> L
     chunks: List[Chunk] = []
     for j, hole in enumerate(dom.holes):
         probe = annulus_probe(dom, j, support_radii_from(f, hole.center))
-        chunks += _polar_chunks(hole.center, probe, grid.radial, grid.angular)
+        chunks += polar_chunks(hole.center, probe, grid.radial, grid.angular)
     if dom.kind is DomainKind.DISC:
         probe = annulus_probe(dom, OUTER, support_extents_from(f, 0.0))
         inset = Annulus(probe.inner, probe.outer - 2 * fd)
         if inset.outer > inset.inner:
-            chunks += _polar_chunks(0.0, inset, grid.radial, grid.angular)
+            chunks += polar_chunks(0.0, inset, grid.radial, grid.angular)
     return chunks + _bulk_chunks(dom, f, grid, fd)
 
 

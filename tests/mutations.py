@@ -81,6 +81,65 @@ REGISTER = (
     Mutant("boundary rows reversed", "zeromodes/cli.py",
            "for k, v in values.items()]", "for k, v in reversed(values.items())]",
            ("tests/test_cli.py::test_verify_all_pass", "tests/test_cli.py::test_index_command")),
+    Mutant("dbar stencil's y derivative with the wrong sign", "zeromodes/zero_modes.py",
+           "    if up:\n        ux += uy\n", "    if up:\n        ux -= uy\n",
+           ("tests/test_zero_modes.py::test_dirac_residual_at_zero_potential[up-non-solution]",
+            "tests/test_zero_modes.py::test_verify_constructed_mode_passes")),
+    Mutant("worst point without its index tie-break", "zeromodes/zero_modes.py",
+           "else (1, -point[0], point[1]))", "else (1, -point[0]))",
+           ("tests/test_zero_modes.py::test_split_walk_tie_goes_to_the_smaller_index[2]",)),
+    Mutant("lattice window without its spacing margin", "zeromodes/zero_modes.py",
+           "(center - reach - spacing, center + reach + spacing)",
+           "(center - reach, center + reach)",
+           ("tests/test_zero_modes.py::"
+            "test_windowed_masks_keep_the_points_of_the_unwindowed_lattice",)),
+    Mutant("JSON keys not sorted", "zeromodes/cli.py",
+           "for key in sorted(value):", "for key in value:",
+           ("tests/test_cli.py::test_output_is_the_standard_library_rendering[count]",
+            "tests/test_cli.py::test_json_writer_gives_the_bytes_of_the_standard_library")),
+    Mutant("residual scale from the last chunk only", "zeromodes/zero_modes.py",
+           "scales[s] = np.maximum(scales[s], modulus)", "scales[s] = modulus",
+           ("tests/test_zero_modes.py::test_verify_modes_matches_per_mode_reference[disc-up]",)),
+    Mutant("a spinor's components summed, not maxed", "zeromodes/zero_modes.py",
+           "r, u_abs = np.maximum(r, r_i, out=r),", "r, u_abs = np.add(r, r_i, out=r),",
+           ("tests/test_zero_modes.py::"
+            "test_dirac_residual_at_zero_potential[both-report-the-max-not-the-sum]",
+            "tests/test_zero_modes.py::test_bm_verify_matches_full_row_reference[unbalanced]")),
+    Mutant("eta series without f(a)/2", "zeromodes/eta_index.py",
+           "        terms.append(jump(0) / 2)\n", "",
+           ("tests/test_eta_index.py::test_eta_series_within_its_bound_of_hurwitz[1/3]",
+            "tests/test_eta_index.py::test_eta_series_symmetric_point")),
+    Mutant("default gauge fold's tie swapped", "zeromodes/field.py",
+           "m = -floor_strict(-threshold_sum(x, q, HALF)) - 1",
+           "m = floor_strict(threshold_sum(x, q, HALF))",
+           ("tests/test_field.py::test_normalize_interval_ends",
+            "tests/test_threshold_policy.py::test_float_flux_ties_fold_like_exact_ties")),
+    Mutant("bm_verify without its spin-up component", "zeromodes/berry_mondragon.py",
+           "return mode.eval_up(z), mode.eval_down(z)",
+           "return np.zeros_like(z), mode.eval_down(z)",
+           ("tests/test_berry_mondragon.py::test_bm_verify_rejects_non_solution",
+            "tests/test_zero_modes.py::test_bm_verify_matches_full_row_reference[bent-up]")),
+    Mutant("sphere residual without its W^{-3/2}", "zeromodes/zero_modes.py",
+           "                    r *= w_res\n", "",
+           ("tests/test_zero_modes.py::test_sphere_weights_scale_the_residual_and_the_modulus",)),
+    Mutant("sphere modulus without its W^{-1/2}", "zeromodes/zero_modes.py",
+           "                    u_abs *= w_mod\n", "",
+           ("tests/test_zero_modes.py::test_sphere_weights_scale_the_residual_and_the_modulus",)),
+    Mutant("sphere flux mismatch not a ValueError", "zeromodes/errors.py",
+           "class SphereFluxMismatch(ZeroModesError, ValueError):",
+           "class SphereFluxMismatch(ZeroModesError):",
+           ("tests/test_cli.py::test_sphere_flux_mismatch_exits_2",
+            "tests/test_cli.py::test_bad_config_exits_2[eta-sphere-unbalanced]")),
+    Mutant("flat problem made only for the commands that count", "zeromodes/cli.py",
+           '        if "field" in config:\n',
+           '        if "field" in config and args.command in ("count", "index", "verify"):\n',
+           ("tests/test_cli.py::test_bad_config_exits_2[sweep-sphere-q-quarter]",
+            "tests/test_cli.py::test_bad_config_exits_2[bm-sphere-unbalanced]")),
+    Mutant("CSV floats by their repr", "zeromodes/cli.py",
+           'writer.writerow([flat.get(k, "") for k in keys])',
+           'writer.writerow([repr(v) if isinstance(v, float) else v\n'
+           '                         for v in (flat.get(k, "") for k in keys)])',
+           ("tests/test_cli.py::test_csv_writes_each_float_as_json_does",)),
 )
 
 

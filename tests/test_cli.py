@@ -393,6 +393,16 @@ RANGE = {"start": "0", "stop": "1", "step": "1/2"}
           ("hole-flux", ["domain", "holes", 0, "flux"], 1.0, "unknown hole keys ['flux']"),
           ("bump-radius", ["field", "bumps", 0, "radius"], 0.6,
            "unknown bump keys ['radius']"))],
+    # a bad sphere is refused at load: count, index and verify exited 3 on an
+    # unbalanced one, and eta, sweep and bm exited 0 on both
+    *[pytest.param(command, dict(sphere, **section), message, id=f"{command}-sphere-{name}")
+      for command, section in (("eta", {"eta": {"c_values": ["1/3"]}}),
+                               ("sweep", {"sweep": {"phi_pi": RANGE}}), ("bm", {"bm": BM}))
+      for name, sphere, message in (
+          ("unbalanced", _with(["field", "hole_fluxes_pi"], ["1/2", "1/2"], SPHERE_3PI),
+           "total flux on the sphere must vanish, got 1.257e+01"),
+          ("q-quarter", _with(["field", "q"], "1/4", SPHERE_3PI),
+           "sphere results are stated for q = 0 with the default kernel"))],
     # the sweep that printed a constant has_mode false row for every flux is gone
     pytest.param("bm", {"bm": dict(BM, sweep=dict(RANGE, unbounded=True))},
                  "unknown bm.sweep keys ['unbounded']", id="unknown-bm-sweep-key"),
@@ -669,7 +679,7 @@ def test_sphere_holes_keep_their_config_names(tmp_path, capsys, command):
     assert got == want
 
 
-def test_sphere_flux_mismatch_exits_3(tmp_path, capsys):
+def test_sphere_flux_mismatch_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "domain": {"kind": "sphere", "omitted_hole": 1,
                    "holes": [{"center": [1.0, 0.0], "radius": 0.4},
@@ -677,12 +687,12 @@ def test_sphere_flux_mismatch_exits_3(tmp_path, capsys):
         "field": {"hole_fluxes_pi": ["1/2", "1/2"]},
     })
     code, _, err = run_cli(capsys, "count", "--config", cfg)
-    assert code == 3
-    assert "SphereFluxMismatch" in err
+    assert code == 2
+    assert err.startswith("config error: total flux on the sphere must vanish")
 
 
 @pytest.mark.parametrize("fluxes, code", [
-    ({"hole_fluxes_pi": ["1/1000000000000", "0"]}, 3),  # exact: unbalanced by 1e-12 pi
+    ({"hole_fluxes_pi": ["1/1000000000000", "0"]}, 2),  # exact: unbalanced by 1e-12 pi
     ({"hole_fluxes": [1e-12 * math.pi, 0.0]}, 0),  # float: within SPHERE_BALANCE_TOL
 ])
 def test_sphere_balance_is_exact_for_exact_fluxes(tmp_path, capsys, fluxes, code):
@@ -693,7 +703,7 @@ def test_sphere_balance_is_exact_for_exact_fluxes(tmp_path, capsys, fluxes, code
         "field": fluxes,
     })
     got, _, err = run_cli(capsys, "count", "--config", cfg)
-    assert got == code and ("SphereFluxMismatch" in err) == (code == 3)
+    assert got == code and ("must vanish" in err) == (code == 2)
 
 
 def test_a_field_without_flux_takes_the_exact_path(tmp_path, capsys):
@@ -824,6 +834,13 @@ def test_output_is_deterministic_and_formats_agree(tmp_path, capsys):
     assert float(csv_row["phi_total"]) == row["phi_total"]
     assert int(csv_row["count"]) == row["count"]
     assert csv_row["phi_normalized[0]"] == repr(row["phi_normalized"][0])
+
+
+def test_csv_writes_each_float_as_json_does():
+    # repr(np.float64(0.1)) is "np.float64(0.1)" under numpy 2; JSON prints 0.1
+    document = {"rows": [{"a": np.float64(0.1), "b": 0.1, "c": True, "d": None,
+                          "e": math.nan, "f": [np.float64(-2.5e-300)]}]}
+    assert render(document, "csv") == "a,b,c,d,e,f[0]\n0.1,0.1,True,,nan,-2.5e-300\n"
 
 
 # strings with non-ASCII, quote, backslash, control and lone surrogate characters

@@ -1,6 +1,7 @@
 """The mutation register (tests/mutations.py) refuses what it cannot apply.
 
-These tests run no mutant: the pytest runs are replaced by a stand-in."""
+Only the harmless entry's test runs pytest on a mutant; the others replace
+the pytest runs by a stand-in."""
 
 from pathlib import Path
 
@@ -52,3 +53,12 @@ def test_a_mutant_is_killed_only_when_its_tests_fail(monkeypatch, capsys, code, 
     # the tests ran on the mutant, in a copy: the checkout is unchanged
     assert seen == [mutations.mutated(REGISTER[0], SRC)]
     assert REGISTER[0].old in (SRC / REGISTER[0].path).read_text(encoding="utf-8")
+
+
+def test_a_harmless_entry_survives_real_pytest():
+    # a comment edit changes no behaviour, so its test passes on the mutant
+    entry = Mutant("comment edit", "zeromodes/geometry.py",
+                   "#: sentinel accepted by", "#: the sentinel accepted by",
+                   ("tests/test_geometry.py::test_valid_disc_with_two_holes",))
+    assert mutations.verdict(entry, SRC) == (
+        "survived: tests/test_geometry.py::test_valid_disc_with_two_holes passed")

@@ -309,6 +309,22 @@ def test_dirac_residual_at_zero_potential(up, down, expected):
     assert np.all(np.abs(res - expected) < 1e-12)
 
 
+def test_sphere_weights_scale_the_residual_and_the_modulus():
+    # at a = 0 the spin-up non-solution conj z has residual 2 everywhere; a
+    # sphere's weights take it to 2 W^{-3/2} and the modulus to W^{-1/2}|z|,
+    # with W = 1/(1 + |z|^2/4), each at its own largest value
+    from zeromodes.geometry import Annulus
+
+    chunks = zero_modes.polar_chunks(0.0, Annulus(0.5, 3.0), 16, 64)
+    [(residual, _)] = zero_modes.pde_residuals(
+        lambda z: (np.conj(z),), (True,), lambda z: 0.0, chunks, 1e-2, 1e-6,
+        weight=zero_modes._conformal_weights)
+    zs = _points(chunks)
+    w = 1.0 / (1.0 + np.abs(zs) ** 2 / 4.0)
+    expected = np.max(2.0 * w ** -1.5) / np.max(w ** -0.5 * np.abs(zs))
+    assert abs(residual - expected) <= 1e-12 * expected
+
+
 def test_grid_too_coarse_surfaces(disc_problem):
     dom, fld, pot = disc_problem
     mode = build_basis(dom, fld, pot).modes()[0]
@@ -646,7 +662,7 @@ def test_bm_verify_matches_full_row_reference(case, monkeypatch):
     report = bm_verify(cfg, mode)
 
     grid = GridSpec()
-    zs = _points(zero_modes._polar_chunks(0.0, Annulus(cfg.r_inner, cfg.r_outer),
+    zs = _points(zero_modes.polar_chunks(0.0, Annulus(cfg.r_inner, cfg.r_outer),
                                           grid.radial, grid.angular))
     x = float(cfg.phi) / (2 * math.pi)
 
@@ -1222,12 +1238,34 @@ def test_down_mode_verifies():
 
 
 def test_public_names_are_explicit_and_hold_no_submodule():
+    import ast
     import inspect
     import types
 
     import zeromodes
 
+    # each module lists the names it defines; the package joins the lists
+    package = Path(zeromodes.__file__).parent
+    joined = []
+    for node in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom):
+            assert [alias.name for alias in node.names] == ["*"], node.module
+            tree = ast.parse((package / f"{node.module}.py").read_text(encoding="utf-8"))
+            defined = {target.id for stmt in tree.body if isinstance(stmt, ast.Assign)
+                       for target in stmt.targets if isinstance(target, ast.Name)}
+            defined |= {stmt.name for stmt in tree.body
+                        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+            names = getattr(zeromodes, node.module).__all__
+            assert set(names) <= defined, (node.module, set(names) - defined)
+            joined += names
+    assert zeromodes.__all__ == joined
     assert len(set(zeromodes.__all__)) == len(zeromodes.__all__)
+    # a leading underscore means private to its module
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, (path.name, node.module, private)
     for name in zeromodes.__all__:
         assert not isinstance(getattr(zeromodes, name), types.ModuleType), name
     for gone in ("eta_of_scaled", "rho_term", "zero_modes", "potential"):
